@@ -236,7 +236,7 @@ def cmd_verify(args) -> int:
             continue
         if method == "census":
             res = census(d, h, w, args.moves, is_full_monodromy,
-                         "full-monodromy", budget=args.budget, threads=args.threads)
+                         "full-monodromy", budget=args.budget)
             if res.partial:
                 rows.append((d, h, w, "census", str(res.total), "-", "INCONCLUSIVE",
                              "budget %d exhausted" % args.budget))
@@ -295,8 +295,7 @@ def _run_census(args):
     if d < 1:
         raise UsageError("d must be positive")
     filter_name, pred = _parse_filter(args.filter, d)
-    return census(d, h, w, args.moves, pred, filter_name,
-                  budget=args.budget, threads=args.threads)
+    return census(d, h, w, args.moves, pred, filter_name, budget=args.budget)
 
 
 def cmd_explore(args) -> int:
@@ -333,8 +332,7 @@ def cmd_census(args) -> int:
         if not res.orbits:
             raise UsageError("no orbit to log")
         moves = compile_moves(args.d, args.h, args.w, args.moves)
-        flood = orbit_bfs(deserialize(res.orbits[0].rep), moves,
-                          threads=args.threads)
+        flood = orbit_bfs(deserialize(res.orbits[0].rep), moves)
         write_predecessor_log(args.log, flood)
     return EXIT_BUDGET if res.partial else EXIT_PASS
 
@@ -394,7 +392,10 @@ def _replay_certificate(path: str) -> int:
 
 
 def _replay_predecessor_log(path: str) -> int:
-    log = read_predecessor_log(path)
+    try:
+        log = read_predecessor_log(path)
+    except ValueError as exc:
+        raise UsageError("%s: %s" % (path, exc))
     bad = 0
     for key in sorted(log.predecessors):
         pred, token = log.predecessors[key]
@@ -613,7 +614,8 @@ def _add_common(p, budget=DEFAULT_BUDGET) -> None:
                    help="state budget for searches (default %d)" % budget)
     p.add_argument("--seed", type=int, default=None, help="random seed (default 0)")
     p.add_argument("--threads", type=int, default=None,
-                   help="orbit engine workers (default 1)")
+                   help="accepted for compatibility and ignored: the orbit "
+                        "engine runs in one thread")
     p.add_argument("--out", default=None, help="write the machine-readable report here")
     p.add_argument("--config", default=None,
                    help="JSON file of flag defaults; explicit flags win")

@@ -307,6 +307,12 @@ def apply_word(sys: HurwitzSystem, word: str) -> HurwitzSystem:
     return sys
 
 
+def invert_tokens(tokens: list[str]) -> list[str]:
+    """The inverse of a braid and push word: reversed, each token's
+    prime toggled."""
+    return [token[:-1] if token.endswith("'") else token + "'" for token in reversed(tokens)]
+
+
 @dataclass(frozen=True)
 class Certificate:
     """A replayable witness that two systems are connected by moves."""

@@ -32,6 +32,7 @@ from .moves import (
     certificate,
     evaluate_word,
     handle_push,
+    invert_tokens,
     pair_retype,
 )
 from .perms import (
@@ -190,20 +191,13 @@ def realize_block_rewrite(sys: HurwitzSystem, lo: int, hi: int,
                 if nxt in other:
                     fwd = visited[nxt] if pick == 0 else other[nxt]
                     bwd = other[nxt] if pick == 0 else visited[nxt]
-                    tokens = fwd + _invert_tokens(bwd)
+                    tokens = fwd + invert_tokens(bwd)
                     return _offset_tokens(tokens, lo - 1)
                 new_frontier.append(nxt)
         frontiers = (new_frontier, frontiers[1]) if pick == 0 else (frontiers[0], new_frontier)
     raise OrbitMismatchError(
         "window %d..%d of %s cannot be braided to %s" %
         (lo, hi, serialize(sys), " ; ".join(format_perm(t) for t in target)))
-
-
-def _invert_tokens(tokens: list[str]) -> list[str]:
-    out = []
-    for token in reversed(tokens):
-        out.append(token[:-1] if token.endswith("'") else token + "'")
-    return out
 
 
 def _offset_tokens(tokens: list[str], shift: int) -> list[str]:

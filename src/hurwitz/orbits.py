@@ -3,27 +3,31 @@
 Exhaustive breadth-first floods answer the connectivity questions
 exactly: a census partitions every system with given parameters into
 move orbits, and connect searches for an explicit path between two
-systems.  Everything here is deterministic by construction: frontiers
-are processed in sorted key order, discoveries are merged by least
-predecessor, and the result is independent of worker count (workers
-only split the frontier; the merge is ordered).  Budgets make long
-runs interruptible: a partial result is flagged, never silently
-truncated.
+systems.  All three searches run on one integer kernel: a state is a
+tuple of permutation ranks, numbered so that tuple order is system-line
+order, and moves are memoized table lookups.  System lines are written
+only for what a search reports.  Everything here is deterministic by
+construction: frontiers are processed in sorted order and the first
+discovery wins.  Budgets make long runs interruptible: a partial result
+is flagged, never silently truncated.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 import struct
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from dataclasses import dataclass
+from math import factorial
+from operator import itemgetter
+from typing import Callable
 
 from .catalog import catalog_hash, certified_push_endo
-from .moves import Certificate, certificate
+from .moves import Certificate, Move, apply_move, certificate, invert_tokens, parse_move
 from .perms import Perm, compose, conjugate, identity, inverse
 from .systems import (
     HurwitzSystem,
+    branching_blocks,
     enumerate_systems,
     is_full_monodromy,
     serialize,
@@ -44,59 +48,166 @@ class CompiledMove:
     apply: Callable[[HurwitzSystem], HurwitzSystem]
 
 
-def _braid_fn(j: int, inverse_move: bool):
-    def fn(sys: HurwitzSystem) -> HurwitzSystem:
-        s, t = sys.transpositions[j - 1], sys.transpositions[j]
-        pair = (conjugate(t, s), s) if inverse_move else (t, conjugate(s, t))
-        return HurwitzSystem(sys.d, sys.handles,
-                             sys.transpositions[: j - 1] + pair + sys.transpositions[j + 1 :])
-    return fn
-
-
-def _push_fn(h: int, w: int, i: int, side: str, inverse_move: bool):
-    e = certified_push_endo(h, w, i, side)
-    if inverse_move:
-        e = e.inverse()
-    moved = 2 * i if side == "a" else 2 * i - 1  # 1-based letter index
-    g_word = e.images[2 * h + w - 1]
-    moved_word = e.images[moved - 1]
-    two_h = 2 * h
-
-    def fn(sys: HurwitzSystem) -> HurwitzSystem:
-        def ev(word) -> Perm:
-            acc = identity(sys.d)
-            for letter in word:
-                k = abs(letter)
-                p = sys.handles[k - 1] if k <= two_h else sys.transpositions[k - two_h - 1]
-                acc = compose(acc, p if letter > 0 else inverse(p))
-            return acc
-
-        handles = list(sys.handles)
-        handles[moved - 1] = ev(moved_word)
-        ts = sys.transpositions[:-1] + (ev(g_word),)
-        return HurwitzSystem(sys.d, tuple(handles), ts)
-    return fn
+def _reference_apply(move: Move) -> Callable[[HurwitzSystem], HurwitzSystem]:
+    def apply(sys: HurwitzSystem) -> HurwitzSystem:
+        return apply_move(sys, move)
+    return apply
 
 
 def compile_moves(d: int, h: int, w: int, selector: str = "full") -> tuple[CompiledMove, ...]:
     """The neighbor generators for these parameters.  selector picks
     "braid" (tuple shuffles only) or "full" (braids and point-pushes).
     Every move's inverse is also in the set, so orbits are symmetric.
+    Each apply is the checked reference move of moves.py; the searches
+    here run the same moves on the integer kernel instead.
     """
     if selector not in ("braid", "full"):
         raise ValueError("move selector must be 'braid' or 'full', got %r" % selector)
-    out: list[CompiledMove] = []
+    tokens: list[tuple[str, str]] = []
     for j in range(1, w):
-        out.append(CompiledMove("B%d" % j, "B%d'" % j, _braid_fn(j, False)))
-        out.append(CompiledMove("B%d'" % j, "B%d" % j, _braid_fn(j, True)))
+        tokens += [("B%d" % j, "B%d'" % j), ("B%d'" % j, "B%d" % j)]
     if selector == "full" and w >= 1:
         for i in range(1, h + 1):
             for side in ("a", "b"):
-                out.append(CompiledMove("P%s%d" % (side, i), "P%s%d'" % (side, i),
-                                        _push_fn(h, w, i, side, False)))
-                out.append(CompiledMove("P%s%d'" % (side, i), "P%s%d" % (side, i),
-                                        _push_fn(h, w, i, side, True)))
-    return tuple(out)
+                certified_push_endo(h, w, i, side)  # a bad catalog fails here
+                tokens += [("P%s%d" % (side, i), "P%s%d'" % (side, i)),
+                           ("P%s%d'" % (side, i), "P%s%d" % (side, i))]
+    return tuple(CompiledMove(token, inv, _reference_apply(parse_move(token)))
+                 for token, inv in tokens)
+
+
+# ---------------------------------------------------------------------------
+# the integer kernel
+
+class _Memo(dict):
+    """A dict that computes a missing value with fn and keeps it."""
+
+    def __init__(self, fn: Callable):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
+class _Ranks:
+    """Permutations of one degree numbered in format_perm text order.
+
+    Text order is lexicographic order of the images with each point
+    read as the string "%d," (no permutation's text is a proper prefix
+    of another's), so the rank is the Lehmer code of the images
+    relabeled by their place in that string order.  Ranks and the
+    products between them are computed on first use; nothing of size
+    d! is built up front.
+    """
+
+    def __init__(self, d: int):
+        self.d = d
+        self.n = factorial(d)
+        order = sorted(range(1, d + 1), key=lambda point: "%d," % point)
+        self._place = {point: k for k, point in enumerate(order)}
+        self.perm: dict[int, Perm] = {}
+        self.rank = _Memo(self._lehmer)
+        self.identity = self.rank[identity(d)]
+        n, perm, rank = self.n, self.perm, self.rank
+        self.inv = _Memo(lambda x: rank[inverse(perm[x])])
+        # keyed x * n + y: the product x then y, and the conjugate y^-1 x y
+        self.mul = _Memo(lambda key: rank[compose(perm[key // n], perm[key % n])])
+        self.conj = _Memo(lambda key: rank[conjugate(perm[key // n], perm[key % n])])
+
+    def _lehmer(self, p: Perm) -> int:
+        if len(p) != self.d:
+            raise ValueError("permutation degree %d, expected %d" % (len(p), self.d))
+        labels = [self._place[x] for x in p]
+        r = 0
+        for i, x in enumerate(labels):
+            r = r * (self.d - i) + sum(1 for y in labels[i + 1 :] if y < x)
+        self.perm[r] = p
+        return r
+
+
+_Step = Callable[[tuple[int, ...]], tuple[int, ...]]
+
+
+class _Kernel:
+    """The moves of one parameter set acting on rank tuples
+    (t_1..t_w, a_1, b_1, ..., a_h, b_h).  steps holds (token, step)
+    in the order of the given moves."""
+
+    def __init__(self, d: int, h: int, w: int, moves: tuple[CompiledMove, ...]):
+        self.d, self.h, self.w = d, h, w
+        self.ranks = _Ranks(d)
+        self.steps: list[tuple[str, _Step]] = [
+            (mv.token, self._step(parse_move(mv.token))) for mv in moves]
+
+    def state(self, sys: HurwitzSystem) -> tuple[int, ...]:
+        return tuple(map(self.ranks.rank.__getitem__, sys.transpositions + sys.handles))
+
+    def system(self, state: tuple[int, ...]) -> HurwitzSystem:
+        perms = tuple(map(self.ranks.perm.__getitem__, state))
+        return HurwitzSystem(self.d, perms[self.w :], perms[: self.w])
+
+    def key(self, state: tuple[int, ...]) -> str:
+        return serialize(self.system(state))
+
+    def _step(self, move: Move) -> _Step:
+        if move.kind == "braid":
+            return self._braid(move.j, move.inverse)
+        return self._push(move.j, move.side, move.inverse)
+
+    def _braid(self, j: int, inverse_move: bool) -> _Step:
+        """(s, t) -> (t, t^-1 s t), or (s t s^-1, s) for the inverse,
+        at positions j, j+1, as in moves.braid."""
+        conj, n, lo = self.ranks.conj, self.ranks.n, j - 1
+        if inverse_move:
+            def step(st):
+                s, t = st[lo], st[j]
+                return st[:lo] + (conj[t * n + s], s) + st[j + 1 :]
+        else:
+            def step(st):
+                s, t = st[lo], st[j]
+                return st[:lo] + (t, conj[s * n + t]) + st[j + 1 :]
+        return step
+
+    def _push(self, i: int, side: str, inverse_move: bool) -> _Step:
+        """Evaluate the certified push's generator images that differ
+        from the generator, letter by letter through memoized products.
+        The new entries depend only on the entries the words read, so
+        they are memoized on those."""
+        e = certified_push_endo(self.h, self.w, i, side)
+        if inverse_move:
+            e = e.inverse()
+        two_h, w = 2 * self.h, self.w
+
+        def entry(k: int) -> int:  # state index of generator k (1-based)
+            return w + k - 1 if k <= two_h else k - two_h - 1
+
+        changes = [(entry(k), [(entry(abs(letter)), letter < 0) for letter in word])
+                   for k, word in enumerate(e.images, start=1) if word != (k,)]
+        targets = [target for target, _ in changes]
+        read = sorted({k for _, program in changes for k, _ in program})
+        mul, inv, n, one = self.ranks.mul, self.ranks.inv, self.ranks.n, self.ranks.identity
+
+        def evaluate(key) -> tuple[int, ...]:
+            values = dict(zip(read, key))  # a push reads two entries or more
+            out = []
+            for _, program in changes:
+                acc = one
+                for k, negate in program:
+                    x = inv[values[k]] if negate else values[k]
+                    acc = mul[acc * n + x]
+                out.append(acc)
+            return tuple(out)
+
+        images, get = _Memo(evaluate), itemgetter(*read)
+
+        def step(st):
+            new = list(st)
+            for target, value in zip(targets, images[get(st)]):
+                new[target] = value
+            return tuple(new)
+        return step
 
 
 # ---------------------------------------------------------------------------
@@ -130,56 +241,42 @@ def orbit_bfs(seed: HurwitzSystem, moves: tuple[CompiledMove, ...],
               budget: int | None = None, threads: int = 1) -> OrbitResult:
     """Flood the orbit of seed under the move set.
 
-    Level-synchronous: each level's frontier is split into contiguous
-    slices handled by a worker pool, and the slices' discoveries are
-    merged smallest-predecessor-first, so the predecessor log is a
-    pure function of the seed and move set, not of scheduling.  With a
-    budget, the flood stops after the last fully merged level and the
-    result is marked partial.
+    Level-synchronous over a sorted frontier, moves tried in token
+    order, first discovery wins: each member's predecessor is the least
+    (predecessor key, token) that reaches it, so the predecessor log is
+    a pure function of the seed and the move set.  With a budget, the
+    flood stops at the first level boundary where the budget is used up
+    and the result is marked partial.  threads is accepted for
+    compatibility and ignored; the flood runs in the calling thread.
     """
-    seed_key = serialize(seed)
-    predecessors: dict[str, tuple[str, str]] = {seed_key: ("", "")}
-    frontier: list[tuple[str, HurwitzSystem]] = [(seed_key, seed)]
+    kernel = _Kernel(seed.d, seed.h, seed.w, tuple(sorted(moves, key=lambda mv: mv.token)))
+    start = kernel.state(seed)
+    preds: dict[tuple[int, ...], tuple[tuple[int, ...], str] | None] = {start: None}
+    order = [start]
+    frontier = [start]
     levels = 0
-
-    def expand(chunk):
+    partial = False
+    while frontier:
+        if budget is not None and len(preds) >= budget:
+            partial = True
+            break
         found = []
-        for key, sys in chunk:
-            for mv in moves:
-                new = mv.apply(sys)
-                new_key = serialize(new)
-                if new_key not in predecessors:
-                    found.append((new_key, new, key, mv.token))
-        return found
-
-    pool = ThreadPoolExecutor(max_workers=max(threads, 1)) if threads > 1 else None
-    try:
-        while frontier:
-            if budget is not None and len(predecessors) >= budget:
-                return OrbitResult(seed_key, predecessors, True, levels)
-            frontier.sort(key=lambda item: item[0])
-            if pool is None:
-                results = [expand(frontier)]
-            else:
-                step = max(1, (len(frontier) + threads - 1) // threads)
-                chunks = [frontier[k : k + step] for k in range(0, len(frontier), step)]
-                results = list(pool.map(expand, chunks))
-            best: dict[str, tuple[str, str, HurwitzSystem]] = {}
-            for found in results:
-                for new_key, new, pred, token in found:
-                    prev = best.get(new_key)
-                    if prev is None or (pred, token) < (prev[0], prev[1]):
-                        best[new_key] = (pred, token, new)
-            frontier = []
-            for new_key in sorted(best):
-                pred, token, new = best[new_key]
-                predecessors[new_key] = (pred, token)
-                frontier.append((new_key, new))
-            levels += 1
-    finally:
-        if pool is not None:
-            pool.shutdown()
-    return OrbitResult(seed_key, predecessors, False, levels)
+        for st in frontier:
+            for token, step in kernel.steps:
+                new = step(st)
+                if new not in preds:
+                    preds[new] = (st, token)
+                    found.append(new)
+        found.sort()
+        order += found
+        frontier = found
+        levels += 1
+    text = {st: kernel.key(st) for st in order}
+    predecessors = {}
+    for st in order:
+        link = preds[st]
+        predecessors[text[st]] = ("", "") if link is None else (text[link[0]], link[1])
+    return OrbitResult(text[start], predecessors, partial, levels)
 
 
 # ---------------------------------------------------------------------------
@@ -208,19 +305,38 @@ def write_predecessor_log(path: str, result: OrbitResult) -> None:
             fh.write(tb)
 
 
+def _read_field(fh, size: int, offset: int, what: str) -> bytes:
+    data = fh.read(size)
+    if len(data) != size:
+        raise ValueError("truncated predecessor log: %s at offset %d needs %d bytes, %d left"
+                         % (what, offset, size, len(data)))
+    return data
+
+
 def read_predecessor_log(path: str) -> OrbitResult:
+    """Inverse of write_predecessor_log.  A log cut short, a length
+    running past the end of the file, or text that is not UTF-8 raises
+    ValueError naming the byte offset."""
     with open(path, "rb") as fh:
         if fh.read(len(_LOG_MAGIC)) != _LOG_MAGIC:
             raise ValueError("not a predecessor log: %s" % path)
+        offset = len(_LOG_MAGIC)
         predecessors = {}
         seed = None
-        while True:
-            head = fh.read(4)
-            if not head:
-                break
-            key = fh.read(struct.unpack("<I", head)[0]).decode()
-            pred = fh.read(struct.unpack("<I", fh.read(4))[0]).decode()
-            token = fh.read(struct.unpack("<H", fh.read(2))[0]).decode()
+        while fh.peek(1):
+            fields = []
+            for fmt, what in (("<I", "key"), ("<I", "predecessor"), ("<H", "token")):
+                width = struct.calcsize(fmt)
+                (size,) = struct.unpack(fmt, _read_field(fh, width, offset, what + " length"))
+                offset += width
+                raw = _read_field(fh, size, offset, what)
+                try:
+                    fields.append(raw.decode())
+                except UnicodeDecodeError as exc:
+                    raise ValueError("predecessor log %s is not UTF-8 at offset %d"
+                                     % (what, offset + exc.start)) from None
+                offset += size
+            key, pred, token = fields
             predecessors[key] = (pred, token)
             if seed is None:
                 seed = key
@@ -267,40 +383,57 @@ class CensusResult:
         return "\n".join(lines) + "\n"
 
 
+def _flood(steps: list[_Step], start: tuple[int, ...],
+           budget: int | None) -> tuple[set[tuple[int, ...]], bool]:
+    """The orbit of start as a set, level by level; (members, partial).
+    The budget is checked at level boundaries only, so a partial member
+    set is a union of whole levels and does not depend on visit order."""
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        if budget is not None and len(seen) >= budget:
+            return seen, True
+        found = []
+        for st in frontier:
+            for step in steps:
+                new = step(st)
+                if new not in seen:
+                    seen.add(new)
+                    found.append(new)
+        frontier = found
+    return seen, False
+
+
 def census(d: int, h: int, w: int, selector: str = "full",
            filter: Callable[[HurwitzSystem], bool] | None = None,
            filter_name: str = "all", budget: int | None = None,
            threads: int = 1) -> CensusResult:
     """Partition every filtered system into move orbits by repeated
-    floods from the least unvisited key.  The filter must be invariant
-    under the moves (monodromy-based filters are: moves preserve the
-    monodromy subgroup exactly), which is checked on the fly."""
-    from .systems import branching_blocks, deserialize
-
-    systems = {}
-    for sys in enumerate_systems(d, h, w, filter):
-        systems[serialize(sys)] = sys
-    moves = compile_moves(d, h, w, selector)
-    visited: set[str] = set()
+    floods from the least unvisited system.  The filter must be
+    invariant under the moves (monodromy-based filters are: moves
+    preserve the monodromy subgroup exactly), which is checked on the
+    fly.  threads is accepted for compatibility and ignored."""
+    kernel = _Kernel(d, h, w, compile_moves(d, h, w, selector))
+    steps = [step for _, step in kernel.steps]
+    population = {kernel.state(sys) for sys in enumerate_systems(d, h, w, filter)}
+    visited: set[tuple[int, ...]] = set()
     orbits: list[OrbitRecord] = []
     partial = False
-    for key in sorted(systems):
-        if key in visited:
+    for start in sorted(population):
+        if start in visited:
             continue
-        res = orbit_bfs(systems[key], moves,
-                        budget=None if budget is None else budget - len(visited),
-                        threads=threads)
-        partial = partial or res.partial
-        members = sorted(res.predecessors)
-        for m in members:
-            if m not in systems:
-                raise AssertionError("orbit escaped the filter at %s" % m)
-        visited.update(members)
-        rep = members[0]
+        members, cut = _flood(steps, start, None if budget is None else budget - len(visited))
+        partial = partial or cut
+        escaped = members - population
+        if escaped:
+            raise AssertionError("orbit escaped the filter at %s" % kernel.key(min(escaped)))
+        visited |= members
+        least = heapq.nsmallest(3, members)
+        samples = tuple(kernel.key(st) for st in least)
+        rep = kernel.system(least[0])
         orbits.append(OrbitRecord(
-            rep, len(members), is_full_monodromy(systems[rep]),
-            tuple(members[:3]),
-            tuple(branching_blocks(systems[rep])),
+            samples[0], len(members), is_full_monodromy(rep),
+            samples, tuple(branching_blocks(rep)),
         ))
         if budget is not None and len(visited) >= budget:
             partial = True
@@ -312,13 +445,6 @@ def census(d: int, h: int, w: int, selector: str = "full",
 # ---------------------------------------------------------------------------
 # pathfinding
 
-def _invert_word(tokens: list[str]) -> list[str]:
-    out = []
-    for token in reversed(tokens):
-        out.append(token[:-1] if token.endswith("'") else token + "'")
-    return out
-
-
 def connect(source: HurwitzSystem, target: HurwitzSystem,
             selector: str = "full", budget: int | None = None) -> Certificate | None:
     """Bidirectional search for a move word source -> target.  Returns
@@ -327,48 +453,40 @@ def connect(source: HurwitzSystem, target: HurwitzSystem,
     state budget runs out first (inconclusive)."""
     if (source.d, source.h, source.w) != (target.d, target.h, target.w):
         raise ValueError("connect endpoints have different parameters")
-    moves = compile_moves(source.d, source.h, source.w, selector)
-    src_key, dst_key = serialize(source), serialize(target)
-    if src_key == dst_key:
+    kernel = _Kernel(source.d, source.h, source.w,
+                     compile_moves(source.d, source.h, source.w, selector))
+    src, dst = kernel.state(source), kernel.state(target)
+    if src == dst:
         return certificate(source, "", target)
-    sides = (
-        {src_key: ("", "")},
-        {dst_key: ("", "")},
-    )
-    frontiers: list[list[tuple[str, HurwitzSystem]]] = [[(src_key, source)], [(dst_key, target)]]
+    sides: tuple[dict, dict] = ({src: None}, {dst: None})
+    frontiers = [[src], [dst]]
 
-    def path_from(side: dict, key: str) -> list[str]:
+    def path_from(side: dict, st: tuple[int, ...]) -> list[str]:
         tokens = []
-        while True:
-            pred, token = side[key]
-            if not pred:
-                return list(reversed(tokens))
+        while side[st] is not None:
+            st, token = side[st]
             tokens.append(token)
-            key = pred
+        return tokens[::-1]
 
     while frontiers[0] and frontiers[1]:
         pick = 0 if len(frontiers[0]) <= len(frontiers[1]) else 1
         mine, other = sides[pick], sides[1 - pick]
         if budget is not None and len(sides[0]) + len(sides[1]) > budget:
             raise BudgetError("connect exceeded its %d-state budget" % budget)
-        frontier = sorted(frontiers[pick], key=lambda item: item[0])
         new_frontier = []
         meets = []
-        for key, sys in frontier:
-            for mv in moves:
-                new = mv.apply(sys)
-                new_key = serialize(new)
-                if new_key in mine:
+        for st in sorted(frontiers[pick]):
+            for token, step in kernel.steps:
+                new = step(st)
+                if new in mine:
                     continue
-                mine[new_key] = (key, mv.token)
-                new_frontier.append((new_key, new))
-                if new_key in other:
-                    meets.append(new_key)
+                mine[new] = (st, token)
+                new_frontier.append(new)
+                if new in other:
+                    meets.append(new)
         if meets:
             meet = min(meets)
-            fwd = path_from(sides[0], meet)
-            bwd = path_from(sides[1], meet)
-            word = " ".join(fwd + _invert_word(bwd))
+            word = " ".join(path_from(sides[0], meet) + invert_tokens(path_from(sides[1], meet)))
             return certificate(source, word, target)
         frontiers[pick] = new_frontier
     return None
