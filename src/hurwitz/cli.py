@@ -45,6 +45,8 @@ EXIT_BUDGET = 3
 
 DEFAULT_BUDGET = 400_000
 DEFAULT_SAMPLES = 200
+MOVE_SETS = ("braid", "full")
+MODES = ("fast", "validate")
 
 
 class UsageError(Exception):
@@ -131,7 +133,7 @@ def _load_system(path: str) -> HurwitzSystem:
     try:
         with open(path, encoding="utf-8") as fh:
             lines = [ln.strip() for ln in fh]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError("cannot read %s: %s" % (path, exc))
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines:
@@ -369,16 +371,23 @@ def cmd_connect(args) -> int:
     return EXIT_PASS
 
 
+_CERT_FIELDS = ("start", "moves", "end", "catalog")
+
+
 def _replay_certificate(path: str) -> int:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise UsageError("%s: not a certificate: %s" % (path, exc))
     try:
-        cert = Certificate(data["start"], data["moves"], data["end"], data["catalog"])
-    except KeyError as exc:
-        raise UsageError("%s: certificate missing field %s" % (path, exc))
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except ValueError as exc:  # bad JSON or bad UTF-8
+        raise UsageError("%s: not a certificate: %s" % (path, exc))
+    if not isinstance(data, dict):
+        raise UsageError("%s: a certificate is a JSON object" % path)
+    for field in _CERT_FIELDS:
+        if field not in data:
+            raise UsageError("%s: certificate missing field %r" % (path, field))
+        if not isinstance(data[field], str):
+            raise UsageError("%s: certificate field %r is not a string" % (path, field))
+    cert = Certificate(*(data[field] for field in _CERT_FIELDS))
     try:
         cert.replay()
     except (MoveError, KeyParseError) as exc:
@@ -391,29 +400,71 @@ def _replay_certificate(path: str) -> int:
     return EXIT_PASS
 
 
+def _log_entry_fault(log, systems: dict, key: str, params: tuple) -> str | None:
+    """Why a parsed log entry is not a valid system of the seed's
+    parameters one catalog move from its predecessor, or None."""
+    hs = systems[key]
+    if (hs.d, hs.h, hs.w) != params:
+        return "d=%d h=%d w=%d differs from the seed's d=%d h=%d w=%d" % (
+            (hs.d, hs.h, hs.w) + params)
+    report = validate(hs)
+    if not report.ok:
+        return "not a valid system: %s" % report.messages[0]
+    pred, token = log.predecessors[key]
+    if not pred:
+        return None if key == log.seed else "rootless entry"
+    if pred not in systems:
+        return "predecessor %s is not a system of the log" % pred
+    try:
+        got = serialize(apply_move(systems[pred], parse_move(token)))
+    except MoveError as exc:
+        return str(exc)
+    if got != key:
+        return "%s %s lands on %s" % (pred, token, got)
+    return None
+
+
+def _unrooted(log) -> set[str]:
+    """Entries whose predecessor chain runs into a cycle or off the log
+    instead of reaching the seed.  One memoized pass: each entry is
+    walked once."""
+    reaches: dict[str, bool | None] = {log.seed: True}
+    for node in log.predecessors:
+        path = []
+        while node in log.predecessors and node not in reaches:
+            reaches[node] = None  # on the current walk
+            path.append(node)
+            node = log.predecessors[node][0]
+        rooted = reaches.get(node) is True
+        for member in path:
+            reaches[member] = rooted
+    return {key for key, rooted in reaches.items() if not rooted}
+
+
 def _replay_predecessor_log(path: str) -> int:
     try:
         log = read_predecessor_log(path)
     except ValueError as exc:
         raise UsageError("%s: %s" % (path, exc))
+    systems, faults = {}, {}
+    for key in log.predecessors:
+        try:
+            systems[key] = deserialize(key)
+        except KeyParseError as exc:
+            faults[key] = str(exc)
+    if log.seed in faults:
+        print("replay: FAIL at seed %s: %s" % (log.seed, faults[log.seed]))
+        return EXIT_FAIL
+    seed = systems[log.seed]
+    params = (seed.d, seed.h, seed.w)
+    unrooted = _unrooted(log)
     bad = 0
     for key in sorted(log.predecessors):
-        pred, token = log.predecessors[key]
-        if not pred:
-            if key != log.seed:
-                print("replay: FAIL: rootless entry %s" % key)
-                bad += 1
-            continue
-        # each entry must be one catalog move away from its predecessor
-        try:
-            got = apply_move(deserialize(pred), parse_move(token))
-        except (MoveError, KeyParseError, ValueError) as exc:
-            print("replay: FAIL at %s: %s" % (key, exc))
-            bad += 1
-            continue
-        if serialize(got) != key:
-            print("replay: FAIL: %s %s lands on %s, log says %s"
-                  % (pred, token, serialize(got), key))
+        fault = faults[key] if key in faults else _log_entry_fault(log, systems, key, params)
+        if fault is None and key in unrooted:
+            fault = "predecessor chain does not reach the seed"
+        if fault is not None:
+            print("replay: FAIL at %s: %s" % (key, fault))
             bad += 1
     if bad:
         print("replay: FAIL (%d bad entries of %d)" % (bad, log.size))
@@ -632,7 +683,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", help="degree range, e.g. 2..4")
     p.add_argument("--h", help="genus range")
     p.add_argument("--w", help="branch point count range")
-    p.add_argument("--moves", choices=("braid", "full"), default=None)
+    p.add_argument("--moves", choices=MOVE_SETS, default=None)
     p.add_argument("--method", choices=("auto", "census", "sample"), default="auto")
     p.add_argument("--samples", type=int, default=None,
                    help="random systems per sampled case (default %d)" % DEFAULT_SAMPLES)
@@ -645,7 +696,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--d", type=int, required=True)
         p.add_argument("--h", type=int, required=True)
         p.add_argument("--w", type=int, required=True)
-        p.add_argument("--moves", choices=("braid", "full"), default=None)
+        p.add_argument("--moves", choices=MOVE_SETS, default=None)
         p.add_argument("--filter", default=None,
                        help="all | full-monodromy | group=<sizes like 2x1>")
         if name == "census":
@@ -657,7 +708,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("connect", help="move word between two system files")
     p.add_argument("source")
     p.add_argument("target")
-    p.add_argument("--moves", choices=("braid", "full"), default=None)
+    p.add_argument("--moves", choices=MOVE_SETS, default=None)
     _add_common(p)
     p.set_defaults(fn=cmd_connect)
 
@@ -681,7 +732,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("canonicalize", help="carry a system file to canonical form")
     p.add_argument("system")
-    p.add_argument("--mode", choices=("fast", "validate"), default=None)
+    p.add_argument("--mode", choices=MODES, default=None)
     _add_common(p)
     p.set_defaults(fn=cmd_canonicalize)
     return ap
@@ -695,13 +746,23 @@ def _resolve_defaults(args) -> None:
         try:
             with open(args.config, encoding="utf-8") as fh:
                 config = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # unreadable, bad UTF-8 or bad JSON
             raise UsageError("bad config file %s: %s" % (args.config, exc))
         if not isinstance(config, dict):
             raise UsageError("config file must hold a JSON object")
     hard = {"budget": DEFAULT_BUDGET, "seed": 0, "threads": 1,
             "moves": "full", "filter": "all", "mode": "fast",
             "samples": DEFAULT_SAMPLES}
+    choices = {"moves": MOVE_SETS, "mode": MODES}
+    for key, value in config.items():
+        if key not in hard:
+            continue
+        if type(value) is not type(hard[key]):  # a bool is not an int
+            raise UsageError("config %s must be %s, got %s"
+                             % (key, type(hard[key]).__name__, json.dumps(value)))
+        if key in choices and value not in choices[key]:
+            raise UsageError("config %s must be one of %s, got %r"
+                             % (key, ", ".join(choices[key]), value))
     for key, fallback in hard.items():
         if not hasattr(args, key):
             continue

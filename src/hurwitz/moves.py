@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from .catalog import catalog_hash, certified_braid_endo, certified_push_endo
 from .perms import (
     Perm,
+    PermGroup,
     compose,
     conjugate,
     format_perm,
@@ -32,9 +33,11 @@ from .perms import (
     inverse,
     is_symmetric,
     is_transposition,
+    orbit_blocks,
     parse_perm,
+    product,
 )
-from .systems import HurwitzSystem, relator_product, serialize
+from .systems import HurwitzSystem, deserialize, relator_product, serialize
 from .words import EndoMap, Word
 
 
@@ -128,8 +131,6 @@ def check_push_contract(sys: HurwitzSystem, i: int, side: str) -> HurwitzSystem:
     """Apply the push and confirm the full contract directly: the
     catalog inverse really undoes it and the monodromy subgroup is
     unchanged as a set, not merely up to isomorphism."""
-    from .perms import PermGroup
-
     new = handle_push(sys, i, side)
     back = handle_push(new, i, side, inverse_move=True)
     if back != sys:
@@ -160,6 +161,20 @@ def _require_equal_pair(sys: HurwitzSystem, j: int) -> Perm:
     if sys.transpositions[j] != t:
         raise MoveError("entries %d, %d are not an equal pair" % (j, j + 1))
     return t
+
+
+def check_block_rewrite(sys: HurwitzSystem, lo: int, hi: int,
+                        target: tuple[Perm, ...]) -> None:
+    """Cheap braid-orbit invariants for a macro rewrite token: equal
+    products and equal window subgroup (same block partition)."""
+    src = sys.transpositions[lo - 1 : hi]
+    if product(src, sys.d) != product(target, sys.d):
+        raise MoveError("rewrite changes the window product")
+    for t in target:
+        if not is_transposition(t):
+            raise MoveError("rewrite target entry is not a transposition")
+    if orbit_blocks(src, sys.d) != orbit_blocks(target, sys.d):
+        raise MoveError("rewrite changes the window block partition")
 
 
 def pair_retype(sys: HurwitzSystem, j: int, tau: Perm) -> HurwitzSystem:
@@ -279,6 +294,10 @@ def parse_move(token: str) -> Move:
 
 
 def apply_move(sys: HurwitzSystem, move: Move) -> HurwitzSystem:
+    for p in move.perms:
+        if len(p) != sys.d:
+            raise MoveError("%s names a permutation of degree %d in a system of degree %d"
+                            % (move.token(), len(p), sys.d))
     if move.kind == "braid":
         return braid(sys, move.j, move.inverse)
     if move.kind == "push":
@@ -293,8 +312,6 @@ def apply_move(sys: HurwitzSystem, move: Move) -> HurwitzSystem:
         lo, hi = move.j, move.hi
         if not (1 <= lo <= hi <= sys.w and len(move.perms) == hi - lo + 1):
             raise MoveError("rewrite window %d-%d malformed" % (lo, hi))
-        from .normalize import check_block_rewrite
-
         check_block_rewrite(sys, lo, hi, move.perms)
         ts = sys.transpositions[: lo - 1] + move.perms + sys.transpositions[hi:]
         return HurwitzSystem(sys.d, sys.handles, ts)
@@ -323,8 +340,6 @@ class Certificate:
     catalog: str  # schema file hash the moves were generated under
 
     def replay(self) -> HurwitzSystem:
-        from .systems import deserialize
-
         if self.catalog != catalog_hash():
             raise MoveError("certificate was issued under a different move catalog")
         sys = deserialize(self.start)

@@ -15,26 +15,28 @@ canonical system of its parameters, recording a replayable move word:
 Step counts are uniformly bounded (no search is involved in fast
 mode), so canonicalization is linear time for fixed parameters.  The
 block rewrites are justified by braid-orbit transitivity on full
-blocks; validate mode realizes each one as an explicit braid word by
-bidirectional search and fails loudly if the orbits do not match.
+blocks; validate mode realizes each one as an explicit braid word with
+the bidirectional search of orbits.connect and fails loudly if the
+orbits do not match.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import replace
 
 from .catalog import certified_push_endo
 from .moves import (
     Certificate,
-    MoveError,
     apply_word,
     braid,
     certificate,
+    check_block_rewrite,
     evaluate_word,
     handle_push,
-    invert_tokens,
     pair_retype,
+    parse_move,
 )
+from .orbits import BudgetError, connect
 from .perms import (
     Perm,
     conjugate,
@@ -147,82 +149,32 @@ def prop_split_normal_form(points: tuple[int, ...], g: Perm, w_m: int,
 # ---------------------------------------------------------------------------
 # braid realization of a window rewrite
 
-def _window_neighbors(ts: tuple[Perm, ...]) -> list[tuple[tuple[Perm, ...], str]]:
-    out = []
-    for j in range(len(ts) - 1):
-        s, t = ts[j], ts[j + 1]
-        out.append((ts[:j] + (t, conjugate(s, t)) + ts[j + 2 :], "B%d" % (j + 1)))
-        out.append((ts[:j] + (conjugate(t, s), s) + ts[j + 2 :], "B%d'" % (j + 1)))
-    return out
-
-
 def realize_block_rewrite(sys: HurwitzSystem, lo: int, hi: int,
                           target: tuple[Perm, ...],
                           budget: int = 2_000_000) -> list[str]:
     """Braid word carrying the window lo..hi onto target, found by
-    bidirectional breadth-first search.  Exhausting both frontiers
+    orbits.connect on the window alone.  Exhausting both frontiers
     without meeting proves the tuples lie in different braid orbits,
-    which the callers treat as a hard counterexample."""
+    which the callers treat as a hard counterexample.  The budget
+    follows connect's rule: it is checked at level boundaries against
+    the states held by both sides together."""
     src = sys.transpositions[lo - 1 : hi]
     if len(target) != len(src):
         raise NormalizeError("rewrite target has %d entries for a %d-entry window"
                              % (len(target), len(src)))
     if product(src, sys.d) != product(target, sys.d):
         raise OrbitMismatchError("window products differ, no braid word can exist")
-    if src == target:
-        return []
-    sides = ({src: []}, {target: []})  # state -> move list from that end
-    frontiers = ([src], [target])
-    seen = 0
-    while frontiers[0] and frontiers[1]:
-        # expand the smaller frontier, deterministically ordered
-        pick = 0 if len(frontiers[0]) <= len(frontiers[1]) else 1
-        visited, other = sides[pick], sides[1 - pick]
-        new_frontier = []
-        for state in sorted(frontiers[pick]):
-            base = visited[state]
-            for nxt, token in _window_neighbors(state):
-                if nxt in visited:
-                    continue
-                seen += 1
-                if seen > budget:
-                    raise BudgetExceededError("rewrite search exceeded %d states" % budget)
-                visited[nxt] = base + [token]
-                if nxt in other:
-                    fwd = visited[nxt] if pick == 0 else other[nxt]
-                    bwd = other[nxt] if pick == 0 else visited[nxt]
-                    tokens = fwd + invert_tokens(bwd)
-                    return _offset_tokens(tokens, lo - 1)
-                new_frontier.append(nxt)
-        frontiers = (new_frontier, frontiers[1]) if pick == 0 else (frontiers[0], new_frontier)
-    raise OrbitMismatchError(
-        "window %d..%d of %s cannot be braided to %s" %
-        (lo, hi, serialize(sys), " ; ".join(format_perm(t) for t in target)))
-
-
-def _offset_tokens(tokens: list[str], shift: int) -> list[str]:
-    out = []
-    for token in tokens:
-        prime = token.endswith("'")
-        j = int(token.rstrip("'")[1:])
-        out.append("B%d%s" % (j + shift, "'" if prime else ""))
-    return out
-
-
-def check_block_rewrite(sys: HurwitzSystem, lo: int, hi: int,
-                        target: tuple[Perm, ...]) -> None:
-    """Cheap braid-orbit invariants for a macro rewrite token: equal
-    products and equal window subgroup (same block partition)."""
-    src = sys.transpositions[lo - 1 : hi]
-    if product(src, sys.d) != product(target, sys.d):
-        raise MoveError("rewrite changes the window product")
-    for t in target:
-        if not is_transposition(t):
-            raise MoveError("rewrite target entry is not a transposition")
-    from .perms import orbit_blocks
-
-    if orbit_blocks(src, sys.d) != orbit_blocks(target, sys.d):
-        raise MoveError("rewrite changes the window block partition")
+    try:
+        cert = connect(HurwitzSystem(sys.d, (), src), HurwitzSystem(sys.d, (), target),
+                       "braid", budget)
+    except BudgetError:
+        raise BudgetExceededError("rewrite search exceeded %d states" % budget) from None
+    if cert is None:
+        raise OrbitMismatchError(
+            "window %d..%d of %s cannot be braided to %s" %
+            (lo, hi, serialize(sys), " ; ".join(format_perm(t) for t in target)))
+    return [replace(move, j=move.j + lo - 1).token()
+            for move in map(parse_move, cert.moves.split())]
 
 
 def _apply_rewrite(sys: HurwitzSystem, lo: int, hi: int, target: tuple[Perm, ...],
@@ -233,10 +185,7 @@ def _apply_rewrite(sys: HurwitzSystem, lo: int, hi: int, target: tuple[Perm, ...
         return sys
     if mode == "validate":
         braid_tokens = realize_block_rewrite(sys, lo, hi, target)
-        new = sys
-        for token in braid_tokens:
-            prime = token.endswith("'")
-            new = braid(new, int(token.rstrip("'")[1:]), prime)
+        new = apply_word(sys, " ".join(braid_tokens))
         if new.transpositions[lo - 1 : hi] != target:
             raise NormalizeError("braid realization missed its target")
         tokens.extend(braid_tokens)
@@ -254,8 +203,6 @@ def _apply_retype(sys: HurwitzSystem, j: int, tau: Perm,
     move orbit, not the braid orbit, so point-pushes may appear)."""
     new = pair_retype(sys, j, tau)
     if mode == "validate":
-        from .orbits import connect
-
         cert = connect(sys, new, "full")
         if cert is None:
             raise NormalizeError("retype at %d of %s is not realizable by elementary moves"

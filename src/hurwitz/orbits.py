@@ -315,8 +315,9 @@ def _read_field(fh, size: int, offset: int, what: str) -> bytes:
 
 def read_predecessor_log(path: str) -> OrbitResult:
     """Inverse of write_predecessor_log.  A log cut short, a length
-    running past the end of the file, or text that is not UTF-8 raises
-    ValueError naming the byte offset."""
+    running past the end of the file, text that is not UTF-8 or a key
+    recorded twice raises ValueError naming the byte offset; so does a
+    log with no records."""
     with open(path, "rb") as fh:
         if fh.read(len(_LOG_MAGIC)) != _LOG_MAGIC:
             raise ValueError("not a predecessor log: %s" % path)
@@ -324,6 +325,7 @@ def read_predecessor_log(path: str) -> OrbitResult:
         predecessors = {}
         seed = None
         while fh.peek(1):
+            record = offset
             fields = []
             for fmt, what in (("<I", "key"), ("<I", "predecessor"), ("<H", "token")):
                 width = struct.calcsize(fmt)
@@ -337,10 +339,16 @@ def read_predecessor_log(path: str) -> OrbitResult:
                                      % (what, offset + exc.start)) from None
                 offset += size
             key, pred, token = fields
+            if key in predecessors:
+                raise ValueError("predecessor log repeats the key of an earlier record "
+                                 "at offset %d" % record)
             predecessors[key] = (pred, token)
             if seed is None:
                 seed = key
-    return OrbitResult(seed or "", predecessors, False, -1)
+    if seed is None:
+        raise ValueError("predecessor log has no records after its header at offset %d"
+                         % offset)
+    return OrbitResult(seed, predecessors, False, -1)
 
 
 # ---------------------------------------------------------------------------

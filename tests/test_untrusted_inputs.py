@@ -1,0 +1,297 @@
+"""Verifiers against forged and garbled input.
+
+Replay must reject a forged predecessor log (chains that never reach
+the seed, entries of other parameters, invalid systems, repeated
+keys) and macro tokens of the wrong degree.  Malformed certificates
+and config files end in one line on stderr and exit 2.  The property
+tests at the end check that the readers raise only their documented
+errors on arbitrary input.
+"""
+
+import json
+import struct
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from hurwitz.catalog import catalog_hash
+from hurwitz.cli import main
+from hurwitz.moves import MoveError, apply_word, braid, certificate, parse_move
+from hurwitz.normalize import canonical_star
+from hurwitz.orbits import (compile_moves, orbit_bfs, read_predecessor_log,
+                            write_predecessor_log)
+from hurwitz.perms import transposition
+from hurwitz.systems import HurwitzSystem, KeyParseError, deserialize, serialize
+
+
+def record(key: str, pred: str, token: str) -> bytes:
+    """One predecessor-log record, laid out as write_predecessor_log does."""
+    kb, pb, tb = key.encode(), pred.encode(), token.encode()
+    return (struct.pack("<I", len(kb)) + kb + struct.pack("<I", len(pb)) + pb
+            + struct.pack("<H", len(tb)) + tb)
+
+
+def braid_orbit():
+    t12, t23 = transposition(3, 1, 2), transposition(3, 2, 3)
+    seed = HurwitzSystem(3, (), (t12, t12, t23, t23))
+    return orbit_bfs(seed, compile_moves(3, 0, 4, "braid"))
+
+
+@pytest.fixture
+def log_bytes(tmp_path):
+    path = tmp_path / "orbit.predlog"
+    write_predecessor_log(str(path), braid_orbit())
+    return path.read_bytes()
+
+
+def replay(tmp_path, data: bytes, name="input"):
+    path = tmp_path / name
+    path.write_bytes(data)
+    return main(["replay", str(path)])
+
+
+def one_error_line(capsys):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+    return captured.err
+
+
+# ---------------------------------------------------------------------------
+# forged predecessor logs
+
+def test_honest_log_replays(tmp_path, capsys, log_bytes):
+    assert replay(tmp_path, log_bytes) == 0
+    assert "replay: OK (24 states" in capsys.readouterr().out
+
+
+def test_states_naming_each_other_fail(tmp_path, capsys, log_bytes):
+    # a d=2 log, plus two d=3 states that are each one legal move from
+    # the other; neither reaches the seed
+    tmp = tmp_path / "d2.predlog"
+    t = transposition(2, 1, 2)
+    torus = HurwitzSystem(2, ((1, 2), (1, 2)), (t, t, t, t))
+    write_predecessor_log(str(tmp), orbit_bfs(torus, compile_moves(2, 1, 4, "full")))
+    x = braid_orbit().representative()
+    y = serialize(braid(deserialize(x), 2))
+    forged = tmp.read_bytes() + record(x, y, "B2'") + record(y, x, "B2")
+    assert replay(tmp_path, forged) == 1
+    out = capsys.readouterr().out
+    assert out.count("differs from the seed's d=2 h=1 w=4") == 2
+    assert "replay: FAIL (2 bad entries of 6)" in out
+
+
+def test_cycle_inside_the_orbit_fails(tmp_path, capsys):
+    # two members of a real orbit rewired to name each other: every
+    # step is a legal move, but the chains never reach the seed
+    res = braid_orbit()
+    x = next(key for key in sorted(res.predecessors) if key != res.seed)
+    y = serialize(braid(deserialize(x), 2))
+    assert y not in (x, res.seed) and y in res.predecessors
+    res.predecessors[x] = (y, "B2'")
+    res.predecessors[y] = (x, "B2")
+    path = tmp_path / "cycle.predlog"
+    write_predecessor_log(str(path), res)
+    assert main(["replay", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "%s: predecessor chain does not reach the seed" % x in out
+    assert "%s: predecessor chain does not reach the seed" % y in out
+
+
+def test_invalid_entry_fails(tmp_path, capsys, log_bytes):
+    t12, t13 = transposition(3, 1, 2), transposition(3, 1, 3)
+    bad = serialize(HurwitzSystem(3, (), (t12, t12, t12, t13)))
+    seed = braid_orbit().seed
+    assert replay(tmp_path, log_bytes + record(bad, seed, "B1")) == 1
+    assert "%s: not a valid system: relator product" % bad in capsys.readouterr().out
+
+
+def test_repeated_records_are_a_usage_error(tmp_path, capsys, log_bytes):
+    doubled = log_bytes + log_bytes[8:]
+    path = tmp_path / "doubled.predlog"
+    path.write_bytes(doubled)
+    with pytest.raises(ValueError, match="repeats the key of an earlier record at offset %d"
+                       % len(log_bytes)):
+        read_predecessor_log(str(path))
+    assert main(["replay", str(path)]) == 2
+    assert "offset %d" % len(log_bytes) in one_error_line(capsys)
+
+
+def test_log_without_records_is_a_usage_error(tmp_path, capsys, log_bytes):
+    assert replay(tmp_path, log_bytes[:8]) == 2
+    assert "no records" in one_error_line(capsys)
+
+
+# ---------------------------------------------------------------------------
+# macro tokens of the wrong degree
+
+WRONG_DEGREE = ["W1-2:2,1;2,1", "R1:2,1", "I1:2,1", "R1:2,1,3,4"]
+
+
+@pytest.mark.parametrize("token", WRONG_DEGREE)
+def test_wrong_degree_macro_fails_replay(token):
+    star = canonical_star(3, 0, 6)
+    with pytest.raises(MoveError, match="degree"):
+        certificate(star, token, star).replay()
+
+
+@pytest.mark.parametrize("token", WRONG_DEGREE)
+def test_wrong_degree_macro_fails_in_the_cli(tmp_path, capsys, token):
+    star = serialize(canonical_star(3, 0, 6))
+    cert = {"catalog": catalog_hash(), "start": star, "moves": token, "end": star}
+    assert replay(tmp_path, json.dumps(cert).encode()) == 1
+    assert "replay: FAIL" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# malformed certificates and configs
+
+def good_certificate() -> dict:
+    star = serialize(canonical_star(3, 0, 6))
+    return {"catalog": catalog_hash(), "start": star, "moves": "B1 B1'", "end": star}
+
+
+@pytest.mark.parametrize("data,message", [
+    (b"[1, 2]", "JSON object"),
+    (json.dumps(dict(good_certificate(), moves=["B1"])).encode(), "'moves' is not a string"),
+    (json.dumps(dict(good_certificate(), start=None)).encode(), "'start' is not a string"),
+    (json.dumps({k: v for k, v in good_certificate().items() if k != "end"}).encode(),
+     "missing field 'end'"),
+    (b'{"start": "\xff"}', "position 11"),
+])
+def test_malformed_certificate_is_a_usage_error(tmp_path, capsys, data, message):
+    assert replay(tmp_path, json.dumps(good_certificate()).encode()) == 0
+    capsys.readouterr()
+    assert replay(tmp_path, data) == 2
+    assert message in one_error_line(capsys)
+
+
+@pytest.mark.parametrize("config,message", [
+    ({"budget": "abc"}, "config budget must be int"),
+    ({"samples": True}, "config samples must be int"),
+    ({"seed": 1.5}, "config seed must be int"),
+    ({"moves": "all"}, "config moves must be one of braid, full"),
+    ({"mode": 3}, "config mode must be str"),
+])
+def test_bad_config_value_is_a_usage_error(tmp_path, capsys, config, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert main(["verify", "--case", "2,1,4", "--config", str(path)]) == 2
+    assert message in one_error_line(capsys)
+
+
+def test_config_not_utf8_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(b'{"seed": "\xff"}')
+    assert main(["verify", "--case", "2,1,4", "--config", str(path)]) == 2
+    assert "bad config file" in one_error_line(capsys)
+
+
+def test_system_file_not_utf8_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "sys.txt"
+    path.write_bytes(b"d=2 h=0 w=2 | t: 2,1 ; \xff | ab: -\n")
+    assert main(["canonicalize", str(path)]) == 2
+    assert "cannot read" in one_error_line(capsys)
+
+
+# ---------------------------------------------------------------------------
+# properties: only the documented errors, on any input
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=300)
+
+HOSTS = [canonical_star(3, 1, 6), canonical_star(2, 0, 4), canonical_star(4, 2, 8)]
+LINES = [serialize(hs) for hs in HOSTS]
+
+perm_text = st.one_of(
+    st.integers(2, 4).flatmap(lambda k: st.permutations(list(range(1, k + 1))))
+    .map(lambda p: ",".join(map(str, p))),
+    st.text(alphabet="0123456789,- ", max_size=8),
+)
+token_text = st.one_of(
+    st.text(max_size=10),
+    st.builds("{}{}{}".format, st.sampled_from(["B", "Pa", "Pb", "C", "P", "Pc"]),
+              st.integers(-1, 9), st.sampled_from(["", "'"])),
+    st.builds("{}{}:{}".format, st.sampled_from(["R", "I", "W1-", "W2-", "W"]),
+              st.integers(0, 9), st.lists(perm_text, min_size=1, max_size=4).map(";".join)),
+)
+word_text = st.lists(token_text, max_size=8).map(" ".join)
+
+
+def spliced(base: bytes | str):
+    """base with a slice replaced by arbitrary content."""
+    n = len(base)
+    filler = st.binary(max_size=12) if isinstance(base, bytes) else st.text(max_size=12)
+    return st.builds(lambda i, j, mid: base[: min(i, j)] + mid + base[max(i, j):],
+                     st.integers(0, n), st.integers(0, n), filler)
+
+
+@PROPERTY
+@given(st.one_of(st.text(), st.text(alphabet="dhwtab=|:;,- 0123456789\u00b2", max_size=60),
+                 *(spliced(line) for line in LINES)))
+@example("d=\u00b2 h=0 w=0 | t: - | ab: -")  # a digit to isdigit, not to int
+def test_deserialize_raises_only_key_parse_errors(text):
+    try:
+        deserialize(text)
+    except KeyParseError:
+        pass
+
+
+@PROPERTY
+@given(token_text)
+def test_parse_move_raises_only_move_errors(text):
+    try:
+        parse_move(text)
+    except MoveError:
+        pass
+
+
+@PROPERTY
+@given(st.sampled_from(HOSTS), word_text)
+def test_apply_word_raises_only_move_errors(host, word):
+    try:
+        apply_word(host, word)
+    except MoveError:
+        pass
+
+
+def honest_log() -> bytes:
+    res = braid_orbit()
+    out = [b"HWSPRED1"]
+    for key in [res.seed] + sorted(k for k in res.predecessors if k != res.seed):
+        out.append(record(key, *res.predecessors[key]))
+    return b"".join(out)
+
+
+LOG = honest_log()
+log_bytes_strategy = st.one_of(st.binary(max_size=64).map(b"HWSPRED1".__add__), spliced(LOG))
+
+
+@PROPERTY
+@given(log_bytes_strategy)
+def test_read_predecessor_log_raises_only_value_errors(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("log") / "fuzz.predlog"
+    path.write_bytes(data)
+    try:
+        read_predecessor_log(str(path))
+    except ValueError:
+        pass
+
+
+certificate_json = st.builds(
+    lambda start, moves, end, catalog: json.dumps(
+        {"start": start, "moves": moves, "end": end, "catalog": catalog}).encode(),
+    st.one_of(st.sampled_from(LINES), st.text(max_size=10), st.integers()),
+    st.one_of(word_text, st.lists(st.text(max_size=4), max_size=2)),
+    st.one_of(st.sampled_from(LINES), st.text(max_size=10), st.none()),
+    st.one_of(st.just(catalog_hash()), st.text(max_size=4)),
+)
+
+
+@PROPERTY
+@given(st.one_of(st.binary(max_size=64), log_bytes_strategy, certificate_json,
+                 spliced(json.dumps(good_certificate()).encode())))
+def test_replay_exits_pass_fail_or_usage(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("replay") / "fuzz.input"
+    path.write_bytes(data)
+    assert main(["replay", str(path)]) in (0, 1, 2)
