@@ -33,7 +33,7 @@ from .moves import (Certificate, MoveError, apply_move, braid,
 from .normalize import NormalizeError, canonicalize
 from .orbits import (BudgetError, census, compile_moves, connect, orbit_bfs,
                      read_predecessor_log, write_predecessor_log)
-from .perms import group_order, orbit_blocks
+from .perms import MAX_DEGREE, group_order, orbit_blocks
 from .systems import (HurwitzSystem, KeyParseError, count_systems, deserialize,
                       enumerate_systems, is_full_monodromy, monodromy,
                       random_system, serialize, validate)
@@ -89,6 +89,16 @@ def _parse_case(text: str) -> tuple[int, int, int]:
     except ValueError:
         raise UsageError("a case is three integers; got %r" % text)
     return d, h, w
+
+
+def _check_case(d: int, h: int, w: int) -> None:
+    """The parameter ranges every subcommand accepts; callers add their
+    own narrower rules."""
+    if not 1 <= d <= MAX_DEGREE:
+        raise UsageError("rejected: (%d,%d,%d): d must be between 1 and %d"
+                         % (d, h, w, MAX_DEGREE))
+    if h < 0 or w < 0:
+        raise UsageError("rejected: (%d,%d,%d): h and w must be non-negative" % (d, h, w))
 
 
 def _parse_filter(text: str, d: int):
@@ -218,8 +228,9 @@ def cmd_verify(args) -> int:
     if not cases:
         raise UsageError("verify needs --case d,h,w or --d/--h/--w ranges")
     for d, h, w in cases:
-        if d < 2 or h < 0 or w < 0:
-            raise UsageError("rejected: (%d,%d,%d): parameters out of range" % (d, h, w))
+        _check_case(d, h, w)
+        if d < 2:
+            raise UsageError("rejected: (%d,%d,%d): d must be at least 2" % (d, h, w))
         if w % 2 != 0:
             raise UsageError("rejected: (%d,%d,%d): w must be even" % (d, h, w))
         if w < 2 * d:
@@ -292,10 +303,9 @@ def cmd_verify(args) -> int:
 
 def _run_census(args):
     d, h, w = args.d, args.h, args.w
+    _check_case(d, h, w)
     if w % 2 != 0:
         raise UsageError("w must be even, got %d" % w)
-    if d < 1:
-        raise UsageError("d must be positive")
     filter_name, pred = _parse_filter(args.filter, d)
     return census(d, h, w, args.moves, pred, filter_name, budget=args.budget)
 
@@ -495,8 +505,9 @@ def cmd_count(args) -> int:
         if d > MAX_COUNT_DEGREE:
             raise UsageError("d=%d unsupported: character table is computed for d <= %d"
                              % (d, MAX_COUNT_DEGREE))
-        if d < 1:
-            raise UsageError("d must be positive")
+        for h in hs:
+            for w in ws:
+                _check_case(d, h, w)
     rows = []
     mismatch = False
     for d in ds:
@@ -768,6 +779,9 @@ def _resolve_defaults(args) -> None:
             continue
         if getattr(args, key) is None:
             setattr(args, key, config.get(key, fallback))
+    for key in ("budget", "samples"):
+        if getattr(args, key, 0) < 0:
+            raise UsageError("%s must be non-negative, got %d" % (key, getattr(args, key)))
 
 
 def main(argv: list[str] | None = None) -> int:

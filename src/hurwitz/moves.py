@@ -244,11 +244,6 @@ class Move:
             return "I%d:%s" % (self.j, format_perm(self.perms[0]))
         return "W%d-%d:%s" % (self.j, self.hi, ";".join(format_perm(p) for p in self.perms))
 
-    def inverted(self) -> "Move":
-        if self.kind in ("braid", "push"):
-            return Move(self.kind, self.j, self.side, not self.inverse, self.perms, self.hi)
-        raise MoveError("no token-level inverse for %s" % self.kind)
-
 
 def _move_index(text: str) -> int:
     j = int(text)

@@ -5,7 +5,11 @@ exactly: a census partitions every system with given parameters into
 move orbits, and connect searches for an explicit path between two
 systems.  All three searches run on one integer kernel: a state is a
 tuple of permutation ranks, numbered so that tuple order is system-line
-order, and moves are memoized table lookups.  System lines are written
+order, and moves are memoized table lookups.  The kernel grows every
+search the same way: expand applies each move to a frontier and links
+each new state to the state and token that reached it, and flood
+repeats that level by level.  census and orbit_bfs are floods, connect
+expands whichever of its two sides is smaller.  System lines are written
 only for what a search reports.  Everything here is deterministic by
 construction: frontiers are processed in sorted order and the first
 discovery wins.  Budgets make long runs interruptible: a partial result
@@ -127,13 +131,16 @@ class _Ranks:
         return r
 
 
-_Step = Callable[[tuple[int, ...]], tuple[int, ...]]
+_State = tuple[int, ...]
+_Step = Callable[[_State], _State]
 
 
 class _Kernel:
     """The moves of one parameter set acting on rank tuples
     (t_1..t_w, a_1, b_1, ..., a_h, b_h).  steps holds (token, step)
-    in the order of the given moves."""
+    in the order of the given moves.  links maps each state a search
+    has reached to the (state, token) it was first reached from, or None
+    for a start."""
 
     def __init__(self, d: int, h: int, w: int, moves: tuple[CompiledMove, ...]):
         self.d, self.h, self.w = d, h, w
@@ -141,15 +148,43 @@ class _Kernel:
         self.steps: list[tuple[str, _Step]] = [
             (mv.token, self._step(parse_move(mv.token))) for mv in moves]
 
-    def state(self, sys: HurwitzSystem) -> tuple[int, ...]:
+    def state(self, sys: HurwitzSystem) -> _State:
         return tuple(map(self.ranks.rank.__getitem__, sys.transpositions + sys.handles))
 
-    def system(self, state: tuple[int, ...]) -> HurwitzSystem:
+    def system(self, state: _State) -> HurwitzSystem:
         perms = tuple(map(self.ranks.perm.__getitem__, state))
         return HurwitzSystem(self.d, perms[self.w :], perms[: self.w])
 
-    def key(self, state: tuple[int, ...]) -> str:
+    def key(self, state: _State) -> str:
         return serialize(self.system(state))
+
+    def expand(self, frontier: list[_State], links: dict) -> list[_State]:
+        """Apply every step to each frontier state in turn and link each
+        state not reached before; the new states in discovery order."""
+        found = []
+        for st in frontier:
+            for token, step in self.steps:
+                new = step(st)
+                if new not in links:
+                    links[new] = (st, token)
+                    found.append(new)
+        return found
+
+    def flood(self, start: _State, budget: int | None = None
+              ) -> tuple[dict, list[list[_State]], bool]:
+        """The orbit of start as (links, levels, partial), each level
+        sorted.  The budget is checked at level boundaries only, so a
+        partial orbit is a union of whole levels; its last level was
+        never expanded."""
+        links: dict = {start: None}
+        levels = [[start]]
+        while budget is None or len(links) < budget:
+            found = self.expand(levels[-1], links)
+            if not found:
+                return links, levels, False
+            found.sort()
+            levels.append(found)
+        return links, levels, True
 
     def _step(self, move: Move) -> _Step:
         if move.kind == "braid":
@@ -251,32 +286,14 @@ def orbit_bfs(seed: HurwitzSystem, moves: tuple[CompiledMove, ...],
     """
     kernel = _Kernel(seed.d, seed.h, seed.w, tuple(sorted(moves, key=lambda mv: mv.token)))
     start = kernel.state(seed)
-    preds: dict[tuple[int, ...], tuple[tuple[int, ...], str] | None] = {start: None}
-    order = [start]
-    frontier = [start]
-    levels = 0
-    partial = False
-    while frontier:
-        if budget is not None and len(preds) >= budget:
-            partial = True
-            break
-        found = []
-        for st in frontier:
-            for token, step in kernel.steps:
-                new = step(st)
-                if new not in preds:
-                    preds[new] = (st, token)
-                    found.append(new)
-        found.sort()
-        order += found
-        frontier = found
-        levels += 1
-    text = {st: kernel.key(st) for st in order}
+    links, levels, partial = kernel.flood(start, budget)
+    text = {st: kernel.key(st) for st in links}
     predecessors = {}
-    for st in order:
-        link = preds[st]
-        predecessors[text[st]] = ("", "") if link is None else (text[link[0]], link[1])
-    return OrbitResult(text[start], predecessors, partial, levels)
+    for st, key in text.items():
+        link = links[st]
+        predecessors[key] = ("", "") if link is None else (text[link[0]], link[1])
+    # levels counts expansions: a partial flood's last level had none
+    return OrbitResult(text[start], predecessors, partial, len(levels) - partial)
 
 
 # ---------------------------------------------------------------------------
@@ -391,27 +408,6 @@ class CensusResult:
         return "\n".join(lines) + "\n"
 
 
-def _flood(steps: list[_Step], start: tuple[int, ...],
-           budget: int | None) -> tuple[set[tuple[int, ...]], bool]:
-    """The orbit of start as a set, level by level; (members, partial).
-    The budget is checked at level boundaries only, so a partial member
-    set is a union of whole levels and does not depend on visit order."""
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        if budget is not None and len(seen) >= budget:
-            return seen, True
-        found = []
-        for st in frontier:
-            for step in steps:
-                new = step(st)
-                if new not in seen:
-                    seen.add(new)
-                    found.append(new)
-        frontier = found
-    return seen, False
-
-
 def census(d: int, h: int, w: int, selector: str = "full",
            filter: Callable[[HurwitzSystem], bool] | None = None,
            filter_name: str = "all", budget: int | None = None,
@@ -422,20 +418,23 @@ def census(d: int, h: int, w: int, selector: str = "full",
     preserve the monodromy subgroup exactly), which is checked on the
     fly.  threads is accepted for compatibility and ignored."""
     kernel = _Kernel(d, h, w, compile_moves(d, h, w, selector))
-    steps = [step for _, step in kernel.steps]
-    population = {kernel.state(sys) for sys in enumerate_systems(d, h, w, filter)}
-    visited: set[tuple[int, ...]] = set()
+    remaining = {kernel.state(sys) for sys in enumerate_systems(d, h, w, filter)}
+    total = 0
     orbits: list[OrbitRecord] = []
     partial = False
-    for start in sorted(population):
-        if start in visited:
+    for start in sorted(remaining):
+        if start not in remaining:
             continue
-        members, cut = _flood(steps, start, None if budget is None else budget - len(visited))
+        links, _, cut = kernel.flood(start, None if budget is None else budget - total)
         partial = partial or cut
-        escaped = members - population
+        members = links.keys()
+        # orbits are disjoint, so a member missing from remaining was
+        # never in the filtered population
+        escaped = members - remaining
         if escaped:
             raise AssertionError("orbit escaped the filter at %s" % kernel.key(min(escaped)))
-        visited |= members
+        remaining.difference_update(members)
+        total += len(members)
         least = heapq.nsmallest(3, members)
         samples = tuple(kernel.key(st) for st in least)
         rep = kernel.system(least[0])
@@ -443,11 +442,11 @@ def census(d: int, h: int, w: int, selector: str = "full",
             samples[0], len(members), is_full_monodromy(rep),
             samples, tuple(branching_blocks(rep)),
         ))
-        if budget is not None and len(visited) >= budget:
+        if budget is not None and total >= budget:
             partial = True
             break
     orbits.sort(key=lambda rec: rec.rep)
-    return CensusResult(d, h, w, selector, filter_name, orbits, len(visited), partial)
+    return CensusResult(d, h, w, selector, filter_name, orbits, total, partial)
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +468,7 @@ def connect(source: HurwitzSystem, target: HurwitzSystem,
     sides: tuple[dict, dict] = ({src: None}, {dst: None})
     frontiers = [[src], [dst]]
 
-    def path_from(side: dict, st: tuple[int, ...]) -> list[str]:
+    def path_from(side: dict, st: _State) -> list[str]:
         tokens = []
         while side[st] is not None:
             st, token = side[st]
@@ -478,23 +477,13 @@ def connect(source: HurwitzSystem, target: HurwitzSystem,
 
     while frontiers[0] and frontiers[1]:
         pick = 0 if len(frontiers[0]) <= len(frontiers[1]) else 1
-        mine, other = sides[pick], sides[1 - pick]
         if budget is not None and len(sides[0]) + len(sides[1]) > budget:
             raise BudgetError("connect exceeded its %d-state budget" % budget)
-        new_frontier = []
-        meets = []
-        for st in sorted(frontiers[pick]):
-            for token, step in kernel.steps:
-                new = step(st)
-                if new in mine:
-                    continue
-                mine[new] = (st, token)
-                new_frontier.append(new)
-                if new in other:
-                    meets.append(new)
+        found = kernel.expand(frontiers[pick], sides[pick])
+        meets = [st for st in found if st in sides[1 - pick]]
         if meets:
             meet = min(meets)
             word = " ".join(path_from(sides[0], meet) + invert_tokens(path_from(sides[1], meet)))
             return certificate(source, word, target)
-        frontiers[pick] = new_frontier
+        frontiers[pick] = sorted(found)
     return None

@@ -22,6 +22,7 @@ from itertools import permutations
 from typing import Callable, Iterator
 
 from .perms import (
+    MAX_DEGREE,
     Perm,
     all_transpositions,
     check_perm,
@@ -215,7 +216,10 @@ class _Cursor:
             self.pos += 1
         if self.pos == start:
             raise KeyParseError("expected an integer", start)
-        return int(self.text[start : self.pos])
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError:  # more digits than int() converts
+            raise KeyParseError("integer of %d digits" % (self.pos - start), start) from None
 
 
 def _parse_perm_field(field: str, start: int, sep: str, d: int) -> list[Perm]:
@@ -235,11 +239,14 @@ def _parse_perm_field(field: str, start: int, sep: str, d: int) -> list[Perm]:
 
 def deserialize(key: str) -> HurwitzSystem:
     """Inverse of serialize; raises KeyParseError with a byte offset on
-    malformed input.  Structure only: run validate on the result to
-    check the relator and transposition shape."""
+    malformed input or a degree over perms.MAX_DEGREE.  Structure only:
+    run validate on the result to check the relator and transposition
+    shape."""
     cur = _Cursor(key)
     cur.expect("d=")
     d = cur.take_int()
+    if d > MAX_DEGREE:
+        raise KeyParseError("degree %d is over the maximum %d" % (d, MAX_DEGREE), len("d="))
     cur.expect(" h=")
     h = cur.take_int()
     cur.expect(" w=")
@@ -340,8 +347,10 @@ def enumerate_systems(d: int, h: int, w: int,
                       ) -> Iterator[HurwitzSystem]:
     """Every valid system with these parameters exactly once, in a
     fixed deterministic order (lex on the transposition tuple, then on
-    handles).  Refuses when the estimated output size exceeds the
-    enumeration guard."""
+    handles).  Refuses negative h or w, and an estimated output size
+    over the enumeration guard."""
+    if h < 0 or w < 0:
+        raise ValueError("h and w must be non-negative, got h=%d w=%d" % (h, w))
     est = _estimate_count(d, h, w)
     if est > ENUMERATION_GUARD:
         raise ValueError("enumeration would produce about %d systems, over the %d guard"
@@ -371,17 +380,8 @@ def enumerate_systems(d: int, h: int, w: int,
             yield from rec(prefix, compose(prod, t))
             prefix.pop()
 
-    if w == 0 and h == 0:
-        sys = HurwitzSystem(d, (), ())
-        if filter is None or filter(sys):
-            yield sys
-        return
-    if w == 0:
+    if w % 2 == 0:
         yield from rec([], ident)
-        return
-    if w % 2 != 0:
-        return
-    yield from rec([], ident)
 
 
 def random_system(d: int, h: int, w: int, rng,

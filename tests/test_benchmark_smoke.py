@@ -1,0 +1,34 @@
+"""The benchmark still runs against the package.
+
+perfbench/run.py wraps package functions from outside to trace them,
+so a rename or signature change in the package can break the
+benchmark without failing any package test.  This runs the traced
+census workloads for one second each on a copy of the tree.
+"""
+
+import json
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("workload", ["census_genus", "census_sphere"])
+def test_traced_census_workload_runs(tmp_path, workload):
+    skip = shutil.ignore_patterns("out", "__pycache__", "*.egg-info")
+    shutil.copy(ROOT / "BENCHMARK.json", tmp_path)
+    shutil.copytree(ROOT / "perfbench", tmp_path / "perfbench", ignore=skip)
+    shutil.copytree(ROOT / "src", tmp_path / "src", ignore=skip)
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1",
+         "--seconds", "1", "--trace", "1"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=170)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    assert set(result["metrics"]) == {m["name"] for m in spec["per_layer"]}

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from hurwitz import systems as S
-from hurwitz.perms import identity, transposition
+from hurwitz.perms import MAX_DEGREE, identity, transposition
 
 
 def make(d, handles, ts):
@@ -136,6 +136,20 @@ class TestSerialization:
         with pytest.raises(S.KeyParseError):
             S.deserialize(good + " ")
 
+    def test_degree_cap(self):
+        top = "d=%d h=0 w=0 | t: - | ab: -" % MAX_DEGREE
+        assert S.validate(S.deserialize(top)).ok
+        for d in (MAX_DEGREE + 1, 100000):
+            with pytest.raises(S.KeyParseError, match="over the maximum") as ei:
+                S.deserialize("d=%d h=0 w=0 | t: - | ab: -" % d)
+            assert ei.value.offset == len("d=")
+
+    def test_integer_too_long_for_int(self):
+        line = "d=3 h=%s w=0 | t: - | ab: -" % ("9" * 5000)
+        with pytest.raises(S.KeyParseError) as ei:
+            S.deserialize(line)
+        assert ei.value.offset == line.index(" h=") + len(" h=")
+
 
 class TestCounts:
     # frozen oracle values; the character-sum module cross-checks these
@@ -172,6 +186,20 @@ class TestCounts:
 
     def test_odd_w_enumerates_empty(self):
         assert list(S.enumerate_systems(3, 0, 3)) == []
+
+    def test_w_zero_enumerates_handles_only(self):
+        for d in (1, 2, 3):
+            for h in (0, 1, 2):
+                lst = list(S.enumerate_systems(d, h, 0))
+                assert len(lst) == S.count_systems(d, h, 0), (d, h)
+                assert all(x.w == 0 and x.h == h and S.validate(x).ok for x in lst)
+        assert list(S.enumerate_systems(2, 0, 0)) == [make(2, [], [])]
+        assert list(S.enumerate_systems(2, 0, 0, filter=lambda x: False)) == []
+
+    @pytest.mark.parametrize("h,w", [(0, -2), (-1, 4), (-1, 0)])
+    def test_negative_parameters_raise(self, h, w):
+        with pytest.raises(ValueError, match="non-negative"):
+            next(iter(S.enumerate_systems(2, h, w)))
 
     def test_guard_refuses_huge(self):
         with pytest.raises(ValueError, match="guard"):

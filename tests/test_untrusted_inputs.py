@@ -2,10 +2,11 @@
 
 Replay must reject a forged predecessor log (chains that never reach
 the seed, entries of other parameters, invalid systems, repeated
-keys) and macro tokens of the wrong degree.  Malformed certificates
-and config files end in one line on stderr and exit 2.  The property
-tests at the end check that the readers raise only their documented
-errors on arbitrary input.
+keys), macro tokens of the wrong degree and system lines of a degree
+over the cap.  Malformed certificates and config files, parameters out
+of range and system files that do not parse end in one line on stderr
+and exit 2.  The property tests at the end check that the readers raise
+only their documented errors on arbitrary input.
 """
 
 import json
@@ -173,6 +174,7 @@ def test_malformed_certificate_is_a_usage_error(tmp_path, capsys, data, message)
     ({"seed": 1.5}, "config seed must be int"),
     ({"moves": "all"}, "config moves must be one of braid, full"),
     ({"mode": 3}, "config mode must be str"),
+    ({"budget": -3}, "budget must be non-negative"),
 ])
 def test_bad_config_value_is_a_usage_error(tmp_path, capsys, config, message):
     path = tmp_path / "cfg.json"
@@ -193,6 +195,46 @@ def test_system_file_not_utf8_is_a_usage_error(tmp_path, capsys):
     path.write_bytes(b"d=2 h=0 w=2 | t: 2,1 ; \xff | ab: -\n")
     assert main(["canonicalize", str(path)]) == 2
     assert "cannot read" in one_error_line(capsys)
+
+
+# ---------------------------------------------------------------------------
+# out-of-range parameters and degrees
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--h", "-1"],
+    ["count", "--w", "-2"],
+    ["census", "--d", "2", "--h", "0", "--w", "-2"],
+    ["census", "--d", "17", "--h", "0", "--w", "2"],
+    ["explore", "--d", "3", "--h", "-1", "--w", "4"],
+    ["census", "--d", "2", "--h", "1", "--w", "4", "--budget", "-1"],
+    ["verify", "--case", "2,1,4", "--method", "sample", "--samples", "-1"],
+    ["validate-moves", "--samples", "-5"],
+])
+def test_out_of_range_parameters_are_a_usage_error(capsys, argv):
+    assert main(argv) == 2
+    one_error_line(capsys)
+
+
+HUGE_DEGREE = "d=100000 h=0 w=0 | t: - | ab: -"
+
+
+def test_huge_degree_certificate_fails_replay(tmp_path, capsys):
+    cert = dict(good_certificate(), start=HUGE_DEGREE, moves="", end=HUGE_DEGREE)
+    assert replay(tmp_path, json.dumps(cert).encode()) == 1
+    assert "over the maximum 16 (at offset 2)" in capsys.readouterr().out
+
+
+def test_huge_degree_log_seed_fails_replay(tmp_path, capsys):
+    assert replay(tmp_path, b"HWSPRED1" + record(HUGE_DEGREE, "", "")) == 1
+    assert "replay: FAIL at seed" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("line", [HUGE_DEGREE, "d=3 h=%s w=0 | t: - | ab: -" % ("9" * 5000)])
+def test_out_of_range_system_file_is_a_usage_error(tmp_path, capsys, line):
+    path = tmp_path / "sys.txt"
+    path.write_text(line + "\n")
+    assert main(["connect", str(path), str(path)]) == 2
+    assert "offset" in one_error_line(capsys)
 
 
 # ---------------------------------------------------------------------------
