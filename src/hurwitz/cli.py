@@ -48,6 +48,22 @@ DEFAULT_SAMPLES = 200
 MOVE_SETS = ("braid", "full")
 MODES = ("fast", "validate")
 
+# The options shared by several subcommands: argparse keywords and the
+# fallback for an unset flag.  Those with a fallback are the keys a
+# --config file may set; each subcommand lists the options it reads.
+OPTIONS = {
+    "budget": ({"type": int, "help": "state budget for searches (default %d)" % DEFAULT_BUDGET},
+               DEFAULT_BUDGET),
+    "seed": ({"type": int, "help": "random seed (default 0)"}, 0),
+    "moves": ({"choices": MOVE_SETS}, "full"),
+    "filter": ({"help": "all | full-monodromy | group=<sizes like 2x1>"}, "all"),
+    "mode": ({"choices": MODES}, "fast"),
+    "samples": ({"type": int, "help": "random systems to sample (default %d)" % DEFAULT_SAMPLES},
+                DEFAULT_SAMPLES),
+    "out": ({"help": "write the machine-readable report here"}, None),
+    "config": ({"help": "JSON file of option defaults; explicit flags win"}, None),
+}
+
 
 class UsageError(Exception):
     pass
@@ -198,16 +214,11 @@ def _sample_canonical(d: int, h: int, w: int, samples: int, seed: int):
     (forms, first error message or None)."""
     rng = random.Random("verify:%d:%d:%d:%d" % (seed, d, h, w))
     forms = set()
-    drawn = 0
-    attempts = 0
-    while drawn < samples:
-        attempts += 1
-        if attempts > 1000 * samples:
+    for _ in range(samples):
+        try:
+            hs = random_system(d, h, w, rng, is_full_monodromy)
+        except RuntimeError:
             return forms, "could not sample full-monodromy systems at d=%d h=%d w=%d" % (d, h, w)
-        hs = random_system(d, h, w, rng)
-        if not is_full_monodromy(hs):
-            continue
-        drawn += 1
         try:
             form, _cert = canonicalize(hs, mode="fast")
         except NormalizeError as exc:
@@ -514,6 +525,11 @@ def cmd_count(args) -> int:
         for h in hs:
             for w in ws:
                 n_char = frobenius_count(d, h, w)
+                try:
+                    char_text = str(n_char)
+                except ValueError:  # past the interpreter's integer-to-string digit limit
+                    raise UsageError("count at d=%d h=%d w=%d has more than %d digits"
+                                     % (d, h, w, _sys.get_int_max_str_digits()))
                 n_enum = "-"
                 match = "-"
                 if d <= 6:
@@ -530,20 +546,20 @@ def cmd_count(args) -> int:
                         if seen != n_char:
                             mismatch = True
                             match = "NO"
-                rows.append((d, h, w, n_char, n_enum, match))
+                rows.append((d, h, w, char_text, n_enum, match))
     lines = _header(args)
     lines.append("%-4s %-4s %-4s %-22s %-22s %s"
                  % ("d", "h", "w", "character-sum", "enumerated", "match"))
-    for d, h, w, n_char, n_enum, match in rows:
-        lines.append("%-4d %-4d %-4d %-22d %-22s %s" % (d, h, w, n_char, n_enum, match))
+    for d, h, w, char_text, n_enum, match in rows:
+        lines.append("%-4d %-4d %-4d %-22s %-22s %s" % (d, h, w, char_text, n_enum, match))
     lines.append("count: %s" % ("FAIL" if mismatch else "PASS"))
     print("\n".join(lines))
     if args.out:
         csv_lines = ["# catalog %s" % catalog_hash(),
                      "# seed %d  budget %d" % (args.seed, args.budget),
                      "d,h,w,character_sum,enumerated,match"]
-        for d, h, w, n_char, n_enum, match in rows:
-            csv_lines.append("%d,%d,%d,%d,%s,%s" % (d, h, w, n_char, n_enum, match))
+        for d, h, w, char_text, n_enum, match in rows:
+            csv_lines.append("%d,%d,%d,%s,%s,%s" % (d, h, w, char_text, n_enum, match))
         _write_out(args.out, "\n".join(csv_lines) + "\n")
     return EXIT_FAIL if mismatch else EXIT_PASS
 
@@ -671,16 +687,9 @@ def cmd_canonicalize(args) -> int:
 # ---------------------------------------------------------------------------
 # wiring
 
-def _add_common(p, budget=DEFAULT_BUDGET) -> None:
-    p.add_argument("--budget", type=int, default=None,
-                   help="state budget for searches (default %d)" % budget)
-    p.add_argument("--seed", type=int, default=None, help="random seed (default 0)")
-    p.add_argument("--threads", type=int, default=None,
-                   help="accepted for compatibility and ignored: the orbit "
-                        "engine runs in one thread")
-    p.add_argument("--out", default=None, help="write the machine-readable report here")
-    p.add_argument("--config", default=None,
-                   help="JSON file of flag defaults; explicit flags win")
+def _add_options(p, names: str) -> None:
+    for name in names.split():
+        p.add_argument("--" + name, default=None, **OPTIONS[name][0])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -694,64 +703,55 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", help="degree range, e.g. 2..4")
     p.add_argument("--h", help="genus range")
     p.add_argument("--w", help="branch point count range")
-    p.add_argument("--moves", choices=MOVE_SETS, default=None)
     p.add_argument("--method", choices=("auto", "census", "sample"), default="auto")
-    p.add_argument("--samples", type=int, default=None,
-                   help="random systems per sampled case (default %d)" % DEFAULT_SAMPLES)
-    _add_common(p)
+    _add_options(p, "moves samples budget seed out config")
     p.set_defaults(fn=cmd_verify)
 
-    for name, fn, blurb in (("explore", cmd_explore, "census with a human report"),
-                            ("census", cmd_census, "census as JSONL")):
+    for name, fn, blurb, options in (
+            ("explore", cmd_explore, "census with a human report",
+             "moves filter budget seed out config"),
+            ("census", cmd_census, "census as JSONL", "moves filter budget out config")):
         p = sub.add_parser(name, help=blurb)
         p.add_argument("--d", type=int, required=True)
         p.add_argument("--h", type=int, required=True)
         p.add_argument("--w", type=int, required=True)
-        p.add_argument("--moves", choices=MOVE_SETS, default=None)
-        p.add_argument("--filter", default=None,
-                       help="all | full-monodromy | group=<sizes like 2x1>")
         if name == "census":
             p.add_argument("--log", default=None,
                            help="write the first orbit's predecessor log here")
-        _add_common(p)
+        _add_options(p, options)
         p.set_defaults(fn=fn)
 
     p = sub.add_parser("connect", help="move word between two system files")
     p.add_argument("source")
     p.add_argument("target")
-    p.add_argument("--moves", choices=MOVE_SETS, default=None)
-    _add_common(p)
+    _add_options(p, "moves budget seed out config")
     p.set_defaults(fn=cmd_connect)
 
     p = sub.add_parser("replay", help="re-check a certificate or predecessor log")
     p.add_argument("certificate")
-    _add_common(p)
     p.set_defaults(fn=cmd_replay)
 
     p = sub.add_parser("count", help="character-sum counts vs enumeration")
     p.add_argument("--d", help="degree range (default 2..4)")
     p.add_argument("--h", help="genus range (default 0..2)")
     p.add_argument("--w", help="branch point range (default even 0..8)")
-    _add_common(p)
+    _add_options(p, "budget seed out config")
     p.set_defaults(fn=cmd_count)
 
     p = sub.add_parser("validate-moves", help="certify the catalog and move contracts")
-    p.add_argument("--samples", type=int, default=None,
-                   help="random systems for the property suite (default %d)" % DEFAULT_SAMPLES)
-    _add_common(p)
+    _add_options(p, "samples budget seed config")
     p.set_defaults(fn=cmd_validate_moves)
 
     p = sub.add_parser("canonicalize", help="carry a system file to canonical form")
     p.add_argument("system")
-    p.add_argument("--mode", choices=MODES, default=None)
-    _add_common(p)
+    _add_options(p, "mode out config")
     p.set_defaults(fn=cmd_canonicalize)
     return ap
 
 
 def _resolve_defaults(args) -> None:
-    """Fill unset flags from the config file, then from hard defaults.
-    Explicit flags always win."""
+    """Fill unset flags from the config file, then from the OPTIONS
+    fallbacks.  Explicit flags always win."""
     config = {}
     if getattr(args, "config", None):
         try:
@@ -761,24 +761,19 @@ def _resolve_defaults(args) -> None:
             raise UsageError("bad config file %s: %s" % (args.config, exc))
         if not isinstance(config, dict):
             raise UsageError("config file must hold a JSON object")
-    hard = {"budget": DEFAULT_BUDGET, "seed": 0, "threads": 1,
-            "moves": "full", "filter": "all", "mode": "fast",
-            "samples": DEFAULT_SAMPLES}
-    choices = {"moves": MOVE_SETS, "mode": MODES}
-    for key, value in config.items():
-        if key not in hard:
+    for key, (kwargs, fallback) in OPTIONS.items():
+        if fallback is None:  # not a config key
             continue
-        if type(value) is not type(hard[key]):  # a bool is not an int
+        value = config.get(key, fallback)
+        if type(value) is not type(fallback):  # a bool is not an int
             raise UsageError("config %s must be %s, got %s"
-                             % (key, type(hard[key]).__name__, json.dumps(value)))
-        if key in choices and value not in choices[key]:
+                             % (key, type(fallback).__name__, json.dumps(value)))
+        choices = kwargs.get("choices")
+        if choices and value not in choices:
             raise UsageError("config %s must be one of %s, got %r"
-                             % (key, ", ".join(choices[key]), value))
-    for key, fallback in hard.items():
-        if not hasattr(args, key):
-            continue
-        if getattr(args, key) is None:
-            setattr(args, key, config.get(key, fallback))
+                             % (key, ", ".join(choices), value))
+        if hasattr(args, key) and getattr(args, key) is None:
+            setattr(args, key, value)
     for key in ("budget", "samples"):
         if getattr(args, key, 0) < 0:
             raise UsageError("%s must be non-negative, got %d" % (key, getattr(args, key)))

@@ -4,17 +4,16 @@ Every move is the permutation shadow of a certified mapping class:
 the new system is obtained by evaluating the free-group images of the
 schema under the current monodromy.  Braid moves only shuffle the
 transposition tuple; handle point-pushes also rewrite one handle
-entry.  The pair macros (retype, cancel, insert) are shortcuts for
-braid words whose existence needs a full residual monodromy group;
-their preconditions are checked on application and again on replay.
+entry.  The macros stand for braid words: a pair retype needs a full
+residual monodromy group, and a window rewrite must keep the braid
+invariants of its window.  Both are checked on application and again
+on replay.
 
 Move words are strings of tokens separated by spaces:
 
     B3       braid at positions 3,4          B3'    its inverse
     Pa2      push along a_2 (rewrites b_2)   Pb1'   inverse push along b_1
     R4:1,3,2     retype the equal pair at 4,5 to the given transposition
-    C2           cancel the equal pair at 2,3 (w drops by 2)
-    I2:2,1,3     insert a doubled transposition at position 2
     W2-5:...     rewrite the window 2..5 (';'-separated transpositions)
 """
 
@@ -36,6 +35,7 @@ from .perms import (
     orbit_blocks,
     parse_perm,
     product,
+    support,
 )
 from .systems import HurwitzSystem, deserialize, relator_product, serialize
 from .words import EndoMap, Word
@@ -166,15 +166,24 @@ def _require_equal_pair(sys: HurwitzSystem, j: int) -> Perm:
 def check_block_rewrite(sys: HurwitzSystem, lo: int, hi: int,
                         target: tuple[Perm, ...]) -> None:
     """Cheap braid-orbit invariants for a macro rewrite token: equal
-    products and equal window subgroup (same block partition)."""
+    products, equal window subgroup (same block partition) and the same
+    number of entries in each block, since a braid keeps every entry
+    inside its block.  With one block of two or more points the count
+    is the window length, which the caller already matched."""
     src = sys.transpositions[lo - 1 : hi]
     if product(src, sys.d) != product(target, sys.d):
         raise MoveError("rewrite changes the window product")
     for t in target:
         if not is_transposition(t):
             raise MoveError("rewrite target entry is not a transposition")
-    if orbit_blocks(src, sys.d) != orbit_blocks(target, sys.d):
+    blocks = orbit_blocks(src, sys.d)
+    if blocks != orbit_blocks(target, sys.d):
         raise MoveError("rewrite changes the window block partition")
+    if sum(len(b) > 1 for b in blocks) > 1:
+        block_of = {p: k for k, b in enumerate(blocks) for p in b}
+        if (sorted(block_of[p] for t in src for p in support(t))
+                != sorted(block_of[p] for t in target for p in support(t))):
+            raise MoveError("rewrite changes the number of entries in a block")
 
 
 def pair_retype(sys: HurwitzSystem, j: int, tau: Perm) -> HurwitzSystem:
@@ -193,29 +202,6 @@ def pair_retype(sys: HurwitzSystem, j: int, tau: Perm) -> HurwitzSystem:
     return HurwitzSystem(sys.d, sys.handles, ts)
 
 
-def pair_cancel(sys: HurwitzSystem, j: int) -> HurwitzSystem:
-    """Drop the doubled transposition at j, j+1; w shrinks by two."""
-    _require_equal_pair(sys, j)
-    if not _residual_full(sys, (j, j + 1)):
-        raise MoveError("pair cancel needs full residual monodromy")
-    ts = sys.transpositions[: j - 1] + sys.transpositions[j + 1 :]
-    return HurwitzSystem(sys.d, sys.handles, ts)
-
-
-def pair_insert(sys: HurwitzSystem, j: int, tau: Perm) -> HurwitzSystem:
-    """Insert (tau, tau) before position j (j = w+1 appends); the
-    inverse of pair_cancel, so the same residual condition applies,
-    which here means the system itself has full monodromy."""
-    if not 1 <= j <= sys.w + 1:
-        raise MoveError("insert position %d out of range 1..%d" % (j, sys.w + 1))
-    if not is_transposition(tau):
-        raise MoveError("insert entry is not a transposition")
-    if not is_symmetric(sys.handles + sys.transpositions, sys.d):
-        raise MoveError("pair insert needs full monodromy")
-    ts = sys.transpositions[: j - 1] + (tau, tau) + sys.transpositions[j - 1 :]
-    return HurwitzSystem(sys.d, sys.handles, ts)
-
-
 # ---------------------------------------------------------------------------
 # move words
 
@@ -223,7 +209,7 @@ def pair_insert(sys: HurwitzSystem, j: int, tau: Perm) -> HurwitzSystem:
 class Move:
     """A parsed move token."""
 
-    kind: str  # braid | push | retype | cancel | insert | rewrite
+    kind: str  # braid | push | retype | rewrite
     j: int = 0
     side: str = ""
     inverse: bool = False
@@ -238,10 +224,6 @@ class Move:
             return "P%s%d%s" % (self.side, self.j, prime)
         if self.kind == "retype":
             return "R%d:%s" % (self.j, format_perm(self.perms[0]))
-        if self.kind == "cancel":
-            return "C%d" % self.j
-        if self.kind == "insert":
-            return "I%d:%s" % (self.j, format_perm(self.perms[0]))
         return "W%d-%d:%s" % (self.j, self.hi, ";".join(format_perm(p) for p in self.perms))
 
 
@@ -269,11 +251,6 @@ def parse_move(token: str) -> Move:
         if text.startswith("R"):
             pos, _, perm = text[1:].partition(":")
             return Move("retype", _move_index(pos), perms=(parse_perm(perm),))
-        if text.startswith("C"):
-            return Move("cancel", _move_index(text[1:]))
-        if text.startswith("I"):
-            pos, _, perm = text[1:].partition(":")
-            return Move("insert", _move_index(pos), perms=(parse_perm(perm),))
         if text.startswith("W"):
             span, _, body = text[1:].partition(":")
             lo, _, hi = span.partition("-")
@@ -299,10 +276,6 @@ def apply_move(sys: HurwitzSystem, move: Move) -> HurwitzSystem:
         return handle_push(sys, move.j, move.side, move.inverse)
     if move.kind == "retype":
         return pair_retype(sys, move.j, move.perms[0])
-    if move.kind == "cancel":
-        return pair_cancel(sys, move.j)
-    if move.kind == "insert":
-        return pair_insert(sys, move.j, move.perms[0])
     if move.kind == "rewrite":
         lo, hi = move.j, move.hi
         if not (1 <= lo <= hi <= sys.w and len(move.perms) == hi - lo + 1):

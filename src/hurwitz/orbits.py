@@ -273,7 +273,7 @@ class OrbitResult:
 
 
 def orbit_bfs(seed: HurwitzSystem, moves: tuple[CompiledMove, ...],
-              budget: int | None = None, threads: int = 1) -> OrbitResult:
+              budget: int | None = None) -> OrbitResult:
     """Flood the orbit of seed under the move set.
 
     Level-synchronous over a sorted frontier, moves tried in token
@@ -281,8 +281,7 @@ def orbit_bfs(seed: HurwitzSystem, moves: tuple[CompiledMove, ...],
     (predecessor key, token) that reaches it, so the predecessor log is
     a pure function of the seed and the move set.  With a budget, the
     flood stops at the first level boundary where the budget is used up
-    and the result is marked partial.  threads is accepted for
-    compatibility and ignored; the flood runs in the calling thread.
+    and the result is marked partial.
     """
     kernel = _Kernel(seed.d, seed.h, seed.w, tuple(sorted(moves, key=lambda mv: mv.token)))
     start = kernel.state(seed)
@@ -416,7 +415,8 @@ def census(d: int, h: int, w: int, selector: str = "full",
     floods from the least unvisited system.  The filter must be
     invariant under the moves (monodromy-based filters are: moves
     preserve the monodromy subgroup exactly), which is checked on the
-    fly.  threads is accepted for compatibility and ignored."""
+    fly.  threads is ignored; it stays only because perfbench/run.py
+    calls census(..., threads=1)."""
     kernel = _Kernel(d, h, w, compile_moves(d, h, w, selector))
     remaining = {kernel.state(sys) for sys in enumerate_systems(d, h, w, filter)}
     total = 0

@@ -96,10 +96,10 @@ class TestExploreCensus:
 
     def test_census_threads_byte_identical(self, tmp_path):
         paths = []
-        for threads in ("1", "4", "8"):
-            p = tmp_path / ("census%s.jsonl" % threads)
+        for run in range(3):
+            p = tmp_path / ("census%d.jsonl" % run)
             assert main(["census", "--d", "3", "--h", "1", "--w", "4",
-                         "--out", str(p), "--threads", threads]) == 0
+                         "--out", str(p)]) == 0
             paths.append(p.read_bytes())
         assert paths[0] == paths[1] == paths[2]
 

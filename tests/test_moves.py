@@ -8,8 +8,8 @@ import pytest
 from hurwitz.catalog import catalog_hash
 from hurwitz.moves import (Certificate, MoveError, apply_move, apply_word,
                            braid, certificate, check_push_contract,
-                           evaluate_word, handle_push, pair_cancel,
-                           pair_insert, pair_retype, parse_move)
+                           evaluate_word, handle_push, pair_retype,
+                           parse_move)
 from hurwitz.perms import (compose, conjugate, identity, inverse,
                            transposition)
 from hurwitz.systems import (HurwitzSystem, genus, is_full_monodromy,
@@ -186,29 +186,11 @@ class TestMacros:
         with pytest.raises(MoveError):
             pair_retype(hs, 1, self.t23)
 
-    def test_cancel_insert_round_trip(self):
-        smaller = pair_cancel(self.hs, 3)
-        assert smaller.w == 4
-        assert validate(smaller).ok
-        back = pair_insert(smaller, 3, self.t23)
-        assert back == self.hs
-
-    def test_insert_bounds(self):
-        out = pair_insert(self.hs, 7, self.t12)
-        assert out.w == 8 and out.transpositions[-2:] == (self.t12, self.t12)
-        with pytest.raises(MoveError):
-            pair_insert(self.hs, 9, self.t12)
-
-    def test_cancel_needs_full_residual(self):
-        hs = HurwitzSystem(3, (), (self.t12,) * 2 + (self.t23,) * 2)
-        with pytest.raises(MoveError):
-            pair_cancel(hs, 1)
-
 
 class TestMoveWords:
     def test_token_round_trip(self):
-        for token in ("B3", "B11'", "Pa1", "Pb2'", "R4:2,1,3", "C2",
-                      "I5:1,3,2", "W2-5:2,1,3;1,3,2;1,3,2;2,1,3"):
+        for token in ("B3", "B11'", "Pa1", "Pb2'", "R4:2,1,3",
+                      "W2-5:2,1,3;1,3,2;1,3,2;2,1,3"):
             assert parse_move(token).token() == token
 
     def test_parse_rejects(self):

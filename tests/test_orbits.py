@@ -70,9 +70,9 @@ class TestBfs:
 
     def test_thread_determinism(self):
         seed = sphere_seed()
-        base = orbit_bfs(seed, compile_moves(3, 0, 4, "braid"), threads=1)
-        for threads in (2, 4, 8):
-            other = orbit_bfs(seed, compile_moves(3, 0, 4, "braid"), threads=threads)
+        base = orbit_bfs(seed, compile_moves(3, 0, 4, "braid"))
+        for _ in range(3):
+            other = orbit_bfs(seed, compile_moves(3, 0, 4, "braid"))
             assert other.predecessors == base.predecessors
             assert other.levels == base.levels
 

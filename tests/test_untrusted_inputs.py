@@ -2,11 +2,13 @@
 
 Replay must reject a forged predecessor log (chains that never reach
 the seed, entries of other parameters, invalid systems, repeated
-keys), macro tokens of the wrong degree and system lines of a degree
-over the cap.  Malformed certificates and config files, parameters out
-of range and system files that do not parse end in one line on stderr
-and exit 2.  The property tests at the end check that the readers raise
-only their documented errors on arbitrary input.
+keys), macro tokens of the wrong degree, window rewrites that move
+entries between blocks, tokens that change w and system lines of a
+degree over the cap.  Malformed certificates and config files,
+parameters out of range, flags a subcommand does not read and system
+files that do not parse end in one line on stderr and exit 2.  The
+property tests at the end check that the readers raise only their
+documented errors on arbitrary input.
 """
 
 import json
@@ -20,9 +22,9 @@ from hurwitz.catalog import catalog_hash
 from hurwitz.cli import main
 from hurwitz.moves import MoveError, apply_word, braid, certificate, parse_move
 from hurwitz.normalize import canonical_star
-from hurwitz.orbits import (compile_moves, orbit_bfs, read_predecessor_log,
+from hurwitz.orbits import (compile_moves, connect, orbit_bfs, read_predecessor_log,
                             write_predecessor_log)
-from hurwitz.perms import transposition
+from hurwitz.perms import format_perm, transposition
 from hurwitz.systems import HurwitzSystem, KeyParseError, deserialize, serialize
 
 
@@ -127,7 +129,7 @@ def test_log_without_records_is_a_usage_error(tmp_path, capsys, log_bytes):
 # ---------------------------------------------------------------------------
 # macro tokens of the wrong degree
 
-WRONG_DEGREE = ["W1-2:2,1;2,1", "R1:2,1", "I1:2,1", "R1:2,1,3,4"]
+WRONG_DEGREE = ["W1-2:2,1;2,1", "R1:2,1", "R1:2,1,3,4"]
 
 
 @pytest.mark.parametrize("token", WRONG_DEGREE)
@@ -143,6 +145,42 @@ def test_wrong_degree_macro_fails_in_the_cli(tmp_path, capsys, token):
     cert = {"catalog": catalog_hash(), "start": star, "moves": token, "end": star}
     assert replay(tmp_path, json.dumps(cert).encode()) == 1
     assert "replay: FAIL" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# certificates that leave the orbit or the Hurwitz space
+
+def forged_block_count():
+    """(12)(12)(34)^6 and (12)^4(34)^4 share the window product and block
+    partition, but a braid keeps each entry inside its block."""
+    t12, t34 = transposition(4, 1, 2), transposition(4, 3, 4)
+    start = HurwitzSystem(4, (), (t12,) * 2 + (t34,) * 6)
+    end = HurwitzSystem(4, (), (t12,) * 4 + (t34,) * 4)
+    token = "W1-8:" + ";".join(format_perm(t) for t in end.transpositions)
+    return start, token, end
+
+
+def test_block_count_rewrite_fails_replay():
+    start, token, end = forged_block_count()
+    assert connect(start, end, "full") is None
+    with pytest.raises(MoveError, match="number of entries in a block"):
+        certificate(start, token, end).replay()
+
+
+def test_block_count_rewrite_fails_in_the_cli(tmp_path, capsys):
+    start, token, end = forged_block_count()
+    cert = dict(good_certificate(), start=serialize(start), moves=token, end=serialize(end))
+    assert replay(tmp_path, json.dumps(cert).encode()) == 1
+    assert "number of entries in a block" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("token,start_w,end_w", [("C1", 8, 6), ("C2", 8, 6), ("I4:2,1,3", 6, 8)])
+def test_pair_cancel_and_insert_tokens_fail_replay(tmp_path, capsys, token, start_w, end_w):
+    # the certificate joins systems of different w
+    cert = dict(good_certificate(), start=serialize(canonical_star(3, 0, start_w)),
+                moves=token, end=serialize(canonical_star(3, 0, end_w)))
+    assert replay(tmp_path, json.dumps(cert).encode()) == 1
+    assert "unreadable move token" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +221,15 @@ def test_bad_config_value_is_a_usage_error(tmp_path, capsys, config, message):
     assert message in one_error_line(capsys)
 
 
+def test_config_threads_key_is_ignored(tmp_path, capsys):
+    assert main(["verify", "--case", "2,1,4"]) == 0
+    plain = capsys.readouterr().out
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"threads": "many", "workers": 8}))
+    assert main(["verify", "--case", "2,1,4", "--config", str(path)]) == 0
+    assert capsys.readouterr().out == plain
+
+
 def test_config_not_utf8_is_a_usage_error(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_bytes(b'{"seed": "\xff"}')
@@ -215,6 +262,12 @@ def test_out_of_range_parameters_are_a_usage_error(capsys, argv):
     one_error_line(capsys)
 
 
+def test_count_past_the_digit_limit_is_a_usage_error(capsys):
+    # about 4,770 digits, over CPython's integer-to-string limit of 4,300
+    assert main(["count", "--d", "3", "--h", "0", "--w", "10000"]) == 2
+    assert "more than 4300 digits" in one_error_line(capsys)
+
+
 HUGE_DEGREE = "d=100000 h=0 w=0 | t: - | ab: -"
 
 
@@ -235,6 +288,46 @@ def test_out_of_range_system_file_is_a_usage_error(tmp_path, capsys, line):
     path.write_text(line + "\n")
     assert main(["connect", str(path), str(path)]) == 2
     assert "offset" in one_error_line(capsys)
+
+
+# ---------------------------------------------------------------------------
+# flags a subcommand does not read
+
+REMOVED_FLAGS = [(command, "--threads") for command in (
+    "verify", "explore", "census", "connect", "replay", "count", "validate-moves",
+    "canonicalize")] + [
+    ("replay", "--budget"), ("replay", "--seed"), ("replay", "--out"), ("replay", "--config"),
+    ("census", "--seed"), ("validate-moves", "--out"),
+    ("canonicalize", "--budget"), ("canonicalize", "--seed")]
+
+
+def passing_argv(tmp_path, command: str) -> list[str]:
+    system = tmp_path / "sys.txt"
+    system.write_text(serialize(canonical_star(3, 0, 6)) + "\n")
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(good_certificate()))
+    return {"verify": ["verify", "--case", "2,1,4"],
+            "explore": ["explore", "--d", "2", "--h", "1", "--w", "4"],
+            "census": ["census", "--d", "2", "--h", "1", "--w", "4"],
+            "connect": ["connect", str(system), str(system)],
+            "replay": ["replay", str(cert)],
+            "count": ["count", "--d", "2", "--h", "0", "--w", "2"],
+            "validate-moves": ["validate-moves", "--samples", "5"],
+            "canonicalize": ["canonicalize", str(system)]}[command]
+
+
+@pytest.mark.parametrize("command,flag", REMOVED_FLAGS)
+def test_flag_the_subcommand_does_not_read_is_a_usage_error(tmp_path, capsys, command, flag):
+    argv = passing_argv(tmp_path, command)
+    assert main(argv) == 0
+    capsys.readouterr()
+    config = tmp_path / "cfg.json"
+    config.write_text("{}")
+    value = {"--threads": "64", "--budget": "1000", "--seed": "1",
+             "--out": str(tmp_path / "out"), "--config": str(config)}[flag]
+    assert main(argv + [flag, value]) == 2
+    assert "unrecognized arguments: %s %s" % (flag, value) in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------
