@@ -318,7 +318,10 @@ def _run_census(args):
     if w % 2 != 0:
         raise UsageError("w must be even, got %d" % w)
     filter_name, pred = _parse_filter(args.filter, d)
-    return census(d, h, w, args.moves, pred, filter_name, budget=args.budget)
+    try:
+        return census(d, h, w, args.moves, pred, filter_name, budget=args.budget)
+    except ValueError as exc:  # over the enumeration guard
+        raise UsageError(str(exc)) from None
 
 
 def cmd_explore(args) -> int:
@@ -533,7 +536,10 @@ def cmd_count(args) -> int:
                 n_enum = "-"
                 match = "-"
                 if d <= 6:
-                    n_conv = count_systems(d, h, w)
+                    try:
+                        n_conv = count_systems(d, h, w, args.budget)
+                    except BudgetError as exc:
+                        raise BudgetError("count at d=%d h=%d w=%d: %s" % (d, h, w, exc)) from None
                     if n_conv != n_char:
                         mismatch = True
                         match = "NO"

@@ -64,24 +64,8 @@ def token_name(letter: int) -> str:
     return TOKEN_NAMES[abs(letter)] + ("^-1" if letter < 0 else "")
 
 
-def token_letter(name: str) -> int:
-    sign = 1
-    if name.endswith("^-1"):
-        sign, name = -1, name[:-3]
-    for k, nm in TOKEN_NAMES.items():
-        if nm == name:
-            return sign * k
-    raise ValueError("bad token name: %r" % name)
-
-
 def format_token_word(word: Word) -> str:
     return " ".join(token_name(x) for x in word) if word else "1"
-
-
-def parse_token_word(text: str) -> Word:
-    if text.strip() == "1":
-        return ()
-    return reduce_word(token_letter(tok) for tok in text.split())
 
 
 def words_by_length(alphabet: tuple[int, ...], max_len: int) -> Iterator[list[Word]]:

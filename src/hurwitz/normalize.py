@@ -30,7 +30,6 @@ from .moves import (
     apply_word,
     braid,
     certificate,
-    check_block_rewrite,
     evaluate_word,
     handle_push,
     pair_retype,
@@ -180,7 +179,8 @@ def realize_block_rewrite(sys: HurwitzSystem, lo: int, hi: int,
 def _apply_rewrite(sys: HurwitzSystem, lo: int, hi: int, target: tuple[Perm, ...],
                    tokens: list[str], mode: str) -> HurwitzSystem:
     """Replace the window, as a macro token in fast mode or through an
-    explicit braid realization in validate mode."""
+    explicit braid realization in validate mode.  The macro is checked
+    once, when canonicalize replays the finished word."""
     if sys.transpositions[lo - 1 : hi] == target:
         return sys
     if mode == "validate":
@@ -190,7 +190,6 @@ def _apply_rewrite(sys: HurwitzSystem, lo: int, hi: int, target: tuple[Perm, ...
             raise NormalizeError("braid realization missed its target")
         tokens.extend(braid_tokens)
         return new
-    check_block_rewrite(sys, lo, hi, target)
     tokens.append("W%d-%d:%s" % (lo, hi, ";".join(format_perm(t) for t in target)))
     return HurwitzSystem(sys.d, sys.handles, sys.transpositions[: lo - 1] + target + sys.transpositions[hi:])
 

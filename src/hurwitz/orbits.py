@@ -30,16 +30,13 @@ from .catalog import catalog_hash, certified_push_endo
 from .moves import Certificate, Move, apply_move, certificate, invert_tokens, parse_move
 from .perms import Perm, compose, conjugate, identity, inverse
 from .systems import (
+    BudgetError,
     HurwitzSystem,
     branching_blocks,
     enumerate_systems,
     is_full_monodromy,
     serialize,
 )
-
-
-class BudgetError(Exception):
-    """The state budget ran out before the answer was decided."""
 
 
 # ---------------------------------------------------------------------------

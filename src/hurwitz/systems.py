@@ -17,6 +17,7 @@ labeling is the rigidification that makes orbit enumeration exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import permutations
 from typing import Callable, Iterator
@@ -32,7 +33,6 @@ from .perms import (
     inverse,
     is_symmetric,
     is_transposition,
-    orbit_blocks,
     parse_perm,
     PermGroup,
     product,
@@ -40,6 +40,10 @@ from .perms import (
 )
 
 ENUMERATION_GUARD = 10**9
+
+
+class BudgetError(Exception):
+    """A state or product budget ran out before the answer was decided."""
 
 
 @dataclass(frozen=True)
@@ -155,10 +159,6 @@ def is_full_monodromy(sys: HurwitzSystem) -> bool:
     if sys.w > 0 and _transpositions_connect(sys.transpositions, sys.d):
         return True
     return is_symmetric(sys.handles + sys.transpositions, sys.d)
-
-
-def connected_cover(sys: HurwitzSystem) -> bool:
-    return len(orbit_blocks(sys.handles + sys.transpositions, sys.d)) == 1
 
 
 def branching_blocks(sys: HurwitzSystem, lo: int = 1, hi: int | None = None) -> list[tuple[int, ...]]:
@@ -302,32 +302,40 @@ def _handle_tuples(target: Perm, h: int, pairs: dict[Perm, list[tuple[Perm, Perm
                 yield (x, y) + tail
 
 
-def _count_map_pow(base: dict[Perm, int], n: int, d: int) -> dict[Perm, int]:
-    """n-fold convolution of a count map over S_d."""
+def _count_map_pow(base: dict[Perm, int], n: int, d: int,
+                   spent: int, budget: float) -> tuple[dict[Perm, int], int]:
+    """n-fold convolution of a count map over S_d, and the permutation
+    products spent so far.  Raises BudgetError before a step would take
+    the products past budget."""
     acc = {identity(d): 1}
     for _ in range(n):
+        spent += len(acc) * len(base)
+        if spent > budget:
+            raise BudgetError("convolution needs more than %d permutation products"
+                              % budget)
         nxt: dict[Perm, int] = {}
         for p, cp in acc.items():
             for q, cq in base.items():
                 key = compose(p, q)
                 nxt[key] = nxt.get(key, 0) + cp * cq
         acc = nxt
-    return acc
+    return acc, spent
 
 
-def count_systems(d: int, h: int, w: int) -> int:
+def count_systems(d: int, h: int, w: int, budget: float = math.inf) -> int:
     """Exact number of valid systems, by count-map convolution.  Cheap
-    for d <= 6; the Frobenius character sum is the independent check."""
+    for d <= 6 and small w; the Frobenius character sum is the
+    independent check.  budget bounds the permutation products."""
     if d > 6:
         raise ValueError("count_systems convolution is limited to d <= 6")
     t_map = {t: 1 for t in all_transpositions(d)}
-    t_counts = _count_map_pow(t_map, w, d)
+    t_counts, spent = _count_map_pow(t_map, w, d, 0, budget)
     if h == 0:
         return t_counts.get(identity(d), 0)
     comm_map: dict[Perm, int] = {}
     for c, lst in _commutator_pairs(d).items():
         comm_map[c] = len(lst)
-    h_counts = _count_map_pow(comm_map, h, d)
+    h_counts, _ = _count_map_pow(comm_map, h, d, spent, budget)
     # t-product times commutator product must be the identity
     return sum(n * h_counts.get(inverse(p), 0) for p, n in t_counts.items())
 

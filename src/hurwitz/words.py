@@ -21,7 +21,7 @@ every elementary move must pass.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 Word = tuple[int, ...]
 
@@ -64,20 +64,6 @@ class FreeContext:
             base = "b%d" % (k // 2)
         return base + ("^-1" if letter < 0 else "")
 
-    def letter(self, name: str) -> int:
-        sign = 1
-        if name.endswith("^-1"):
-            sign, name = -1, name[:-3]
-        kind, idx = name[0], name[1:]
-        if kind not in "abg" or not idx.isdigit():
-            raise ValueError("bad letter name: %r" % name)
-        i = int(idx)
-        if kind == "a":
-            return sign * self.a(i)
-        if kind == "b":
-            return sign * self.b(i)
-        return sign * self.g(i)
-
 
 def reduce_word(letters: Iterable[int]) -> Word:
     """Freely reduce: adjacent x x^-1 pairs cancel.
@@ -104,11 +90,6 @@ def concat(*parts: Iterable[int]) -> Word:
     for part in parts:
         letters.extend(part)
     return reduce_word(letters)
-
-
-def conjugate_word(word: Word, by: Word) -> Word:
-    """by^-1 word by, reduced."""
-    return concat(invert_word(by), word, by)
 
 
 def commutator_word(x: Word, y: Word) -> Word:
@@ -153,15 +134,6 @@ def is_conjugate(u: Word, v: Word) -> bool:
     return any(cv[k:] + cv[:k] == cu for k in range(len(cv)))
 
 
-def parse_word(text: str, ctx: FreeContext) -> Word:
-    """Parse "a1 b1^-1 g3" style text."""
-    return reduce_word(ctx.letter(tok) for tok in text.split())
-
-
-def format_word(word: Word, ctx: FreeContext) -> str:
-    return " ".join(ctx.name(x) for x in word) if word else "1"
-
-
 def relator(ctx: FreeContext) -> Word:
     parts: list[Word] = [tuple(ctx.g(j) for j in range(1, ctx.w + 1))]
     for i in range(1, ctx.h + 1):
@@ -202,18 +174,6 @@ class EndoMap:
 def identity_endo(ctx: FreeContext) -> EndoMap:
     images = tuple((k,) for k in range(1, ctx.rank + 1))
     return EndoMap(ctx, images, images)
-
-
-def compose_endos(outer: EndoMap, inner: EndoMap) -> EndoMap:
-    """The map word -> outer(inner(word)).  Inverse images compose the
-    other way around when both factors carry them."""
-    assert outer.ctx == inner.ctx
-    images = tuple(outer.apply(w) for w in inner.images)
-    inv = None
-    if outer.inverse_images is not None and inner.inverse_images is not None:
-        inner_inv, outer_inv = inner.inverse(), outer.inverse()
-        inv = tuple(inner_inv.apply(w) for w in outer_inv.images)
-    return EndoMap(outer.ctx, images, inv)
 
 
 @dataclass(frozen=True)

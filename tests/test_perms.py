@@ -1,6 +1,8 @@
 """Permutation layer: composition order, cycle bookkeeping, groups."""
 
 import random
+from itertools import combinations
+from math import factorial, prod
 
 import pytest
 
@@ -8,9 +10,8 @@ from hurwitz.perms import (PermGroup, all_transpositions, check_perm, compose,
                            conjugate, cycle_type, cycles, from_cycles,
                            format_perm, group_order, identity, inverse,
                            is_symmetric, is_transposition, orbit_blocks,
-                           parse_perm, product, sign, support, transitivity_class,
-                           transposition, transposition_blocks,
-                           transposition_points, weight)
+                           parse_perm, product, sign, support, transposition,
+                           transposition_blocks, weight)
 
 
 def rand_perm(rng, d):
@@ -86,7 +87,6 @@ class TestCycles:
         assert all_transpositions(3) == [(2, 1, 3), (3, 2, 1), (1, 3, 2)]
         t = transposition(5, 4, 2)
         assert is_transposition(t)
-        assert transposition_points(t) == (2, 4)
         assert not is_transposition(identity(5))
         assert not is_transposition(parse_perm("2,3,1"))
 
@@ -128,11 +128,21 @@ class TestGroups:
         assert orbit_blocks(gens, 5) == [(1, 3), (2,), (4, 5)]
         assert orbit_blocks([], 3) == [(1,), (2,), (3,)]
 
-    def test_transitivity_class(self):
-        assert transitivity_class([transposition(3, 1, 2)], 3) == "intransitive"
-        assert transitivity_class([parse_perm("2,3,1")], 3) == "transitive"
-        assert transitivity_class(all_transpositions(4), 4) == "doubly_transitive"
-
     def test_transposition_blocks(self):
         ts = [transposition(4, 1, 2), transposition(4, 3, 4)]
         assert transposition_blocks(ts, 4) == [(1, 2), (3, 4)]
+
+    def test_transpositions_generate_the_block_product(self):
+        # transposition_blocks relies on this without checking it: a set of
+        # transpositions generates the product of the symmetric groups on
+        # its orbits.  A list generates the same group as its set, so every
+        # subset at d <= 5 covers every input of those degrees.
+        sets = 0
+        for d in range(1, 6):
+            ts = all_transpositions(d)
+            for k in range(len(ts) + 1):
+                for gens in combinations(ts, k):
+                    blocks = orbit_blocks(gens, d)
+                    assert group_order(gens, d) == prod(factorial(len(b)) for b in blocks)
+                    sets += 1
+        assert sets == 1099

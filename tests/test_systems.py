@@ -6,7 +6,7 @@ import random
 import pytest
 
 from hurwitz import systems as S
-from hurwitz.perms import MAX_DEGREE, identity, transposition
+from hurwitz.perms import MAX_DEGREE, identity, orbit_blocks, transposition
 
 
 def make(d, handles, ts):
@@ -76,14 +76,14 @@ class TestMonodromy:
         c3 = (2, 3, 1)
         sys = make(3, [c3, c3], [t12, t12])
         assert S.validate(sys).ok
-        assert S.connected_cover(sys)
+        assert len(orbit_blocks(sys.handles + sys.transpositions, sys.d)) == 1
         assert S.is_full_monodromy(sys)
 
     def test_connected_but_not_full(self):
         c3 = (2, 3, 1)
         sys = make(3, [c3, identity(3)], [])
         assert S.validate(sys).ok
-        assert S.connected_cover(sys)
+        assert len(orbit_blocks(sys.handles + sys.transpositions, sys.d)) == 1
         assert not S.is_full_monodromy(sys)
 
     def test_branching_blocks_window(self):
@@ -179,7 +179,8 @@ class TestCounts:
     def test_sphere_cubic_census_detail(self):
         lst = list(S.enumerate_systems(3, 0, 4))
         full = [x for x in lst if S.is_full_monodromy(x)]
-        disconn = [x for x in lst if not S.connected_cover(x)]
+        disconn = [x for x in lst
+                   if len(orbit_blocks(x.handles + x.transpositions, x.d)) != 1]
         assert len(lst) == 27
         assert len(full) == 24
         assert len(disconn) == 3

@@ -256,6 +256,8 @@ def test_system_file_not_utf8_is_a_usage_error(tmp_path, capsys):
     ["census", "--d", "2", "--h", "1", "--w", "4", "--budget", "-1"],
     ["verify", "--case", "2,1,4", "--method", "sample", "--samples", "-1"],
     ["validate-moves", "--samples", "-5"],
+    ["census", "--d", "3", "--h", "0", "--w", "40"],
+    ["explore", "--d", "4", "--h", "1", "--w", "12"],
 ])
 def test_out_of_range_parameters_are_a_usage_error(capsys, argv):
     assert main(argv) == 2
@@ -266,6 +268,14 @@ def test_count_past_the_digit_limit_is_a_usage_error(capsys):
     # about 4,770 digits, over CPython's integer-to-string limit of 4,300
     assert main(["count", "--d", "3", "--h", "0", "--w", "10000"]) == 2
     assert "more than 4300 digits" in one_error_line(capsys)
+
+
+def test_count_past_the_product_budget_is_inconclusive(capsys):
+    # about 43,000 products per step over S_6 at the default budget of 400,000
+    assert main(["count", "--d", "6", "--h", "0", "--w", "3000"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("inconclusive: ")
 
 
 HUGE_DEGREE = "d=100000 h=0 w=0 | t: - | ab: -"
