@@ -6,9 +6,9 @@ x, y of adjacent puncture generators, handle point-pushes over the
 tokens a, b (the pushed handle's loops), g (the last puncture) and K
 (the commutator block of all earlier handles).  This module parses the
 file, substitutes concrete generators per (h, w, position), and
-certifies every instantiated endomorphism against the peripheral
-contract before it is released.  The SHA-256 of the file is stamped
-into reports so two runs can be compared move-for-move.
+certifies every instance against the peripheral contract, pushes
+also against their shape, before release.  The file's SHA-256 is
+stamped into reports so two runs can be compared move-for-move.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .words import (
     Word,
     commutator_word,
     concat,
+    conjugate_parts,
     identity_endo,
     invert_word,
     validate_peripheral,
@@ -201,11 +202,36 @@ def certified_braid_endo(h: int, w: int, j: int) -> EndoMap:
     return e
 
 
+def _push_shape_fault(e: EndoMap, i: int, side: str) -> str | None:
+    """Why e is not a push along handle i, or None.  e and its inverse
+    must each change only g_w and the loop opposite the pushed one, and
+    send that loop to the loop times V g_w^±1 V^-1, V a word in handle
+    letters; the loop comes first in e and last in its inverse."""
+    ctx = e.ctx
+    g, loop = ctx.g(ctx.w), ctx.b(i) if side == "a" else ctx.a(i)
+    for f, name in ((e, "schema"), (e.inverse(), "inverse schema")):
+        images = dict(f.changes())
+        image = images.get(loop, ())
+        end, rest = (image[:1], image[1:]) if f is e else (image[-1:], image[:-1])
+        parts = conjugate_parts(rest)
+        if (set(images) != {g, loop} or end != (loop,) or parts is None
+                or abs(parts[1]) != g or any(abs(x) > 2 * ctx.h for x in parts[0])):
+            return "the %s is not of push shape" % name
+    return None
+
+
+def certify_push(ctx: FreeContext, i: int, side: str,
+                 schemas: Schemas | None = None) -> EndoMap:
+    """push_endo, certified as a peripheral automorphism of push shape."""
+    e = push_endo(ctx, i, side, schemas)
+    report = validate_peripheral(e)
+    fault = _push_shape_fault(e, i, side) if report.ok else report.messages[0]
+    if fault:
+        raise CatalogError("push schema failed certification at (h=%d, w=%d, i=%d, side=%s): %s"
+                           % (ctx.h, ctx.w, i, side, fault))
+    return e
+
+
 @lru_cache(maxsize=4096)
 def certified_push_endo(h: int, w: int, i: int, side: str) -> EndoMap:
-    e = push_endo(FreeContext(h, w), i, side)
-    report = validate_peripheral(e)
-    if not report.ok:
-        raise CatalogError("push schema failed certification at (h=%d, w=%d, i=%d, side=%s): %s"
-                           % (h, w, i, side, report.messages[0]))
-    return e
+    return certify_push(FreeContext(h, w), i, side)

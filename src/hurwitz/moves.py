@@ -1,8 +1,9 @@
 """Moves on Hurwitz systems.
 
 Every move is the permutation shadow of a certified mapping class:
-the new system is obtained by evaluating the free-group images of the
-schema under the current monodromy.  Braid moves only shuffle the
+braids and point-pushes both apply their catalog schema through
+apply_endo, which evaluates the free-group images the schema changes
+under the current monodromy.  Braid moves only shuffle the
 transposition tuple; handle point-pushes also rewrite one handle
 entry.  The macros stand for braid words: a pair retype needs a full
 residual monodromy group, and a window rewrite must keep the braid
@@ -26,7 +27,6 @@ from .perms import (
     Perm,
     PermGroup,
     compose,
-    conjugate,
     format_perm,
     identity,
     inverse,
@@ -37,7 +37,7 @@ from .perms import (
     product,
     support,
 )
-from .systems import HurwitzSystem, deserialize, relator_product, serialize
+from .systems import HurwitzSystem, deserialize, serialize, validate
 from .words import EndoMap, Word
 
 
@@ -57,44 +57,32 @@ def evaluate_word(word: Word, sys: HurwitzSystem) -> Perm:
 
 
 def apply_endo(sys: HurwitzSystem, e: EndoMap) -> HurwitzSystem:
-    """Evaluate every generator image; the workhorse behind pushes."""
-    two_h = 2 * sys.h
-    handles = tuple(evaluate_word(e.images[k], sys) for k in range(two_h))
-    ts = tuple(evaluate_word(e.images[two_h + j], sys) for j in range(sys.w))
-    return HurwitzSystem(sys.d, handles, ts)
+    """The move of a certified endomorphism: evaluate the images of the
+    generators e changes; every other entry stays."""
+    entries = list(sys.handles + sys.transpositions)
+    for k, word in e.changes():
+        entries[k - 1] = evaluate_word(word, sys)
+    return HurwitzSystem(sys.d, tuple(entries[: 2 * sys.h]), tuple(entries[2 * sys.h :]))
 
 
 # ---------------------------------------------------------------------------
 # elementary moves
 
 def braid(sys: HurwitzSystem, j: int, inverse_move: bool = False) -> HurwitzSystem:
-    """Braid the punctures j, j+1 (1-based).
-
-    Forward: (s, t) -> (t, t^-1 s t).  Inverse: (s, t) -> (s t s^-1, s).
-    Transpositions are involutions, so conjugation needs no inverses.
-    """
+    """Braid the punctures j, j+1 (1-based) by the catalog's braid schema."""
     if not 1 <= j <= sys.w - 1:
         raise MoveError("braid position %d out of range 1..%d" % (j, sys.w - 1))
-    s, t = sys.transpositions[j - 1], sys.transpositions[j]
-    if inverse_move:
-        pair = (conjugate(t, s), s)
-    else:
-        pair = (t, conjugate(s, t))
-    ts = sys.transpositions[: j - 1] + pair + sys.transpositions[j + 1 :]
-    return HurwitzSystem(sys.d, sys.handles, ts)
+    e = certified_braid_endo(sys.h, sys.w, j)
+    return apply_endo(sys, e.inverse() if inverse_move else e)
 
 
 def handle_push(sys: HurwitzSystem, i: int, side: str,
                 inverse_move: bool = False) -> HurwitzSystem:
-    """Push the last puncture around a loop of handle i.
-
-    The result is checked on the spot: relator restored, only t_w and
-    the opposite loop of handle i move, t_w stays a transposition, and
-    the handle entry changes by right multiplication by a conjugate of
-    a transposition.  The deeper guarantees (exact inverse, monodromy
-    group unchanged) follow from the schema certificate; run
-    check_push_contract for the expensive direct confirmation.
-    """
+    """Push the last puncture around a loop of handle i by the catalog's
+    push schema.  Its certification implies that on a valid system the
+    relator still holds, t_w stays a transposition and only the opposite
+    loop of handle i moves, by a conjugate of t_w; check_push_contract
+    confirms the contract directly."""
     if sys.w < 1:
         raise MoveError("point-push needs at least one puncture")
     if not 1 <= i <= sys.h:
@@ -102,36 +90,18 @@ def handle_push(sys: HurwitzSystem, i: int, side: str,
     if side not in ("a", "b"):
         raise MoveError("push side must be 'a' or 'b', got %r" % side)
     e = certified_push_endo(sys.h, sys.w, i, side)
-    if inverse_move:
-        e = e.inverse()
-    new = apply_endo(sys, e)
-    _check_push_cheap(sys, new, i, side)
-    return new
-
-
-def _check_push_cheap(sys: HurwitzSystem, new: HurwitzSystem, i: int, side: str) -> None:
-    if relator_product(new) != identity(sys.d):
-        raise MoveError("push broke the relator")
-    if new.transpositions[:-1] != sys.transpositions[:-1]:
-        raise MoveError("push moved a puncture entry other than the last")
-    if not is_transposition(new.transpositions[-1]):
-        raise MoveError("push image of t_w is not a transposition")
-    # handles index of the rewritten loop: side a rewrites b_i, side b rewrites a_i
-    moved = 2 * i - 1 if side == "a" else 2 * i - 2
-    for k, (old_p, new_p) in enumerate(zip(sys.handles, new.handles)):
-        if k == moved:
-            delta = compose(inverse(old_p), new_p)
-            if not is_transposition(delta):
-                raise MoveError("rewritten handle entry did not move by a transposition")
-        elif old_p != new_p:
-            raise MoveError("push moved handle entry %d unexpectedly" % (k + 1))
+    return apply_endo(sys, e.inverse() if inverse_move else e)
 
 
 def check_push_contract(sys: HurwitzSystem, i: int, side: str) -> HurwitzSystem:
     """Apply the push and confirm the full contract directly: the
-    catalog inverse really undoes it and the monodromy subgroup is
-    unchanged as a set, not merely up to isomorphism."""
+    result is a valid system, the catalog inverse really undoes it and
+    the monodromy subgroup is unchanged as a set, not merely up to
+    isomorphism."""
     new = handle_push(sys, i, side)
+    report = validate(new)
+    if not report.ok:
+        raise MoveError("push left the Hurwitz space: %s" % report.messages[0])
     back = handle_push(new, i, side, inverse_move=True)
     if back != sys:
         raise MoveError("inverse push failed to restore the system")
@@ -311,6 +281,9 @@ class Certificate:
         if self.catalog != catalog_hash():
             raise MoveError("certificate was issued under a different move catalog")
         sys = deserialize(self.start)
+        report = validate(sys)
+        if not report.ok:
+            raise MoveError("certificate start is not a valid system: %s" % report.messages[0])
         sys = apply_word(sys, self.moves)
         if serialize(sys) != self.end:
             raise MoveError("certificate replay reached %s, expected %s"

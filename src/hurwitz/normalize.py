@@ -55,6 +55,7 @@ from .systems import (
     serialize,
     validate,
 )
+from .words import conjugate_parts
 
 
 class NormalizeError(Exception):
@@ -259,20 +260,13 @@ def repair_branching_monodromy(sys: HurwitzSystem,
 # handle trivialization by staged point-pushes
 
 def _push_conjugator(sys: HurwitzSystem, i: int, side: str) -> Perm:
-    """Monodromy image of the conjugator in front of the g letter of
-    the push's rewritten handle image.  The schema guarantees the
-    conjugator contains no g letter, so the value only depends on the
-    handle entries, which staging never touches."""
+    """Monodromy image of V in the push's loop image, the loop times
+    V g_w^±1 V^-1.  Certification makes V a word in handle letters, so
+    its value survives staging, which never touches the handles."""
     e = certified_push_endo(sys.h, sys.w, i, side)
-    ctx = e.ctx
-    moved = ctx.b(i) if side == "a" else ctx.a(i)
-    image = e.image(moved)
-    assert image[0] == moved, "forward push image must start with the moved letter"
-    tail = image[1:]
-    g_letter = ctx.g(sys.w)
-    positions = [k for k, letter in enumerate(tail) if abs(letter) == g_letter]
-    assert len(positions) == 1, "push image must contain the last puncture exactly once"
-    return evaluate_word(tail[: positions[0]], sys)
+    moved = e.ctx.b(i) if side == "a" else e.ctx.a(i)
+    v, _ = conjugate_parts(e.image(moved)[1:])
+    return evaluate_word(v, sys)
 
 
 def trivialize_handle(sys: HurwitzSystem, i: int,

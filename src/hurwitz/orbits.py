@@ -190,7 +190,7 @@ class _Kernel:
 
     def _braid(self, j: int, inverse_move: bool) -> _Step:
         """(s, t) -> (t, t^-1 s t), or (s t s^-1, s) for the inverse,
-        at positions j, j+1, as in moves.braid."""
+        at positions j, j+1, as the catalog's braid schema."""
         conj, n, lo = self.ranks.conj, self.ranks.n, j - 1
         if inverse_move:
             def step(st):
@@ -216,7 +216,7 @@ class _Kernel:
             return w + k - 1 if k <= two_h else k - two_h - 1
 
         changes = [(entry(k), [(entry(abs(letter)), letter < 0) for letter in word])
-                   for k, word in enumerate(e.images, start=1) if word != (k,)]
+                   for k, word in e.changes()]
         targets = [target for target, _ in changes]
         read = sorted({k for _, program in changes for k, _ in program})
         mul, inv, n, one = self.ranks.mul, self.ranks.inv, self.ranks.n, self.ranks.identity

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Callable, Iterator
 
+from .frobenius import frobenius_count
 from .perms import (
     MAX_DEGREE,
     Perm,
@@ -341,13 +342,10 @@ def count_systems(d: int, h: int, w: int, budget: float = math.inf) -> int:
 
 
 def _estimate_count(d: int, h: int, w: int) -> int:
+    """Exact by the character sum for d <= 6, a crude upper bound above."""
     if d <= 6:
-        return count_systems(d, h, w)
-    nt = d * (d - 1) // 2
-    fact = 1
-    for k in range(2, d + 1):
-        fact *= k
-    return nt**w * fact ** max(2 * h - 1, 0)
+        return frobenius_count(d, h, w)
+    return (d * (d - 1) // 2) ** w * math.factorial(d) ** max(2 * h - 1, 0)
 
 
 def enumerate_systems(d: int, h: int, w: int,
@@ -359,10 +357,8 @@ def enumerate_systems(d: int, h: int, w: int,
     over the enumeration guard."""
     if h < 0 or w < 0:
         raise ValueError("h and w must be non-negative, got h=%d w=%d" % (h, w))
-    est = _estimate_count(d, h, w)
-    if est > ENUMERATION_GUARD:
-        raise ValueError("enumeration would produce about %d systems, over the %d guard"
-                         % (est, ENUMERATION_GUARD))
+    if _estimate_count(d, h, w) > ENUMERATION_GUARD:
+        raise ValueError("enumeration would exceed the guard of %d systems" % ENUMERATION_GUARD)
     trans = all_transpositions(d)
     pairs = _commutator_pairs(d) if h > 0 else {}
     ident = identity(d)

@@ -165,6 +165,11 @@ class EndoMap:
     def apply(self, word: Word) -> Word:
         return concat(*(self.image(x) for x in word))
 
+    def changes(self) -> tuple[tuple[int, Word], ...]:
+        """(generator, image) for each generator the map does not fix."""
+        return tuple((k, word) for k, word in enumerate(self.images, start=1)
+                     if word != (k,))
+
     def inverse(self) -> "EndoMap":
         if self.inverse_images is None:
             raise ValueError("endomorphism carries no stored inverse")

@@ -5,7 +5,7 @@ import pytest
 
 from hurwitz.catalog import (CatalogError, Schemas, braid_endo, catalog_bytes,
                              catalog_hash, certified_braid_endo,
-                             certified_push_endo, get_schemas,
+                             certified_push_endo, certify_push, get_schemas,
                              handle_block_word, parse_schemas, push_endo)
 from hurwitz.derive import format_token_word, search_push_family
 from hurwitz.words import FreeContext, validate_peripheral
@@ -112,6 +112,19 @@ class TestTampering:
         bad = self.tampered("push_b^-1", "a", s.entry("push_b^-1", "a")[:-1])
         e = push_endo(FreeContext(1, 2), 1, "b", bad)
         assert not validate_peripheral(e).ok
+
+    @pytest.mark.parametrize("h,w", [(1, 2), (2, 4)])
+    def test_push_composed_with_a_transvection_fails(self, h, w):
+        # b -> b a keeps [a, b], so the map is still a peripheral
+        # automorphism, but b no longer moves by a conjugate of g
+        s = get_schemas()
+        bad = self.tampered("push_a", "b", s.entry("push_a", "b") + (("a", 1),))
+        inverse = s.entry("push_a^-1", "b")
+        assert inverse[-1] == ("b", 1)
+        bad.sections["push_a^-1"]["b"] = inverse[:-1] + (("b", 1), ("a", -1))
+        assert validate_peripheral(push_endo(FreeContext(h, w), 1, "a", bad)).ok
+        with pytest.raises(CatalogError, match="the schema is not of push shape"):
+            certify_push(FreeContext(h, w), 1, "a", bad)
 
     def test_tampered_braid_fails(self):
         bad = self.tampered("braid", "x", (("x", 1),))

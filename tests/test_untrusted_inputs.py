@@ -3,10 +3,11 @@
 Replay must reject a forged predecessor log (chains that never reach
 the seed, entries of other parameters, invalid systems, repeated
 keys), macro tokens of the wrong degree, window rewrites that move
-entries between blocks, tokens that change w and system lines of a
-degree over the cap.  Malformed certificates and config files,
-parameters out of range, flags a subcommand does not read and system
-files that do not parse end in one line on stderr and exit 2.  The
+entries between blocks, tokens that change w, certificates that start
+from an invalid system and system lines of a degree over the cap.
+Malformed certificates and config files, parameters out of range or
+over the enumeration guard, flags a subcommand does not read and
+system files that do not parse end in one line on stderr and exit 2.  The
 property tests at the end check that the readers raise only their
 documented errors on arbitrary input.
 """
@@ -24,6 +25,7 @@ from hurwitz.moves import MoveError, apply_word, braid, certificate, parse_move
 from hurwitz.normalize import canonical_star
 from hurwitz.orbits import (compile_moves, connect, orbit_bfs, read_predecessor_log,
                             write_predecessor_log)
+from hurwitz import systems
 from hurwitz.perms import format_perm, transposition
 from hurwitz.systems import HurwitzSystem, KeyParseError, deserialize, serialize
 
@@ -184,6 +186,34 @@ def test_pair_cancel_and_insert_tokens_fail_replay(tmp_path, capsys, token, star
 
 
 # ---------------------------------------------------------------------------
+# certificates from a start that is not a valid system
+
+INVALID_STARTS = [
+    ("d=3 h=0 w=2 | t: 2,1,3 ; 1,3,2 | ab: -", "relator product is not the identity"),
+    ("d=3 h=0 w=2 | t: 2,3,1 ; 3,1,2 | ab: -", "t_1 is not a transposition"),
+]
+
+
+def invalid_start_certificate(start: str):
+    sys = deserialize(start)
+    return certificate(sys, "B1", braid(sys, 1))
+
+
+@pytest.mark.parametrize("start,message", INVALID_STARTS, ids=["relator", "three-cycles"])
+def test_invalid_start_fails_replay(start, message):
+    with pytest.raises(MoveError, match=message):
+        invalid_start_certificate(start).replay()
+
+
+@pytest.mark.parametrize("start,message", INVALID_STARTS, ids=["relator", "three-cycles"])
+def test_invalid_start_fails_in_the_cli(tmp_path, capsys, start, message):
+    cert = invalid_start_certificate(start).__dict__
+    assert replay(tmp_path, json.dumps(cert).encode()) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("replay: FAIL") and message in out
+
+
+# ---------------------------------------------------------------------------
 # malformed certificates and configs
 
 def good_certificate() -> dict:
@@ -276,6 +306,18 @@ def test_count_past_the_product_budget_is_inconclusive(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1 and captured.err.startswith("inconclusive: ")
+
+
+def test_census_guard_needs_no_convolution(monkeypatch, capsys):
+    # the guard reads the character sum; the convolution at w = 1000
+    # would take seconds and print a 1,174-digit estimate
+    def refuse(*args, **kwargs):
+        raise AssertionError("count_systems called")
+    monkeypatch.setattr(systems, "count_systems", refuse)
+    with pytest.raises(ValueError, match="guard"):
+        next(iter(systems.enumerate_systems(6, 0, 1000)))
+    assert main(["census", "--d", "6", "--h", "0", "--w", "1000"]) == 2
+    assert "guard" in one_error_line(capsys)
 
 
 HUGE_DEGREE = "d=100000 h=0 w=0 | t: - | ab: -"
