@@ -24,6 +24,7 @@ import argparse
 import json
 import random
 import sys as _sys
+from itertools import product
 from math import factorial
 
 from .catalog import CatalogError, catalog_hash, certified_braid_endo, certified_push_endo
@@ -31,7 +32,7 @@ from .frobenius import MAX_COUNT_DEGREE, frobenius_count
 from .moves import (Certificate, MoveError, apply_move, braid,
                     check_push_contract, parse_move)
 from .normalize import NormalizeError, canonicalize
-from .orbits import (BudgetError, census, compile_moves, connect, orbit_bfs,
+from .orbits import (LOG_MAGIC, BudgetError, census, compile_moves, connect, orbit_bfs,
                      read_predecessor_log, write_predecessor_log)
 from .perms import MAX_DEGREE, group_order, orbit_blocks
 from .systems import (HurwitzSystem, KeyParseError, count_systems, deserialize,
@@ -200,31 +201,69 @@ def _header(args, extra: str = "") -> list[str]:
     return lines
 
 
-def _exact_count(d: int, h: int, w: int) -> int | None:
-    if d <= MAX_COUNT_DEGREE:
-        return frobenius_count(d, h, w)
-    return None
+def _table(widths, rows) -> list[str]:
+    """Fixed-width report lines, the header being the first row: every
+    cell but the last is left-justified to its width.
+
+    >>> _table((4, 6), [("d", "states", "note"), (2, 16, "")])
+    ['d    states note', '2    16     ']
+    """
+    return ["".join("%-*s " % cell for cell in zip(widths, row)) + str(row[-1])
+            for row in rows]
+
+
+def _write_csv(args, extra: str, names, rows) -> None:
+    """The --out CSV: the report header with `extra` on its seed line,
+    the column names, then the rows; a comma inside a cell becomes ';'."""
+    lines = _header(args)
+    lines[-1] += extra
+    lines.append(",".join(names))
+    lines += [",".join(str(cell).replace(",", ";") for cell in row) for row in rows]
+    _write_out(args.out, "\n".join(lines) + "\n")
+
+
+def _census(*args, **kwargs):
+    """orbits.census, with the enumeration guard reported as a usage error."""
+    try:
+        return census(*args, **kwargs)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
 # verify
 
-def _sample_canonical(d: int, h: int, w: int, samples: int, seed: int):
-    """Canonicalize `samples` random full-monodromy systems; returns
-    (forms, first error message or None)."""
-    rng = random.Random("verify:%d:%d:%d:%d" % (seed, d, h, w))
-    forms = set()
-    for _ in range(samples):
-        try:
-            hs = random_system(d, h, w, rng, is_full_monodromy)
-        except RuntimeError:
-            return forms, "could not sample full-monodromy systems at d=%d h=%d w=%d" % (d, h, w)
-        try:
-            form, _cert = canonicalize(hs, mode="fast")
-        except NormalizeError as exc:
-            return forms, "canonicalization failed on %s: %s" % (serialize(hs), exc)
-        forms.add(serialize(form))
-    return forms, None
+def _verify_row(args, d: int, h: int, w: int) -> tuple:
+    """(method, states, orbits, result, note) for one case.  Sampling
+    canonicalizes random full-monodromy systems and expects one form."""
+    n = frobenius_count(d, h, w) if d <= MAX_COUNT_DEGREE else None
+    method = args.method
+    if method == "auto":
+        method = "census" if n is not None and n <= args.budget else "sample"
+    if method == "sample":
+        rng = random.Random("verify:%d:%d:%d:%d" % (args.seed, d, h, w))
+        forms: set[HurwitzSystem] = set()
+        for _ in range(args.samples):
+            try:
+                hs = random_system(d, h, w, rng, is_full_monodromy)
+            except RuntimeError:
+                return ("sample", len(forms), "-", "FAIL",
+                        "could not sample full-monodromy systems at d=%d h=%d w=%d" % (d, h, w))
+            try:
+                forms.add(canonicalize(hs, mode="fast")[0])
+            except NormalizeError as exc:
+                return ("sample", len(forms), "-", "FAIL",
+                        "canonicalization failed on %s: %s" % (serialize(hs), exc))
+        k = len(forms)
+        return ("sample", args.samples, k, "PASS" if k == 1 else "FAIL",
+                "" if k == 1 else "%d distinct canonical forms" % k)
+    if n is not None and n > args.budget:
+        return "census", "-", "-", "SKIP", "%d systems exceed budget %d" % (n, args.budget)
+    res = _census(d, h, w, args.moves, is_full_monodromy, "full-monodromy", budget=args.budget)
+    if res.partial:
+        return "census", res.total, "-", "INCONCLUSIVE", "budget %d exhausted" % args.budget
+    k = len(res.orbits)
+    return "census", res.total, k, "PASS" if k == 1 else "FAIL", "" if k == 1 else "%d orbits" % k
 
 
 def cmd_verify(args) -> int:
@@ -232,10 +271,7 @@ def cmd_verify(args) -> int:
     if args.d or args.h is not None or args.w:
         if not (args.d and args.h is not None and args.w):
             raise UsageError("verify needs --case entries or all of --d/--h/--w")
-        for d in _parse_range(args.d):
-            for h in _parse_range(args.h):
-                for w in _parse_range(args.w):
-                    cases.append((d, h, w))
+        cases += product(_parse_range(args.d), _parse_range(args.h), _parse_range(args.w))
     if not cases:
         raise UsageError("verify needs --case d,h,w or --d/--h/--w ranges")
     for d, h, w in cases:
@@ -247,66 +283,21 @@ def cmd_verify(args) -> int:
         if w < 2 * d:
             raise UsageError("rejected: (%d,%d,%d): w < 2d" % (d, h, w))
 
-    rows = []
-    worst = EXIT_PASS
-    for d, h, w in cases:
-        n = _exact_count(d, h, w)
-        method = args.method
-        if method == "auto":
-            method = "census" if n is not None and n <= args.budget else "sample"
-        if method == "census" and n is not None and n > args.budget:
-            rows.append((d, h, w, "census", "-", "-", "SKIP",
-                         "%d systems exceed budget %d" % (n, args.budget)))
-            continue
-        if method == "census":
-            res = census(d, h, w, args.moves, is_full_monodromy,
-                         "full-monodromy", budget=args.budget)
-            if res.partial:
-                rows.append((d, h, w, "census", str(res.total), "-", "INCONCLUSIVE",
-                             "budget %d exhausted" % args.budget))
-                worst = max(worst, EXIT_BUDGET) if worst != EXIT_FAIL else worst
-                continue
-            orbit_count = len(res.orbits)
-            verdict = "PASS" if orbit_count == 1 else "FAIL"
-            reason = "" if orbit_count == 1 else "%d orbits" % orbit_count
-            rows.append((d, h, w, "census", str(res.total), str(orbit_count),
-                         verdict, reason))
-            if verdict == "FAIL":
-                worst = EXIT_FAIL
-        else:
-            forms, err = _sample_canonical(d, h, w, args.samples, args.seed)
-            if err is not None:
-                rows.append((d, h, w, "sample", str(len(forms)), "-", "FAIL", err))
-                worst = EXIT_FAIL
-                continue
-            verdict = "PASS" if len(forms) == 1 else "FAIL"
-            reason = "" if verdict == "PASS" else "%d distinct canonical forms" % len(forms)
-            rows.append((d, h, w, "sample", str(args.samples), str(len(forms)),
-                         verdict, reason))
-            if verdict == "FAIL":
-                worst = EXIT_FAIL
-
+    columns = ("d", "h", "w", "method", "states", "orbits", "result", "note")
+    rows = [(d, h, w) + _verify_row(args, d, h, w) for d, h, w in cases]
+    # a failed case decides the run; a case left undecided makes it inconclusive
+    results = {row[6] for row in rows}
+    code = (EXIT_FAIL if "FAIL" in results
+            else EXIT_BUDGET if results & {"INCONCLUSIVE", "SKIP"} else EXIT_PASS)
     lines = _header(args, "moves %s  method %s  samples %d"
                     % (args.moves, args.method, args.samples))
-    lines.append("%-4s %-4s %-4s %-8s %-10s %-8s %-12s %s"
-                 % ("d", "h", "w", "method", "states", "orbits", "result", "note"))
-    for d, h, w, method, states, orbits, verdict, reason in rows:
-        lines.append("%-4d %-4d %-4d %-8s %-10s %-8s %-12s %s"
-                     % (d, h, w, method, states, orbits, verdict, reason))
-    overall = {EXIT_PASS: "PASS", EXIT_FAIL: "FAIL", EXIT_BUDGET: "INCONCLUSIVE"}[worst]
-    lines.append("verify: %s" % overall)
+    lines += _table((4, 4, 4, 8, 10, 8, 12), [columns] + rows)
+    lines.append("verify: %s" % {EXIT_PASS: "PASS", EXIT_FAIL: "FAIL",
+                                  EXIT_BUDGET: "INCONCLUSIVE"}[code])
     print("\n".join(lines))
-
     if args.out:
-        csv_lines = ["# catalog %s" % catalog_hash(),
-                     "# seed %d  budget %d  moves %s" % (args.seed, args.budget, args.moves),
-                     "d,h,w,method,states,orbits,result,note"]
-        for d, h, w, method, states, orbits, verdict, reason in rows:
-            csv_lines.append("%d,%d,%d,%s,%s,%s,%s,%s"
-                             % (d, h, w, method, states, orbits, verdict,
-                                reason.replace(",", ";")))
-        _write_out(args.out, "\n".join(csv_lines) + "\n")
-    return worst
+        _write_csv(args, "  moves %s" % args.moves, columns, rows)
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -318,25 +309,19 @@ def _run_census(args):
     if w % 2 != 0:
         raise UsageError("w must be even, got %d" % w)
     filter_name, pred = _parse_filter(args.filter, d)
-    try:
-        return census(d, h, w, args.moves, pred, filter_name, budget=args.budget)
-    except ValueError as exc:  # over the enumeration guard
-        raise UsageError(str(exc)) from None
+    return _census(d, h, w, args.moves, pred, filter_name, budget=args.budget)
 
 
 def cmd_explore(args) -> int:
     res = _run_census(args)
     lines = _header(args, "d=%d h=%d w=%d  moves %s  filter %s"
                     % (args.d, args.h, args.w, args.moves, res.filter_name))
-    lines.append("%-6s %-10s %-6s %-22s %s"
-                 % ("orbit", "size", "full", "blocks", "representative"))
+    rows = [("orbit", "size", "full", "blocks", "representative")]
     for idx, rec in enumerate(res.orbits, 1):
-        blocks = "|".join("".join(str(p) for p in b) if args.d <= 9
-                          else ",".join(str(p) for p in b)
+        blocks = "|".join(("" if args.d <= 9 else ",").join(str(p) for p in b)
                           for b in rec.blocks)
-        lines.append("%-6d %-10d %-6s %-22s %s"
-                     % (idx, rec.size, "yes" if rec.full_monodromy else "no",
-                        blocks, rec.rep))
+        rows.append((idx, rec.size, "yes" if rec.full_monodromy else "no", blocks, rec.rep))
+    lines += _table((6, 10, 6, 22), rows)
     lines.append("total: %d orbits over %d systems%s"
                  % (len(res.orbits), res.total, " (partial)" if res.partial else ""))
     print("\n".join(lines))
@@ -347,13 +332,10 @@ def cmd_explore(args) -> int:
 
 def cmd_census(args) -> int:
     res = _run_census(args)
-    text = res.to_jsonl()
+    _write_out(args.out, res.to_jsonl())
     if args.out:
-        _write_out(args.out, text)
         print("census: %d orbits over %d systems -> %s"
               % (len(res.orbits), res.total, args.out))
-    else:
-        _sys.stdout.write(text)
     if args.log:
         if not res.orbits:
             raise UsageError("no orbit to log")
@@ -389,8 +371,7 @@ def cmd_connect(args) -> int:
         print("\n".join(lines))
         return EXIT_FAIL
     cert.replay()
-    n_moves = len(cert.moves.split()) if cert.moves else 0
-    print("connected in %d moves (catalog %s)" % (n_moves, cert.catalog))
+    print("connected in %d moves (catalog %s)" % (len(cert.moves.split()), cert.catalog))
     _write_out(args.out, _cert_json(cert))
     return EXIT_PASS
 
@@ -417,8 +398,7 @@ def _replay_certificate(path: str) -> int:
     except (MoveError, KeyParseError) as exc:
         print("replay: FAIL: %s" % exc)
         return EXIT_FAIL
-    n_moves = len(cert.moves.split()) if cert.moves else 0
-    print("replay: OK (%d moves)" % n_moves)
+    print("replay: OK (%d moves)" % len(cert.moves.split()))
     print("start: %s" % cert.start)
     print("end:   %s" % cert.end)
     return EXIT_PASS
@@ -500,10 +480,10 @@ def _replay_predecessor_log(path: str) -> int:
 def cmd_replay(args) -> int:
     try:
         with open(args.certificate, "rb") as fh:
-            head = fh.read(8)
+            head = fh.read(len(LOG_MAGIC))
     except OSError as exc:
         raise UsageError("cannot read %s: %s" % (args.certificate, exc))
-    if head == b"HWSPRED1":
+    if head == LOG_MAGIC:
         return _replay_predecessor_log(args.certificate)
     return _replay_certificate(args.certificate)
 
@@ -511,79 +491,62 @@ def cmd_replay(args) -> int:
 # ---------------------------------------------------------------------------
 # count
 
+def _count_row(d: int, h: int, w: int, budget: int) -> tuple:
+    """(d, h, w, character sum, enumerated, match): the character sum
+    against the convolution (d <= 6), then against enumeration when it
+    is within budget."""
+    n_char = frobenius_count(d, h, w)
+    try:
+        char_text = str(n_char)
+    except ValueError:  # past the interpreter's integer-to-string digit limit
+        raise UsageError("count at d=%d h=%d w=%d has more than %d digits"
+                         % (d, h, w, _sys.get_int_max_str_digits()))
+    counts = []
+    if d <= 6:
+        try:
+            counts.append(count_systems(d, h, w, budget))
+        except BudgetError as exc:
+            raise BudgetError("count at d=%d h=%d w=%d: %s" % (d, h, w, exc)) from None
+        if n_char <= budget:
+            counts.append(sum(1 for _ in enumerate_systems(d, h, w)))
+    if not counts:
+        return d, h, w, char_text, "-", "-"
+    return d, h, w, char_text, counts[-1], "yes" if set(counts) == {n_char} else "NO"
+
+
 def cmd_count(args) -> int:
-    ds = _parse_range(args.d) if args.d else [2, 3, 4]
-    hs = _parse_range(args.h) if args.h is not None else [0, 1, 2]
-    ws = _parse_range(args.w) if args.w else [0, 2, 4, 6, 8]
-    for d in ds:
+    cases = list(product(_parse_range(args.d) if args.d else [2, 3, 4],
+                         _parse_range(args.h) if args.h is not None else [0, 1, 2],
+                         _parse_range(args.w) if args.w else [0, 2, 4, 6, 8]))
+    for d, h, w in cases:
         if d > MAX_COUNT_DEGREE:
             raise UsageError("d=%d unsupported: character table is computed for d <= %d"
                              % (d, MAX_COUNT_DEGREE))
-        for h in hs:
-            for w in ws:
-                _check_case(d, h, w)
-    rows = []
-    mismatch = False
-    for d in ds:
-        for h in hs:
-            for w in ws:
-                n_char = frobenius_count(d, h, w)
-                try:
-                    char_text = str(n_char)
-                except ValueError:  # past the interpreter's integer-to-string digit limit
-                    raise UsageError("count at d=%d h=%d w=%d has more than %d digits"
-                                     % (d, h, w, _sys.get_int_max_str_digits()))
-                n_enum = "-"
-                match = "-"
-                if d <= 6:
-                    try:
-                        n_conv = count_systems(d, h, w, args.budget)
-                    except BudgetError as exc:
-                        raise BudgetError("count at d=%d h=%d w=%d: %s" % (d, h, w, exc)) from None
-                    if n_conv != n_char:
-                        mismatch = True
-                        match = "NO"
-                    else:
-                        match = "yes"
-                    n_enum = str(n_conv)
-                    if n_char <= args.budget:
-                        seen = sum(1 for _ in enumerate_systems(d, h, w))
-                        n_enum = str(seen)
-                        if seen != n_char:
-                            mismatch = True
-                            match = "NO"
-                rows.append((d, h, w, char_text, n_enum, match))
+        _check_case(d, h, w)
+    rows = [_count_row(d, h, w, args.budget) for d, h, w in cases]
+    mismatch = any(row[-1] == "NO" for row in rows)
     lines = _header(args)
-    lines.append("%-4s %-4s %-4s %-22s %-22s %s"
-                 % ("d", "h", "w", "character-sum", "enumerated", "match"))
-    for d, h, w, char_text, n_enum, match in rows:
-        lines.append("%-4d %-4d %-4d %-22s %-22s %s" % (d, h, w, char_text, n_enum, match))
+    lines += _table((4, 4, 4, 22, 22),
+                    [("d", "h", "w", "character-sum", "enumerated", "match")] + rows)
     lines.append("count: %s" % ("FAIL" if mismatch else "PASS"))
     print("\n".join(lines))
     if args.out:
-        csv_lines = ["# catalog %s" % catalog_hash(),
-                     "# seed %d  budget %d" % (args.seed, args.budget),
-                     "d,h,w,character_sum,enumerated,match"]
-        for d, h, w, char_text, n_enum, match in rows:
-            csv_lines.append("%d,%d,%d,%s,%s,%s" % (d, h, w, char_text, n_enum, match))
-        _write_out(args.out, "\n".join(csv_lines) + "\n")
+        _write_csv(args, "", ("d", "h", "w", "character_sum", "enumerated", "match"), rows)
     return EXIT_FAIL if mismatch else EXIT_PASS
 
 
 # ---------------------------------------------------------------------------
 # validate-moves
 
-def _random_valid_system(rng, params) -> HurwitzSystem:
-    d, h, w = params[rng.randrange(len(params))]
-    return random_system(d, h, w, rng)
+# validate-moves' sampled checks, and whether each needs at least one
+# sample to pass
+SAMPLED_CHECKS = {"braid relation": True, "distant braid commutation": False,
+                  "braid inverse identity": False,
+                  "moves preserve validity and monodromy": False,
+                  "handle-push effect contract": True}
 
 
 def cmd_validate_moves(args) -> int:
-    checks: list[tuple[str, bool, str]] = []
-
-    def check(name: str, ok: bool, note: str = "") -> None:
-        checks.append((name, ok, note))
-
     # every schema instance at small parameters must certify
     try:
         for h in range(0, 3):
@@ -593,82 +556,65 @@ def cmd_validate_moves(args) -> int:
                 for i in range(1, h + 1):
                     certified_push_endo(h, w, i, "a")
                     certified_push_endo(h, w, i, "b")
-        check("catalog certification (h<=2, w<=6)", True)
+        result = "PASS"
     except CatalogError as exc:
-        check("catalog certification (h<=2, w<=6)", False, str(exc))
+        result = "FAIL %s" % exc
+    rows = [("catalog certification (h<=2, w<=6)", result)]
 
     params = [(2, 1, 4), (3, 0, 4), (3, 1, 6), (3, 2, 6), (4, 1, 8)]
     rng = random.Random("validate-moves:%d" % args.seed)
-    failures: list[str] = []
-    braid_rel = braid_comm = braid_inv = push_ok = preserved = 0
+    passed = dict.fromkeys(SAMPLED_CHECKS, 0)
+    failures: list[tuple[str, str]] = []
+
+    def tally(check: str, ok: bool, message: str) -> None:
+        if ok:
+            passed[check] += 1
+        else:
+            failures.append((check, message))
+
     for _ in range(args.samples):
-        hs = _random_valid_system(rng, params)
-        w = hs.w
-        # adjacent braid relation and far commutation
+        d, h, w = params[rng.randrange(len(params))]
+        hs = random_system(d, h, w, rng)
         if w >= 3:
             j = rng.randrange(1, w - 1)
             lhs = braid(braid(braid(hs, j), j + 1), j)
             rhs = braid(braid(braid(hs, j + 1), j), j + 1)
-            if lhs != rhs:
-                failures.append("braid relation at j=%d on %s" % (j, serialize(hs)))
-            else:
-                braid_rel += 1
+            tally("braid relation", lhs == rhs,
+                  "braid relation at j=%d on %s" % (j, serialize(hs)))
         if w >= 4:
-            j = 1
             k = rng.randrange(3, w)
-            ab = braid(braid(hs, j), k)
-            ba = braid(braid(hs, k), j)
-            if ab != ba:
-                failures.append("distant braids do not commute on %s" % serialize(hs))
-            else:
-                braid_comm += 1
+            tally("distant braid commutation", braid(braid(hs, 1), k) == braid(braid(hs, k), 1),
+                  "distant braids do not commute on %s" % serialize(hs))
         j = rng.randrange(1, w)
-        if braid(braid(hs, j), j, inverse_move=True) != hs:
-            failures.append("braid inverse at j=%d on %s" % (j, serialize(hs)))
-        else:
-            braid_inv += 1
+        tally("braid inverse identity", braid(braid(hs, j), j, inverse_move=True) == hs,
+              "braid inverse at j=%d on %s" % (j, serialize(hs)))
         # braids must preserve validity and the exact monodromy subgroup
         moved = braid(hs, j)
         old_grp = monodromy(hs)
-        same = (validate(moved).ok
-                and monodromy(moved).order() == old_grp.order()
-                and all(g in old_grp for g in moved.handles + moved.transpositions))
-        if not same:
-            failures.append("braid broke an invariant on %s" % serialize(hs))
-        else:
-            preserved += 1
-        if hs.h > 0:
-            i = rng.randrange(1, hs.h + 1)
+        tally("moves preserve validity and monodromy",
+              validate(moved).ok and monodromy(moved).order() == old_grp.order()
+              and all(g in old_grp for g in moved.handles + moved.transpositions),
+              "braid broke an invariant on %s" % serialize(hs))
+        if h > 0:
+            i = rng.randrange(1, h + 1)
             side = "ab"[rng.randrange(2)]
             try:
                 check_push_contract(hs, i, side)
-                push_ok += 1
+                tally("handle-push effect contract", True, "")
             except MoveError as exc:
-                failures.append("push contract (i=%d, %s) on %s: %s"
-                                % (i, side, serialize(hs), exc))
+                tally("handle-push effect contract", False, "push contract (i=%d, %s) on %s: %s"
+                      % (i, side, serialize(hs), exc))
 
-    check("braid relation (%d samples)" % braid_rel, braid_rel > 0 and not any(
-        "braid relation" in f for f in failures))
-    check("distant braid commutation (%d samples)" % braid_comm, not any(
-        "commute" in f for f in failures))
-    check("braid inverse identity (%d samples)" % braid_inv, not any(
-        "braid inverse" in f for f in failures))
-    check("moves preserve validity and monodromy (%d samples)" % preserved, not any(
-        "invariant" in f for f in failures))
-    check("handle-push effect contract (%d samples)" % push_ok, push_ok > 0 and not any(
-        "push contract" in f for f in failures))
-
-    lines = _header(args, "samples %d" % args.samples)
-    bad = 0
-    for name, ok, note in checks:
-        lines.append("%-52s %s%s" % (name, "PASS" if ok else "FAIL",
-                                     (" " + note) if note else ""))
-        bad += 0 if ok else 1
-    for f in failures[:10]:
-        lines.append("  failure: %s" % f)
-    lines.append("validate-moves: %s" % ("PASS" if bad == 0 and not failures else "FAIL"))
+    failed = {check for check, _ in failures}
+    rows += [("%s (%d samples)" % (check, passed[check]),
+              "FAIL" if check in failed or (needs_one and not passed[check]) else "PASS")
+             for check, needs_one in SAMPLED_CHECKS.items()]
+    ok = all(result == "PASS" for _, result in rows)
+    lines = _header(args, "samples %d" % args.samples) + _table((52,), rows)
+    lines += ["  failure: %s" % message for _, message in failures[:10]]
+    lines.append("validate-moves: %s" % ("PASS" if ok else "FAIL"))
     print("\n".join(lines))
-    return EXIT_PASS if bad == 0 and not failures else EXIT_FAIL
+    return EXIT_PASS if ok else EXIT_FAIL
 
 
 # ---------------------------------------------------------------------------
@@ -683,9 +629,8 @@ def cmd_canonicalize(args) -> int:
     except NormalizeError as exc:
         print("canonicalize: FAIL: %s" % exc)
         return EXIT_FAIL
-    n_moves = len(cert.moves.split()) if cert.moves else 0
     print("canonical: %s" % serialize(form))
-    print("moves: %d (%s mode, catalog %s)" % (n_moves, args.mode, cert.catalog))
+    print("moves: %d (%s mode, catalog %s)" % (len(cert.moves.split()), args.mode, cert.catalog))
     _write_out(args.out, _cert_json(cert))
     return EXIT_PASS
 

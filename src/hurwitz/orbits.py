@@ -295,7 +295,7 @@ def orbit_bfs(seed: HurwitzSystem, moves: tuple[CompiledMove, ...],
 # ---------------------------------------------------------------------------
 # predecessor logs on disk
 
-_LOG_MAGIC = b"HWSPRED1"
+LOG_MAGIC = b"HWSPRED1"
 
 # Record layout, little endian, repeated to end of file:
 #   u32 key length, key bytes (UTF-8 system line)
@@ -305,7 +305,7 @@ _LOG_MAGIC = b"HWSPRED1"
 
 def write_predecessor_log(path: str, result: OrbitResult) -> None:
     with open(path, "wb") as fh:
-        fh.write(_LOG_MAGIC)
+        fh.write(LOG_MAGIC)
         order = [result.seed] + sorted(k for k in result.predecessors if k != result.seed)
         for key in order:
             pred, token = result.predecessors[key]
@@ -332,9 +332,9 @@ def read_predecessor_log(path: str) -> OrbitResult:
     recorded twice raises ValueError naming the byte offset; so does a
     log with no records."""
     with open(path, "rb") as fh:
-        if fh.read(len(_LOG_MAGIC)) != _LOG_MAGIC:
+        if fh.read(len(LOG_MAGIC)) != LOG_MAGIC:
             raise ValueError("not a predecessor log: %s" % path)
-        offset = len(_LOG_MAGIC)
+        offset = len(LOG_MAGIC)
         predecessors = {}
         seed = None
         while fh.peek(1):

@@ -303,6 +303,14 @@ def _handle_tuples(target: Perm, h: int, pairs: dict[Perm, list[tuple[Perm, Perm
                 yield (x, y) + tail
 
 
+def _spend(spent: int, products: int, budget: float) -> int:
+    """spent + products, or BudgetError when that passes budget."""
+    spent += products
+    if spent > budget:
+        raise BudgetError("convolution needs more than %d permutation products" % budget)
+    return spent
+
+
 def _count_map_pow(base: dict[Perm, int], n: int, d: int,
                    spent: int, budget: float) -> tuple[dict[Perm, int], int]:
     """n-fold convolution of a count map over S_d, and the permutation
@@ -310,10 +318,7 @@ def _count_map_pow(base: dict[Perm, int], n: int, d: int,
     the products past budget."""
     acc = {identity(d): 1}
     for _ in range(n):
-        spent += len(acc) * len(base)
-        if spent > budget:
-            raise BudgetError("convolution needs more than %d permutation products"
-                              % budget)
+        spent = _spend(spent, len(acc) * len(base), budget)
         nxt: dict[Perm, int] = {}
         for p, cp in acc.items():
             for q, cq in base.items():
@@ -333,9 +338,9 @@ def count_systems(d: int, h: int, w: int, budget: float = math.inf) -> int:
     t_counts, spent = _count_map_pow(t_map, w, d, 0, budget)
     if h == 0:
         return t_counts.get(identity(d), 0)
-    comm_map: dict[Perm, int] = {}
-    for c, lst in _commutator_pairs(d).items():
-        comm_map[c] = len(lst)
+    # the commutator table costs one product per pair in S_d x S_d
+    spent = _spend(spent, math.factorial(d) ** 2, budget)
+    comm_map = {c: len(lst) for c, lst in _commutator_pairs(d).items()}
     h_counts, _ = _count_map_pow(comm_map, h, d, spent, budget)
     # t-product times commutator product must be the identity
     return sum(n * h_counts.get(inverse(p), 0) for p, n in t_counts.items())

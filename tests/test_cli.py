@@ -4,6 +4,8 @@ reruns."""
 import json
 import random
 
+import pytest
+
 from hurwitz.cli import main
 from hurwitz.perms import identity, transposition
 from hurwitz.systems import HurwitzSystem, random_system, is_full_monodromy, serialize
@@ -53,6 +55,13 @@ class TestVerify:
         text = out_path.read_text()
         assert "d,h,w,method,states,orbits,result,note" in text
         assert "2,1,4,census,4,1,PASS," in text
+
+    @pytest.mark.parametrize("case,budget", [("4,1,8", "1000"), ("5,1,10", "100000000000")])
+    def test_skipped_census_is_inconclusive(self, capsys, case, budget):
+        # a forced census over the budget never runs, so it decides nothing
+        assert main(["verify", "--case", case, "--method", "census", "--budget", budget]) == 3
+        out = capsys.readouterr().out
+        assert " SKIP " in out and out.endswith("\nverify: INCONCLUSIVE\n")
 
     def test_reruns_byte_identical(self, capsys):
         main(["verify", "--case", "2,1,6"])

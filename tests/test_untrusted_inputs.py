@@ -288,6 +288,8 @@ def test_system_file_not_utf8_is_a_usage_error(tmp_path, capsys):
     ["validate-moves", "--samples", "-5"],
     ["census", "--d", "3", "--h", "0", "--w", "40"],
     ["explore", "--d", "4", "--h", "1", "--w", "12"],
+    ["verify", "--case", "9,0,18", "--method", "census"],
+    ["verify", "--case", "5,1,10", "--method", "census", "--budget", "10000000000000"],
 ])
 def test_out_of_range_parameters_are_a_usage_error(capsys, argv):
     assert main(argv) == 2
@@ -303,6 +305,18 @@ def test_count_past_the_digit_limit_is_a_usage_error(capsys):
 def test_count_past_the_product_budget_is_inconclusive(capsys):
     # about 43,000 products per step over S_6 at the default budget of 400,000
     assert main(["count", "--d", "6", "--h", "0", "--w", "3000"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("inconclusive: ")
+
+
+def test_count_budget_covers_the_commutator_table(monkeypatch, capsys):
+    # building the table's 720² = 518,400 commutators takes seconds, so the
+    # budget has to refuse before it is built
+    def refuse(d):
+        raise AssertionError("commutator table built")
+    monkeypatch.setattr(systems, "_commutator_pairs", refuse)
+    assert main(["count", "--d", "6", "--h", "1", "--w", "0", "--budget", "0"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1 and captured.err.startswith("inconclusive: ")
