@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from .catalog import catalog_hash, certified_braid_endo, certified_push_endo
 from .perms import (
     Perm,
-    PermGroup,
     compose,
     format_perm,
     identity,
@@ -37,7 +36,7 @@ from .perms import (
     product,
     support,
 )
-from .systems import HurwitzSystem, deserialize, serialize, validate
+from .systems import HurwitzSystem, deserialize, monodromy, serialize, validate
 from .words import EndoMap, Word
 
 
@@ -105,14 +104,21 @@ def check_push_contract(sys: HurwitzSystem, i: int, side: str) -> HurwitzSystem:
     back = handle_push(new, i, side, inverse_move=True)
     if back != sys:
         raise MoveError("inverse push failed to restore the system")
-    old_group = PermGroup(sys.handles + sys.transpositions, sys.d)
-    new_group = PermGroup(new.handles + new.transpositions, sys.d)
-    if old_group.order() != new_group.order():
-        raise MoveError("push changed the monodromy group order")
-    for p in new.handles + new.transpositions:
-        if p not in old_group:
-            raise MoveError("push left the monodromy subgroup")
+    change = monodromy_change(sys, new)
+    if change:
+        raise MoveError("push " + change)
     return new
+
+
+def monodromy_change(old: HurwitzSystem, new: HurwitzSystem) -> str | None:
+    """None when new's monodromy group equals old's as a set, not
+    merely up to isomorphism; otherwise what changed."""
+    old_group = monodromy(old)
+    if monodromy(new).order() != old_group.order():
+        return "changed the monodromy group order"
+    if any(p not in old_group for p in new.handles + new.transpositions):
+        return "left the monodromy subgroup"
+    return None
 
 
 # ---------------------------------------------------------------------------

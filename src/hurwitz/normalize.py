@@ -232,9 +232,10 @@ def repair_branching_monodromy(sys: HurwitzSystem,
         blocks = branching_blocks(sys)
         if len(blocks) == 1:
             return sys, tokens
+        # the sort only swaps entries of different blocks, so the
+        # partition it leaves is the one just computed
         sys, sort_tokens = sort_standard_position(sys)
         tokens.extend(sort_tokens)
-        blocks = branching_blocks(sys)
         index = {}
         for bi, blk in enumerate(blocks):
             for pt in blk:

@@ -13,6 +13,7 @@ convention, ``conjugate(t, s) == s^-1 t s``.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 Perm = tuple[int, ...]
@@ -159,39 +160,32 @@ def all_transpositions(d: int) -> list[Perm]:
     return [transposition(d, i, j) for i in range(1, d + 1) for j in range(i + 1, d + 1)]
 
 
-class UnionFind:
-    def __init__(self, items: Iterable[int]):
-        self.parent = {i: i for i in items}
-
-    def find(self, i: int) -> int:
-        root = i
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[i] != root:
-            self.parent[i], i = root, self.parent[i]
-        return root
-
-    def union(self, i: int, j: int) -> None:
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[max(ri, rj)] = min(ri, rj)
-
-    def blocks(self) -> list[tuple[int, ...]]:
-        groups: dict[int, list[int]] = {}
-        for i in sorted(self.parent):
-            groups.setdefault(self.find(i), []).append(i)
-        return [tuple(groups[r]) for r in sorted(groups)]
-
-
 def orbit_blocks(gens: Sequence[Perm], d: int) -> list[tuple[int, ...]]:
     """Orbits of <gens> on {1..d}, as sorted tuples sorted by least element.
-    With no generators every point is its own block."""
-    uf = UnionFind(range(1, d + 1))
-    for g in gens:
-        for cyc in cycles(g):
-            for a in cyc[1:]:
-                uf.union(cyc[0], a)
-    return uf.blocks()
+
+    A breadth-first walk: each point not yet reached, in increasing
+    order, starts a block, which grows by the images of its points under
+    every generator until it is closed.  With no generators every point
+    is its own block.
+
+    >>> orbit_blocks([transposition(5, 1, 3), transposition(5, 4, 5)], 5)
+    [(1, 3), (2,), (4, 5)]
+    """
+    reached = [False] * (d + 1)
+    blocks = []
+    for start in range(1, d + 1):
+        if reached[start]:
+            continue
+        reached[start] = True
+        block = [start]
+        for pt in block:  # the walk appends to the list it reads
+            for g in gens:
+                img = g[pt - 1]
+                if not reached[img]:
+                    reached[img] = True
+                    block.append(img)
+        blocks.append(tuple(sorted(block)))
+    return blocks
 
 
 class PermGroup:
@@ -269,9 +263,25 @@ def group_order(gens: Sequence[Perm], d: int) -> int:
     return PermGroup(gens, d).order()
 
 
+@lru_cache(maxsize=None)
+def _transposition_set(d: int) -> frozenset[Perm]:
+    return frozenset(all_transpositions(d))
+
+
 def is_symmetric(gens: Sequence[Perm], d: int) -> bool:
-    """Does <gens> equal the full S_d?"""
+    """Does <gens> equal the full S_d?
+
+    Shortcut: transpositions whose supports link all d points generate
+    S_d, so when the degree-d transpositions among gens form one orbit
+    the answer is yes without a stabilizer chain.  The classical fact is
+    checked on every transposition set of degree at most 5 by
+    tests/test_perms.py::test_transpositions_generate_the_block_product.
+    Otherwise <gens> must be transitive and have order d!.
+    """
     if d == 1:
+        return True
+    linking = _transposition_set(d).intersection(gens)
+    if linking and len(orbit_blocks(linking, d)) == 1:
         return True
     if len(orbit_blocks(gens, d)) != 1:
         return False
@@ -279,7 +289,9 @@ def is_symmetric(gens: Sequence[Perm], d: int) -> bool:
 
 
 def transposition_blocks(ts: Sequence[Perm], d: int) -> list[tuple[int, ...]]:
-    """Orbit partition of {1..d} under a list of transpositions.
+    """Orbit partition of {1..d} under a list of transpositions, by the
+    breadth-first walk of orbit_blocks: each block is a connected
+    component of the graph whose edges are the transpositions' supports.
 
     The group they generate is the direct product of the full symmetric
     groups on the blocks (a classical theorem; tests/test_perms.py checks

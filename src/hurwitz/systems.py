@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import permutations
 from typing import Callable, Iterator
 
@@ -122,43 +123,7 @@ def monodromy(sys: HurwitzSystem) -> PermGroup:
     return PermGroup(sys.handles + sys.transpositions, sys.d)
 
 
-class _SupportMasks(dict):
-    """Transposition -> bitmask of its two points (bit i-1 for point i);
-    0 for any other permutation.  Only transpositions are kept, so the
-    cache holds at most the transpositions of degrees up to 16."""
-
-    def __missing__(self, p: Perm) -> int:
-        moved = [i for i, j in enumerate(p) if j != i + 1]
-        if len(moved) != 2:
-            return 0
-        mask = self[p] = (1 << moved[0]) | (1 << moved[1])
-        return mask
-
-
-_SUPPORT_MASKS = _SupportMasks()
-
-
-def _transpositions_connect(ts: tuple[Perm, ...], d: int) -> bool:
-    """Do the supports of these transpositions link all d points?"""
-    masks = set(map(_SUPPORT_MASKS.__getitem__, ts))
-    if 0 in masks:
-        return False
-    reach = masks.pop()
-    while masks:
-        linked = [m for m in masks if m & reach]
-        if not linked:
-            return False
-        for m in linked:
-            reach |= m
-        masks.difference_update(linked)
-    return reach == (1 << d) - 1
-
-
 def is_full_monodromy(sys: HurwitzSystem) -> bool:
-    # fast path: transpositions spanning a single block generate S_d
-    # already, and that covers almost every system the censuses touch
-    if sys.w > 0 and _transpositions_connect(sys.transpositions, sys.d):
-        return True
     return is_symmetric(sys.handles + sys.transpositions, sys.d)
 
 
@@ -274,8 +239,10 @@ def _all_elements(d: int) -> list[Perm]:
     return [tuple(p) for p in permutations(range(1, d + 1))]
 
 
+@lru_cache(maxsize=1)
 def _commutator_pairs(d: int) -> dict[Perm, list[tuple[Perm, Perm]]]:
-    """All (x, y) in S_d x S_d grouped by [x, y], in lex order."""
+    """All (x, y) in S_d x S_d grouped by [x, y], in lex order.  The
+    last degree's table is kept, so callers must only read it."""
     table: dict[Perm, list[tuple[Perm, Perm]]] = {}
     elems = _all_elements(d)
     for x in elems:

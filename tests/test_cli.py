@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from hurwitz import systems
 from hurwitz.cli import main
 from hurwitz.perms import identity, transposition
 from hurwitz.systems import HurwitzSystem, random_system, is_full_monodromy, serialize
@@ -186,6 +187,13 @@ class TestCount:
     def test_degree_cap(self, capsys):
         assert main(["count", "--d", "9", "--h", "0", "--w", "2"]) == 2
         assert "unsupported" in capsys.readouterr().err
+
+    def test_commutator_table_is_built_once(self, capsys):
+        # every case convolves and enumerates over the same S_5 x S_5 table
+        systems._commutator_pairs.cache_clear()
+        assert main(["count", "--d", "5", "--h", "1", "--w", "0..4"]) == 0
+        assert "count: PASS" in capsys.readouterr().out
+        assert systems._commutator_pairs.cache_info().misses == 1
 
 
 class TestValidateMoves:

@@ -8,8 +8,8 @@ import pytest
 from hurwitz.catalog import catalog_hash
 from hurwitz.moves import (Certificate, MoveError, apply_move, apply_word,
                            braid, certificate, check_push_contract,
-                           evaluate_word, handle_push, pair_retype,
-                           parse_move)
+                           evaluate_word, handle_push, monodromy_change,
+                           pair_retype, parse_move)
 from hurwitz.perms import (compose, conjugate, identity, inverse,
                            transposition)
 from hurwitz.systems import (HurwitzSystem, genus, is_full_monodromy,
@@ -91,6 +91,17 @@ class TestBraid:
             braid(hs, 0)
         with pytest.raises(MoveError):
             braid(hs, 4)
+
+
+def test_monodromy_change_names_what_changed():
+    t12, t13 = transposition(3, 1, 2), transposition(3, 1, 3)
+    hs = HurwitzSystem(3, (), (t12, t12))
+    assert monodromy_change(hs, hs) is None
+    assert monodromy_change(hs, HurwitzSystem(3, (), (t12, t13))) == \
+        "changed the monodromy group order"
+    # the same order, but a conjugate subgroup
+    assert monodromy_change(hs, HurwitzSystem(3, (), (t13, t13))) == \
+        "left the monodromy subgroup"
 
 
 class TestPush:

@@ -128,6 +128,45 @@ class TestGroups:
         assert orbit_blocks(gens, 5) == [(1, 3), (2,), (4, 5)]
         assert orbit_blocks([], 3) == [(1,), (2,), (3,)]
 
+    def test_orbit_blocks_matches_set_closure(self):
+        # reference: grow each point's orbit as a set until no generator
+        # adds a point, then sort the distinct orbits by least element
+        def closure_blocks(gens, d):
+            orbits = set()
+            for start in range(1, d + 1):
+                orbit = {start}
+                while True:
+                    grown = orbit | {g[p - 1] for g in gens for p in orbit}
+                    if grown == orbit:
+                        break
+                    orbit = grown
+                orbits.add(tuple(sorted(orbit)))
+            return sorted(orbits)
+
+        rng = random.Random("orbit-blocks")
+        for d in range(1, 17):
+            assert orbit_blocks([], d) == closure_blocks([], d)
+            for _ in range(20):
+                gens = []
+                for _ in range(rng.randrange(1, 5)):
+                    if d > 1 and rng.random() < 0.5:
+                        gens.append(transposition(d, *rng.sample(range(1, d + 1), 2)))
+                    else:
+                        # a permutation of a few points, rarely a transposition
+                        pts = rng.sample(range(1, d + 1), rng.randrange(1, min(d, 4) + 1))
+                        gens.append(from_cycles(d, [pts]))
+                assert orbit_blocks(gens, d) == closure_blocks(gens, d)
+
+    @pytest.mark.parametrize("handles", [0, 1])
+    def test_is_symmetric_matches_group_order(self, handles):
+        rng = random.Random("is-symmetric:%d" % handles)
+        for d in range(1, 6):
+            ts = all_transpositions(d)
+            for k in range(len(ts) + 1):
+                for subset in combinations(ts, k):
+                    gens = [rand_perm(rng, d) for _ in range(2 * handles)] + list(subset)
+                    assert is_symmetric(gens, d) == (group_order(gens, d) == factorial(d))
+
     def test_transposition_blocks(self):
         ts = [transposition(4, 1, 2), transposition(4, 3, 4)]
         assert transposition_blocks(ts, 4) == [(1, 2), (3, 4)]

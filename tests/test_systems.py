@@ -86,6 +86,14 @@ class TestMonodromy:
         assert len(orbit_blocks(sys.handles + sys.transpositions, sys.d)) == 1
         assert not S.is_full_monodromy(sys)
 
+    def test_three_cycles_are_not_full(self):
+        # one orbit but only A_3: the transposition shortcut must not
+        # read a non-transposition in the branching slots as one
+        c3 = (2, 3, 1)
+        sys = make(3, [], [c3, c3, c3])
+        assert orbit_blocks(sys.transpositions, sys.d) == [(1, 2, 3)]
+        assert not S.is_full_monodromy(sys)
+
     def test_branching_blocks_window(self):
         t12 = transposition(4, 1, 2)
         t34 = transposition(4, 3, 4)
