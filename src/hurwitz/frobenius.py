@@ -14,6 +14,15 @@ length formula and the transposition value from the content sum
 
 This count is the independent oracle for the exhaustive enumerator:
 the two must agree exactly wherever both are feasible.
+
+On top of it sit two refined counts.  transitive_count keeps the
+systems whose monodromy group is transitive on the fiber, by the
+standard relation between connected and disconnected Hurwitz numbers:
+every system splits over the orbits of its monodromy group.
+full_monodromy_count is the number of systems with monodromy all of
+S_d, where Jordan's theorem makes it the transitive count; a census
+flood from one such system that reaches that many states has found
+them all, which proves they form one orbit.
 """
 
 from __future__ import annotations
@@ -92,3 +101,55 @@ def frobenius_count(d: int, h: int, w: int) -> int:
     result = Fraction(order) ** (2 * h - 1) * class_size**w * total
     assert result.denominator == 1 and result >= 0
     return int(result)
+
+
+@lru_cache(maxsize=None)
+def transitive_count(d: int, h: int, w: int) -> int:
+    """Number of systems whose monodromy group is transitive on 1..d.
+
+    Split each system on the orbit of the point 1: m points, carrying w'
+    of the transpositions, with the rest a system of degree d - m, so
+
+        N_all(d, h, w) = sum over m = 1..d and w' of C(d-1, m-1) C(w, w')
+                         N_tr(m, h, w') N_all(d-m, h, w-w')
+
+    with N_all = frobenius_count and N_all(0, h, 0) = 1.  The m = d term
+    is N_tr(d, h, w) itself; the others recurse to smaller degrees
+    (memoized).
+
+    >>> transitive_count(3, 0, 4)
+    24
+    >>> transitive_count(4, 1, 4)
+    58752
+    """
+    total = frobenius_count(d, h, w)
+    for m in range(1, d):
+        for part in range(0, w + 1, 2):  # odd w' has no systems
+            total -= (comb(d - 1, m - 1) * comb(w, part) * transitive_count(m, h, part)
+                      * frobenius_count(d - m, h, w - part))
+    return total
+
+
+def full_monodromy_count(d: int, h: int, w: int) -> int | None:
+    """Number of systems whose monodromy group is all of S_d, where it
+    provably equals transitive_count; None elsewhere.
+
+    A transitive group is S_d when d <= 2; when h = 0, since it is then
+    generated by transpositions that link all d points; and when d is
+    prime and w > 0, since a transitive group of prime degree is
+    primitive and, by Jordan's theorem, a primitive group holding a
+    transposition is S_d.  Elsewhere the imprimitive systems must be
+    subtracted (at d = 4 and h >= 1, those inside a copy of D_4), which
+    is not done here; nor is any count past MAX_COUNT_DEGREE.
+
+    >>> full_monodromy_count(3, 0, 4)
+    24
+    >>> full_monodromy_count(3, 1, 8)
+    78720
+    >>> print(full_monodromy_count(4, 1, 4))
+    None
+    """
+    prime = d > 1 and all(d % k for k in range(2, d))
+    if d > MAX_COUNT_DEGREE or not (d <= 2 or h == 0 or (prime and w > 0)):
+        return None
+    return transitive_count(d, h, w)

@@ -3,17 +3,20 @@
 Exhaustive breadth-first floods answer the connectivity questions
 exactly: a census partitions every system with given parameters into
 move orbits, and connect searches for an explicit path between two
-systems.  All three searches run on one integer kernel: a state is a
-tuple of permutation ranks, numbered so that tuple order is system-line
-order, and moves are memoized table lookups.  The kernel grows every
-search the same way: expand applies each move to a frontier and links
-each new state to the state and token that reached it, and flood
-repeats that level by level.  census and orbit_bfs are floods, connect
-expands whichever of its two sides is smaller.  System lines are written
-only for what a search reports.  Everything here is deterministic by
-construction: frontiers are processed in sorted order and the first
-discovery wins.  Budgets make long runs interruptible: a partial result
-is flagged, never silently truncated.
+systems.  A full-monodromy census first tries one flood against the
+exact count of frobenius.full_monodromy_count: reaching that many
+systems proves they form one orbit, with no enumeration.  All three
+searches run on one integer kernel: a state is a tuple of permutation
+ranks, numbered so that tuple order is system-line order, and moves
+are memoized table lookups.  The kernel grows every search the same
+way: expand applies each move to a frontier and links each new state
+to the state and token that reached it, and flood repeats that level
+by level.  census and orbit_bfs are floods, connect expands whichever
+of its two sides is smaller.  System lines are written only for what a
+search reports.  Everything here is deterministic by construction:
+frontiers are processed in sorted order and the first discovery wins.
+Budgets make long runs interruptible: a partial result is flagged,
+never silently truncated.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from operator import itemgetter
 from typing import Callable
 
 from .catalog import catalog_hash, certified_push_endo
+from .frobenius import full_monodromy_count
 from .moves import Certificate, Move, apply_move, certificate, invert_tokens, parse_move
 from .perms import Perm, compose, conjugate, identity, inverse
 from .systems import (
@@ -412,38 +416,81 @@ def census(d: int, h: int, w: int, selector: str = "full",
     floods from the least unvisited system.  The filter must be
     invariant under the moves (monodromy-based filters are: moves
     preserve the monodromy subgroup exactly), which is checked on the
-    fly.  threads is ignored; it stays only because perfbench/run.py
-    calls census(..., threads=1)."""
+    fly.  The result is partial when the budget ran out before every
+    filtered system was reached.  With the full-monodromy filter the
+    population is first tried by count (see _census_by_count), which
+    skips the enumeration when the systems form one orbit.  threads is
+    ignored; it stays only because perfbench/run.py calls
+    census(..., threads=1)."""
     kernel = _Kernel(d, h, w, compile_moves(d, h, w, selector))
+    if filter is is_full_monodromy:
+        orbits = _census_by_count(kernel, filter, budget)
+        if orbits is not None:
+            return CensusResult(d, h, w, selector, filter_name, orbits,
+                                sum(rec.size for rec in orbits), False)
     remaining = {kernel.state(sys) for sys in enumerate_systems(d, h, w, filter)}
     total = 0
-    orbits: list[OrbitRecord] = []
-    partial = False
+    orbits = []
     for start in sorted(remaining):
         if start not in remaining:
             continue
-        links, _, cut = kernel.flood(start, None if budget is None else budget - total)
-        partial = partial or cut
+        links, _, _ = kernel.flood(start, None if budget is None else budget - total)
         members = links.keys()
         # orbits are disjoint, so a member missing from remaining was
         # never in the filtered population
-        escaped = members - remaining
-        if escaped:
-            raise AssertionError("orbit escaped the filter at %s" % kernel.key(min(escaped)))
+        orbits.append(_orbit_record(kernel, members, members - remaining))
         remaining.difference_update(members)
         total += len(members)
-        least = heapq.nsmallest(3, members)
-        samples = tuple(kernel.key(st) for st in least)
-        rep = kernel.system(least[0])
-        orbits.append(OrbitRecord(
-            samples[0], len(members), is_full_monodromy(rep),
-            samples, tuple(branching_blocks(rep)),
-        ))
         if budget is not None and total >= budget:
-            partial = True
             break
     orbits.sort(key=lambda rec: rec.rep)
-    return CensusResult(d, h, w, selector, filter_name, orbits, total, partial)
+    # a flood cut by the budget leaves the rest of its orbit in remaining
+    return CensusResult(d, h, w, selector, filter_name, orbits, total, bool(remaining))
+
+
+def _census_by_count(kernel: _Kernel, filter: Callable[[HurwitzSystem], bool],
+                     budget: int | None) -> list[OrbitRecord] | None:
+    """The full-monodromy census without enumeration, or None where it
+    cannot be decided this way.  A flood from one full-monodromy system
+    that reaches all frobenius.full_monodromy_count of them has found
+    the whole population, so it is the one orbit.  None when no count
+    is known, the budget is below the count, or the flood reaches fewer
+    systems (several orbits); the enumerating census decides those.
+    An empty list when there is no full-monodromy system."""
+    d, h, w = kernel.d, kernel.h, kernel.w
+    # the first draw runs the enumeration guard before any count is made
+    seed = next(enumerate_systems(d, h, w, filter), None)
+    count = full_monodromy_count(d, h, w)
+    if count is None or (budget is not None and budget < count):
+        return None
+    if seed is None:
+        if count:
+            raise AssertionError("no full-monodromy system at d=%d h=%d w=%d, but the count "
+                                 "is %d" % (d, h, w, count))
+        return []
+    # one level past the count, so a count that is too small shows
+    links, _, cut = kernel.flood(kernel.state(seed), count + 1)
+    if cut:
+        raise AssertionError("the orbit of %s has more than the %d full-monodromy systems "
+                             "counted" % (serialize(seed), count))
+    if len(links) < count:
+        return None
+    members = links.keys()
+    return [_orbit_record(kernel, members,
+                          [st for st in members if not filter(kernel.system(st))])]
+
+
+def _orbit_record(kernel: _Kernel, members, escaped) -> OrbitRecord:
+    """The census record of one orbit.  Members outside the filtered
+    population (escaped) mean the filter is not invariant under the
+    moves."""
+    if escaped:
+        raise AssertionError("orbit escaped the filter at %s" % kernel.key(min(escaped)))
+    least = heapq.nsmallest(3, members)
+    samples = tuple(kernel.key(st) for st in least)
+    rep = kernel.system(least[0])
+    return OrbitRecord(samples[0], len(members), is_full_monodromy(rep),
+                       samples, tuple(branching_blocks(rep)))
 
 
 # ---------------------------------------------------------------------------

@@ -276,13 +276,17 @@ def is_symmetric(gens: Sequence[Perm], d: int) -> bool:
     the answer is yes without a stabilizer chain.  The classical fact is
     checked on every transposition set of degree at most 5 by
     tests/test_perms.py::test_transpositions_generate_the_block_product.
+    When gens are all transpositions, their orbits decide alone.
     Otherwise <gens> must be transitive and have order d!.
     """
     if d == 1:
         return True
     linking = _transposition_set(d).intersection(gens)
-    if linking and len(orbit_blocks(linking, d)) == 1:
-        return True
+    if linking:
+        if len(orbit_blocks(linking, d)) == 1:
+            return True
+        if linking.issuperset(gens):
+            return False
     if len(orbit_blocks(gens, d)) != 1:
         return False
     return group_order(gens, d) == math.factorial(d)

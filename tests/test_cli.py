@@ -64,6 +64,12 @@ class TestVerify:
         out = capsys.readouterr().out
         assert " SKIP " in out and out.endswith("\nverify: INCONCLUSIVE\n")
 
+    def test_budget_equal_to_population_passes(self, capsys):
+        # the census floods all 4 systems into one orbit: nothing is left undecided
+        assert main(["verify", "--case", "2,1,4", "--budget", "4"]) == 0
+        out = capsys.readouterr().out
+        assert "INCONCLUSIVE" not in out and out.endswith("verify: PASS\n")
+
     def test_reruns_byte_identical(self, capsys):
         main(["verify", "--case", "2,1,6"])
         first = capsys.readouterr().out
@@ -103,6 +109,18 @@ class TestExploreCensus:
     def test_census_budget_inconclusive(self, capsys):
         assert main(["census", "--d", "3", "--h", "0", "--w", "4",
                      "--moves", "braid", "--budget", "5"]) == 3
+
+    @pytest.mark.parametrize("argv", [
+        # by count: the full-monodromy orbit has exactly budget members
+        ["explore", "--d", "3", "--h", "0", "--w", "4", "--filter", "full-monodromy",
+         "--budget", "24"],
+        # by enumeration: four orbits over all 27 systems
+        ["explore", "--d", "3", "--h", "0", "--w", "4", "--budget", "27"],
+    ])
+    def test_budget_equal_to_population_is_complete(self, capsys, argv):
+        assert main(argv) == 0
+        total = capsys.readouterr().out.splitlines()[-1]
+        assert total.startswith("total: ") and "(partial)" not in total
 
     def test_census_threads_byte_identical(self, tmp_path):
         paths = []

@@ -19,6 +19,6 @@ def test_module_doctests(name):
 
 
 def test_the_examples_are_found():
-    # perms.py holds 6 examples, words.py 4 and cli.py 1
+    # perms.py holds 6 examples, frobenius.py 5, words.py 4 and cli.py 1
     total = sum(doctest.testmod(importlib.import_module(name)).attempted for name in MODULES)
-    assert total >= 11
+    assert total >= 16

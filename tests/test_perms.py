@@ -167,6 +167,25 @@ class TestGroups:
                     gens = [rand_perm(rng, d) for _ in range(2 * handles)] + list(subset)
                     assert is_symmetric(gens, d) == (group_order(gens, d) == factorial(d))
 
+    def test_is_symmetric_walks_transpositions_once(self, monkeypatch):
+        import hurwitz.perms as perms_module
+        calls = []
+
+        def counted(gens, d):
+            calls.append(len(gens))
+            return orbit_blocks(gens, d)
+        monkeypatch.setattr(perms_module, "orbit_blocks", counted)
+        split = [transposition(5, 1, 2), transposition(5, 3, 4), transposition(5, 1, 2)]
+        linked = split + [transposition(5, 2, 5), transposition(5, 4, 5)]
+        for gens, expected in ((split, False), (linked, True), ([], False)):
+            calls.clear()
+            assert is_symmetric(gens, 5) is expected
+            assert len(calls) == 1
+        # a handle that is not a transposition still needs the walk over all of gens
+        calls.clear()
+        assert is_symmetric(split + [(2, 3, 4, 5, 1)], 5)
+        assert len(calls) == 2
+
     def test_transposition_blocks(self):
         ts = [transposition(4, 1, 2), transposition(4, 3, 4)]
         assert transposition_blocks(ts, 4) == [(1, 2), (3, 4)]
