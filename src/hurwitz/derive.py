@@ -153,8 +153,12 @@ def search_push_family(side: str, max_len: int = 8) -> Iterator[PushSchema]:
     seen: set[tuple[Word, Word]] = set()
     for level in words_by_length(CONJUGATOR_TOKENS, max_len):
         for c in level:
+            if c and abs(c[-1]) == G:
+                # c g^k g^e g^-k c^-1 is c g^e c^-1: a shorter c's image
+                continue
             for eps in (1, -1):
-                g_image = concat(c, (eps * G,), invert_word(c))
+                # reduced as it stands, since c does not end in g^+-1
+                g_image = c + (eps * G,) + invert_word(c)
                 y = push_pair_from_conjugate(side, g_image)
                 if y is None or y == (moved,):
                     continue

@@ -5,7 +5,11 @@ exactly: a census partitions every system with given parameters into
 move orbits, and connect searches for an explicit path between two
 systems.  A full-monodromy census first tries one flood against the
 exact count of frobenius.full_monodromy_count: reaching that many
-systems proves they form one orbit, with no enumeration.  All three
+systems proves they form one orbit, with no enumeration.  At d >= 3
+that flood runs modulo simultaneous conjugation by S_d, which commutes
+with the moves and acts freely on full-monodromy systems: it floods
+one key per conjugacy class and counts the orbit as classes times the
+order of its stabiliser, from d!-fold fewer states.  All three
 searches run on one integer kernel: a state is a tuple of permutation
 ranks, numbered so that tuple order is system-line order, and moves
 are memoized table lookups.  The kernel grows every search the same
@@ -25,14 +29,15 @@ import heapq
 import json
 import struct
 from dataclasses import dataclass
+from itertools import permutations
 from math import factorial
 from operator import itemgetter
-from typing import Callable
+from typing import Callable, Iterator
 
 from .catalog import catalog_hash, certified_push_endo
 from .frobenius import full_monodromy_count
 from .moves import Certificate, Move, apply_move, certificate, invert_tokens, parse_move
-from .perms import Perm, compose, conjugate, identity, inverse
+from .perms import Perm, compose, conjugate, group_order, identity, inverse
 from .systems import (
     BudgetError,
     HurwitzSystem,
@@ -120,6 +125,22 @@ class _Ranks:
         # keyed x * n + y: the product x then y, and the conjugate y^-1 x y
         self.mul = _Memo(lambda key: rank[compose(perm[key // n], perm[key % n])])
         self.conj = _Memo(lambda key: rank[conjugate(perm[key // n], perm[key % n])])
+        # row[y][x] = y^-1 x y, for conjugating a whole state by y
+        self.row = _Memo(lambda y: _Memo(lambda x: self.conj[x * n + y]))
+        # keyed x * n + y: each u making the pair (x^u, y^u) least, with
+        # row[u].__getitem__
+        self.least = _Memo(self._least_conjugators)
+
+    def elements(self) -> Iterator[int]:
+        """The rank of every permutation of the degree, one at a time."""
+        return map(self.rank.__getitem__, permutations(range(1, self.d + 1)))
+
+    def _least_conjugators(self, key: int) -> list[tuple[int, Callable[[int], int]]]:
+        x, y = divmod(key, self.n)
+        conj, n = self.conj, self.n
+        pairs = [((conj[x * n + u], conj[y * n + u]), u) for u in self.elements()]
+        least = min(pairs)[0]
+        return [(u, self.row[u].__getitem__) for pair, u in pairs if pair == least]
 
     def _lehmer(self, p: Perm) -> int:
         if len(p) != self.d:
@@ -186,6 +207,59 @@ class _Kernel:
             found.sort()
             levels.append(found)
         return links, levels, True
+
+    def conjugates(self, st: _State) -> set[_State]:
+        """Every simultaneous conjugate of st."""
+        row = self.ranks.row
+        return {tuple(map(row[u].__getitem__, st)) for u in self.ranks.elements()}
+
+    def canonical(self, st: _State) -> tuple[_State, int]:
+        """The least conjugate of st (its class key) and a u taking st
+        to it.  Only the conjugators that make the first two entries
+        least can give it, so only they are tried."""
+        best = None
+        for u, row in self.ranks.least[st[0] * self.ranks.n + st[1]]:
+            c = tuple(map(row, st))
+            if best is None or c < best:
+                best, v = c, u
+        return best, v
+
+    def flood_classes(self, start: _State, limit: int | None = None
+                      ) -> tuple[dict[_State, int], set[int], bool]:
+        """The orbit of start modulo simultaneous conjugation, as
+        (voltages, discrepancies, cut).  The moves commute with
+        conjugation, so the flood runs on class keys: voltages maps the
+        key c of each class the orbit meets to a u with c^u in the
+        orbit.  A step that reaches a known class with another voltage
+        gives a discrepancy, an element of the orbit's stabiliser H in
+        S_d; by Schreier's lemma the discrepancies generate H.  Where S_d
+        acts freely, as on full-monodromy systems at d >= 3, every class
+        meets the orbit in |H| systems, so the orbit has len(voltages) *
+        |H| of them.  The flood is cut at the first level boundary past
+        limit classes.  States need at least two entries."""
+        n, inv, mul = self.ranks.n, self.ranks.inv, self.ranks.mul
+        key, v = self.canonical(start)
+        voltages = {key: inv[v]}
+        discrepancies: set[int] = set()
+        level = [key]
+        while level:
+            if limit is not None and len(voltages) > limit:
+                return voltages, discrepancies, True
+            found = []
+            for c in level:
+                u = voltages[c]
+                for _, step in self.steps:
+                    # step(c)^u is in the orbit and step(c)^v = key
+                    key, v = self.canonical(step(c))
+                    x = mul[inv[v] * n + u]
+                    known = voltages.get(key)
+                    if known is None:
+                        voltages[key] = x
+                        found.append(key)
+                    elif known != x:
+                        discrepancies.add(mul[inv[known] * n + x])
+            level = found
+        return voltages, discrepancies, False
 
     def _step(self, move: Move) -> _Step:
         if move.kind == "braid":
@@ -419,7 +493,8 @@ def census(d: int, h: int, w: int, selector: str = "full",
     fly.  The result is partial when the budget ran out before every
     filtered system was reached.  With the full-monodromy filter the
     population is first tried by count (see _census_by_count), which
-    skips the enumeration when the systems form one orbit.  threads is
+    skips the enumeration when the systems form one orbit; at d >= 3
+    it floods conjugacy classes, not systems.  threads is
     ignored; it stays only because perfbench/run.py calls
     census(..., threads=1)."""
     kernel = _Kernel(d, h, w, compile_moves(d, h, w, selector))
@@ -438,7 +513,8 @@ def census(d: int, h: int, w: int, selector: str = "full",
         members = links.keys()
         # orbits are disjoint, so a member missing from remaining was
         # never in the filtered population
-        orbits.append(_orbit_record(kernel, members, members - remaining))
+        orbits.append(_orbit_record(kernel, len(members), heapq.nsmallest(3, members),
+                                    members - remaining))
         remaining.difference_update(members)
         total += len(members)
         if budget is not None and total >= budget:
@@ -451,12 +527,19 @@ def census(d: int, h: int, w: int, selector: str = "full",
 def _census_by_count(kernel: _Kernel, filter: Callable[[HurwitzSystem], bool],
                      budget: int | None) -> list[OrbitRecord] | None:
     """The full-monodromy census without enumeration, or None where it
-    cannot be decided this way.  A flood from one full-monodromy system
-    that reaches all frobenius.full_monodromy_count of them has found
-    the whole population, so it is the one orbit.  None when no count
-    is known, the budget is below the count, or the flood reaches fewer
-    systems (several orbits); the enumerating census decides those.
-    An empty list when there is no full-monodromy system."""
+    cannot be decided this way.  An orbit of one full-monodromy system
+    that has all frobenius.full_monodromy_count of them is the whole
+    population, so it is the one orbit.  None when no count is known,
+    the budget is below the count, or the orbit is smaller (several
+    orbits); the enumerating census decides those.  An empty list when
+    there is no full-monodromy system.
+
+    At d >= 3 the orbit is flooded modulo simultaneous conjugation
+    (_Kernel.flood_classes): S_d acts freely on full-monodromy systems
+    there, so the orbit has classes * |H| members for its stabiliser H,
+    from d!-fold fewer states.  Full monodromy is invariant under
+    conjugation, so the filter is checked on one key per class.  At
+    d <= 2 conjugation acts trivially and the systems are flooded."""
     d, h, w = kernel.d, kernel.h, kernel.w
     # the first draw runs the enumeration guard before any count is made
     seed = next(enumerate_systems(d, h, w, filter), None)
@@ -468,28 +551,39 @@ def _census_by_count(kernel: _Kernel, filter: Callable[[HurwitzSystem], bool],
             raise AssertionError("no full-monodromy system at d=%d h=%d w=%d, but the count "
                                  "is %d" % (d, h, w, count))
         return []
-    # one level past the count, so a count that is too small shows
-    links, _, cut = kernel.flood(kernel.state(seed), count + 1)
-    if cut:
-        raise AssertionError("the orbit of %s has more than the %d full-monodromy systems "
-                             "counted" % (serialize(seed), count))
-    if len(links) < count:
+    start = kernel.state(seed)
+    # flood one level past the count, so a count that is too small shows
+    if d <= 2:
+        links, _, cut = kernel.flood(start, count + 1)
+        classes, order = links.keys(), 1
+    else:
+        voltages, discrepancies, cut = kernel.flood_classes(start, count // kernel.ranks.n)
+        classes = voltages.keys()
+        order = group_order([kernel.ranks.perm[u] for u in discrepancies], d)
+    # more classes than count // d! hold more than count systems
+    if cut or len(classes) * order > count:
+        raise AssertionError("the conjugates of the orbit of %s are more than the %d "
+                             "full-monodromy systems counted" % (serialize(seed), count))
+    if len(classes) * order < count:
         return None
-    members = links.keys()
-    return [_orbit_record(kernel, members,
-                          [st for st in members if not filter(kernel.system(st))])]
+    # a member's class key is at most the member, and with the whole
+    # population in the orbit every key is a member: the three least
+    # members are conjugates of the three least keys
+    least = heapq.nsmallest(3, {c for st in heapq.nsmallest(3, classes)
+                                for c in kernel.conjugates(st)})
+    return [_orbit_record(kernel, count, least,
+                          [st for st in classes if not filter(kernel.system(st))])]
 
 
-def _orbit_record(kernel: _Kernel, members, escaped) -> OrbitRecord:
-    """The census record of one orbit.  Members outside the filtered
-    population (escaped) mean the filter is not invariant under the
-    moves."""
+def _orbit_record(kernel: _Kernel, size: int, least: list[_State], escaped) -> OrbitRecord:
+    """The census record of one orbit of size members, the least of
+    them first.  Members outside the filtered population (escaped) mean
+    the filter is not invariant under the moves."""
     if escaped:
         raise AssertionError("orbit escaped the filter at %s" % kernel.key(min(escaped)))
-    least = heapq.nsmallest(3, members)
     samples = tuple(kernel.key(st) for st in least)
     rep = kernel.system(least[0])
-    return OrbitRecord(samples[0], len(members), is_full_monodromy(rep),
+    return OrbitRecord(samples[0], size, is_full_monodromy(rep),
                        samples, tuple(branching_blocks(rep)))
 
 

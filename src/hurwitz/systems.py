@@ -331,33 +331,31 @@ def enumerate_systems(d: int, h: int, w: int,
         raise ValueError("h and w must be non-negative, got h=%d w=%d" % (h, w))
     if _estimate_count(d, h, w) > ENUMERATION_GUARD:
         raise ValueError("enumeration would exceed the guard of %d systems" % ENUMERATION_GUARD)
+    if w % 2:
+        return
     trans = all_transpositions(d)
     pairs = _commutator_pairs(d) if h > 0 else {}
-    ident = identity(d)
-
-    def rec(prefix: list[Perm], prod: Perm) -> Iterator[HurwitzSystem]:
-        if h == 0 and len(prefix) == w - 1:
-            # the last transposition is forced by the relator
-            last = inverse(prod)
-            if is_transposition(last):
-                sys = HurwitzSystem(d, (), tuple(prefix) + (last,))
-                if filter is None or filter(sys):
-                    yield sys
-            return
-        if len(prefix) == w:
-            target = inverse(prod)
-            for handles in _handle_tuples(target, h, pairs, d):
-                sys = HurwitzSystem(d, handles, tuple(prefix))
-                if filter is None or filter(sys):
-                    yield sys
-            return
-        for t in trans:
-            prefix.append(t)
-            yield from rec(prefix, compose(prod, t))
-            prefix.pop()
-
-    if w % 2 == 0:
-        yield from rec([], ident)
+    # at h = 0 the last transposition is forced by the relator
+    forced = h == 0 and w > 0
+    free = w - 1 if forced else w
+    # depth first on an explicit stack, since w may pass the recursion
+    # limit; children are pushed in reverse so prefixes come out in lex
+    # order
+    stack = [((), identity(d))]
+    while stack:
+        prefix, prod = stack.pop()
+        if len(prefix) < free:
+            stack += [(prefix + (t,), compose(prod, t)) for t in reversed(trans)]
+            continue
+        target = inverse(prod)
+        if forced:
+            found = [HurwitzSystem(d, (), prefix + (target,))] if is_transposition(target) else []
+        else:
+            found = (HurwitzSystem(d, handles, prefix)
+                     for handles in _handle_tuples(target, h, pairs, d))
+        for sys in found:
+            if filter is None or filter(sys):
+                yield sys
 
 
 def random_system(d: int, h: int, w: int, rng,

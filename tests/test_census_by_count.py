@@ -2,21 +2,24 @@
 
 census proves that the full-monodromy systems form one orbit by a flood
 that reaches frobenius.full_monodromy_count of them, without
-enumerating the population.  Both the count and that path are checked
-here against the enumeration they replace: a filter that is not
-is_full_monodromy itself (a lambda around it) forces the enumerating
-census.
+enumerating the population; at d >= 3 it floods conjugacy classes and
+counts the orbit as classes * |H|.  The count, that path and the
+quotient flood are checked here against the enumeration and the plain
+flood they replace: a filter that is not is_full_monodromy itself (a
+lambda around it) forces the enumerating census.
 """
 
 import re
+from itertools import permutations
+from math import factorial
 
 import pytest
 
 from hurwitz import orbits
 from hurwitz.frobenius import frobenius_count, full_monodromy_count, transitive_count
-from hurwitz.orbits import census
-from hurwitz.perms import orbit_blocks
-from hurwitz.systems import enumerate_systems, is_full_monodromy
+from hurwitz.orbits import _Kernel, census, compile_moves
+from hurwitz.perms import conjugate, group_order, orbit_blocks
+from hurwitz.systems import HurwitzSystem, enumerate_systems, is_full_monodromy
 
 CASES = [(d, h, w) for d in (1, 2, 3, 4) for h in (0, 1, 2) for w in range(0, 9, 2)
          if frobenius_count(d, h, w) <= 10_000]
@@ -79,6 +82,53 @@ def test_several_orbits_fall_back_to_enumeration():
     assert [rec.size for rec in res.orbits] == [1, 1, 1, 1]
 
 
+@pytest.mark.parametrize("selector", ["braid", "full"])
+@pytest.mark.parametrize("d,h,w", [case for case in COUNTED if case[0] >= 3])
+def test_classes_cover_the_full_monodromy_systems(d, h, w, selector):
+    kernel = _Kernel(d, h, w, compile_moves(d, h, w, selector))
+    full = {kernel.state(sys) for sys in enumerate_systems(d, h, w, is_full_monodromy)}
+    reached = set()
+    # braids alone leave several orbits at h >= 1: flood until all are met
+    while full - reached:
+        seed = min(full - reached)
+        orbit = kernel.flood(seed)[0]
+        voltages, _, cut = kernel.flood_classes(seed)
+        assert not cut
+        for key, u in voltages.items():
+            conjugates = kernel.conjugates(key)
+            # a class key is its least conjugate, S_d acts freely, and
+            # the voltage conjugates the key into the orbit
+            assert key == min(conjugates) and len(conjugates) == factorial(d)
+            assert tuple(map(kernel.ranks.row[u].__getitem__, key)) in orbit
+            reached |= conjugates
+    assert reached == full
+
+
+@pytest.mark.parametrize("selector", ["braid", "full"])
+@pytest.mark.parametrize("d,h,w", [(3, 1, 4), (3, 0, 4), (3, 1, 6), (4, 0, 6)])
+def test_classes_times_stabiliser_is_the_orbit(d, h, w, selector):
+    # the full-monodromy cases of tests/test_kernel.py's census pins,
+    # from the least member of every orbit
+    kernel = _Kernel(d, h, w, compile_moves(d, h, w, selector))
+    remaining = {kernel.state(sys) for sys in enumerate_systems(d, h, w, is_full_monodromy)}
+    orders = set()
+    while remaining:
+        start = min(remaining)
+        orbit = kernel.flood(start)[0]
+        voltages, discrepancies, cut = kernel.flood_classes(start)
+        # each discrepancy maps the orbit to itself
+        assert all(tuple(map(kernel.ranks.row[u].__getitem__, start)) in orbit
+                   for u in discrepancies)
+        order = group_order([kernel.ranks.perm[u] for u in discrepancies], d)
+        assert not cut and len(voltages) * order == len(orbit)
+        orders.add(order)
+        remaining.difference_update(orbit)
+    if (h, selector) == (1, "braid"):
+        # braids never change the handles, so the orbits split classes:
+        # stabilisers are proper subgroups
+        assert min(orders) < factorial(d)
+
+
 @pytest.fixture
 def draws(monkeypatch):
     """Count the systems census takes from enumerate_systems."""
@@ -98,16 +148,25 @@ def test_by_count_draws_one_system(draws):
     assert (len(res.orbits), res.total, res.partial) == (1, 2880, False)
 
 
-def test_escape_check_fires_on_the_by_count_path(monkeypatch, draws):
-    members = list(enumerate_systems(3, 0, 4, is_full_monodromy))
-    rejected = members[-1]
+def conjugates(sys):
+    return {HurwitzSystem(sys.d, tuple(conjugate(p, u) for p in sys.handles),
+                          tuple(conjugate(t, u) for t in sys.transpositions))
+            for u in permutations(range(1, sys.d + 1))}
 
-    def all_but_one(sys):
-        return sys != rejected and is_full_monodromy(sys)
-    monkeypatch.setattr(orbits, "is_full_monodromy", all_but_one)
-    message = "orbit escaped the filter at %s" % orbits.serialize(rejected)
+
+def test_escape_check_fires_on_the_by_count_path(monkeypatch, draws):
+    # the by-count path checks one system per conjugacy class, which is
+    # sound because full monodromy is conjugation-invariant; a broken
+    # filter is therefore modelled as rejecting a whole class
+    members = list(enumerate_systems(3, 0, 4, is_full_monodromy))
+    rejected = conjugates(members[-1])
+
+    def all_but_one_class(sys):
+        return sys not in rejected and is_full_monodromy(sys)
+    monkeypatch.setattr(orbits, "is_full_monodromy", all_but_one_class)
+    message = "orbit escaped the filter at %s" % min(map(orbits.serialize, rejected))
     with pytest.raises(AssertionError, match="^%s$" % re.escape(message)):
-        census(3, 0, 4, "full", all_but_one, "full-monodromy")
+        census(3, 0, 4, "full", all_but_one_class, "full-monodromy")
     assert len(draws) == 1
 
 

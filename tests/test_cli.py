@@ -139,6 +139,15 @@ class TestExploreCensus:
         assert "replay: OK (4 states" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [["census", "--d", "2", "--h", "0", "--w", "1000"],
+                                  ["verify", "--case", "2,0,1000"]])
+def test_more_branch_points_than_the_recursion_limit(capsys, argv):
+    # one system with 1000 transpositions: enumeration must not recurse
+    # once per branch point
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+
+
 class TestConnectReplay:
     def test_connected_with_certificate(self, tmp_path, capsys):
         t = transposition(2, 1, 2)
