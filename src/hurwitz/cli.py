@@ -135,6 +135,8 @@ def _parse_filter(text: str, d: int):
             except ValueError:
                 raise UsageError("bad group filter %r" % text)
         sizes.sort(reverse=True)
+        if sizes[-1] < 1:
+            raise UsageError("bad group filter %r" % text)
         if sum(sizes) != d:
             raise UsageError("group filter %r does not partition %d points" % (text, d))
         want = tuple(sizes)
@@ -178,9 +180,12 @@ def _load_system(path: str) -> HurwitzSystem:
 def _write_out(path: str | None, text: str) -> None:
     if path is None:
         _sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise UsageError("cannot write %s: %s" % (path, exc))
 
 
 def _cert_json(cert: Certificate) -> str:
@@ -341,7 +346,10 @@ def cmd_census(args) -> int:
             raise UsageError("no orbit to log")
         moves = compile_moves(args.d, args.h, args.w, args.moves)
         flood = orbit_bfs(deserialize(res.orbits[0].rep), moves)
-        write_predecessor_log(args.log, flood)
+        try:
+            write_predecessor_log(args.log, flood)
+        except OSError as exc:
+            raise UsageError("cannot write %s: %s" % (args.log, exc))
     return EXIT_BUDGET if res.partial else EXIT_PASS
 
 

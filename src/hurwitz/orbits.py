@@ -3,24 +3,25 @@
 Exhaustive breadth-first floods answer the connectivity questions
 exactly: a census partitions every system with given parameters into
 move orbits, and connect searches for an explicit path between two
-systems.  A full-monodromy census first tries one flood against the
-exact count of frobenius.full_monodromy_count: reaching that many
-systems proves they form one orbit, with no enumeration.  At d >= 3
-that flood runs modulo simultaneous conjugation by S_d, which commutes
+systems.  At d >= 3 a full-monodromy census first tries one flood
+against the exact count of frobenius.full_monodromy_count: reaching
+that many systems proves they form one orbit, with no enumeration.
+That flood runs modulo simultaneous conjugation by S_d, which commutes
 with the moves and acts freely on full-monodromy systems: it floods
 one key per conjugacy class and counts the orbit as classes times the
 order of its stabiliser, from d!-fold fewer states.  All three
 searches run on one integer kernel: a state is a tuple of permutation
-ranks, numbered so that tuple order is system-line order, and moves
-are memoized table lookups.  The kernel grows every search the same
-way: expand applies each move to a frontier and links each new state
-to the state and token that reached it, and flood repeats that level
-by level.  census and orbit_bfs are floods, connect expands whichever
-of its two sides is smaller.  System lines are written only for what a
-search reports.  Everything here is deterministic by construction:
-frontiers are processed in sorted order and the first discovery wins.
-Budgets make long runs interruptible: a partial result is flagged,
-never silently truncated.
+ranks, numbered so that tuple order is system-line order, and every
+move, braid or push, is its certified catalog map evaluated through
+memoized products, as moves.py applies it.  The kernel grows every
+search the same way: expand applies each move to a frontier and links
+each new state to the state and token that reached it, and flood
+repeats that level by level.  census and orbit_bfs are floods, connect
+expands whichever of its two sides is smaller.  System lines are
+written only for what a search reports.  Everything here is
+deterministic by construction: frontiers are processed in sorted order
+and the first discovery wins.  Budgets make long runs interruptible: a
+partial result is flagged, never silently truncated.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from math import factorial
 from operator import itemgetter
 from typing import Callable, Iterator
 
-from .catalog import catalog_hash, certified_push_endo
+from .catalog import catalog_hash, certified_braid_endo, certified_push_endo
 from .frobenius import full_monodromy_count
 from .moves import Certificate, Move, apply_move, certificate, invert_tokens, parse_move
 from .perms import Perm, compose, conjugate, group_order, identity, inverse
@@ -122,11 +123,10 @@ class _Ranks:
         self.identity = self.rank[identity(d)]
         n, perm, rank = self.n, self.perm, self.rank
         self.inv = _Memo(lambda x: rank[inverse(perm[x])])
-        # keyed x * n + y: the product x then y, and the conjugate y^-1 x y
+        # keyed x * n + y: the product x then y
         self.mul = _Memo(lambda key: rank[compose(perm[key // n], perm[key % n])])
-        self.conj = _Memo(lambda key: rank[conjugate(perm[key // n], perm[key % n])])
         # row[y][x] = y^-1 x y, for conjugating a whole state by y
-        self.row = _Memo(lambda y: _Memo(lambda x: self.conj[x * n + y]))
+        self.row = _Memo(lambda y: _Memo(lambda x: rank[conjugate(perm[x], perm[y])]))
         # keyed x * n + y: each u making the pair (x^u, y^u) least, with
         # row[u].__getitem__
         self.least = _Memo(self._least_conjugators)
@@ -137,10 +137,26 @@ class _Ranks:
 
     def _least_conjugators(self, key: int) -> list[tuple[int, Callable[[int], int]]]:
         x, y = divmod(key, self.n)
-        conj, n = self.conj, self.n
-        pairs = [((conj[x * n + u], conj[y * n + u]), u) for u in self.elements()]
+        row = self.row
+        pairs = [((row[u][x], row[u][y]), u) for u in self.elements()]
         least = min(pairs)[0]
-        return [(u, self.row[u].__getitem__) for pair, u in pairs if pair == least]
+        return [(u, row[u].__getitem__) for pair, u in pairs if pair == least]
+
+    def evaluator(self, program) -> Callable[[tuple[int, ...]], list[int]]:
+        """The values of program's words at a tuple of ranks, each word a
+        tuple of (place in that tuple, negate) letters."""
+        mul, inv, n, one = self.mul, self.inv, self.n, self.identity
+
+        def evaluate(values):
+            out = []
+            for word in program:
+                acc = one
+                for place, negate in word:
+                    x = values[place]
+                    acc = mul[acc * n + (inv[x] if negate else x)]
+                out.append(acc)
+            return out
+        return evaluate
 
     def _lehmer(self, p: Perm) -> int:
         if len(p) != self.d:
@@ -166,7 +182,10 @@ class _Kernel:
 
     def __init__(self, d: int, h: int, w: int, moves: tuple[CompiledMove, ...]):
         self.d, self.h, self.w = d, h, w
-        self.ranks = _Ranks(d)
+        ranks = self.ranks = _Ranks(d)
+        # program -> images memo, shared by every step with that program;
+        # it holds ranks, not the kernel, so a kernel is freed on return
+        self._images = _Memo(lambda program: _Memo(ranks.evaluator(program)))
         self.steps: list[tuple[str, _Step]] = [
             (mv.token, self._step(parse_move(mv.token))) for mv in moves]
 
@@ -262,60 +281,36 @@ class _Kernel:
         return voltages, discrepancies, False
 
     def _step(self, move: Move) -> _Step:
+        """The move as a step on states, built from its certified catalog
+        map: every catalog move changes exactly two generators (a braid
+        its two punctures, a push g_w and the opposite loop), so the step
+        evaluates their two images letter by letter through memoized
+        products.  The images depend only on the entries the words read,
+        so they are memoized on those, in one memo per distinct pair of
+        words (every forward braid shares one)."""
         if move.kind == "braid":
-            return self._braid(move.j, move.inverse)
-        return self._push(move.j, move.side, move.inverse)
-
-    def _braid(self, j: int, inverse_move: bool) -> _Step:
-        """(s, t) -> (t, t^-1 s t), or (s t s^-1, s) for the inverse,
-        at positions j, j+1, as the catalog's braid schema."""
-        conj, n, lo = self.ranks.conj, self.ranks.n, j - 1
-        if inverse_move:
-            def step(st):
-                s, t = st[lo], st[j]
-                return st[:lo] + (conj[t * n + s], s) + st[j + 1 :]
+            e = certified_braid_endo(self.h, self.w, move.j)
         else:
-            def step(st):
-                s, t = st[lo], st[j]
-                return st[:lo] + (t, conj[s * n + t]) + st[j + 1 :]
-        return step
-
-    def _push(self, i: int, side: str, inverse_move: bool) -> _Step:
-        """Evaluate the certified push's generator images that differ
-        from the generator, letter by letter through memoized products.
-        The new entries depend only on the entries the words read, so
-        they are memoized on those."""
-        e = certified_push_endo(self.h, self.w, i, side)
-        if inverse_move:
+            e = certified_push_endo(self.h, self.w, move.j, move.side)
+        if move.inverse:
             e = e.inverse()
         two_h, w = 2 * self.h, self.w
 
         def entry(k: int) -> int:  # state index of generator k (1-based)
             return w + k - 1 if k <= two_h else k - two_h - 1
 
-        changes = [(entry(k), [(entry(abs(letter)), letter < 0) for letter in word])
-                   for k, word in e.changes()]
-        targets = [target for target, _ in changes]
-        read = sorted({k for _, program in changes for k, _ in program})
-        mul, inv, n, one = self.ranks.mul, self.ranks.inv, self.ranks.n, self.ranks.identity
-
-        def evaluate(key) -> tuple[int, ...]:
-            values = dict(zip(read, key))  # a push reads two entries or more
-            out = []
-            for _, program in changes:
-                acc = one
-                for k, negate in program:
-                    x = inv[values[k]] if negate else values[k]
-                    acc = mul[acc * n + x]
-                out.append(acc)
-            return tuple(out)
-
-        images, get = _Memo(evaluate), itemgetter(*read)
+        changes = [(entry(k), word) for k, word in e.changes()]
+        # an automorphism changing two generators reads two entries or more
+        read = sorted({entry(abs(letter)) for _, word in changes for letter in word})
+        place = {k: p for p, k in enumerate(read)}
+        (a, first), (b, second) = changes
+        program = tuple(tuple((place[entry(abs(letter))], letter < 0) for letter in word)
+                        for word in (first, second))
+        images, get = self._images[program], itemgetter(*read)
 
         def step(st):
             new = list(st)
-            for target, value in zip(targets, images[get(st)]):
-                new[target] = value
+            new[a], new[b] = images[get(st)]
             return tuple(new)
         return step
 
@@ -479,7 +474,7 @@ class CensusResult:
                 "samples": list(rec.samples),
                 "blocks": [list(b) for b in rec.blocks],
             }, sort_keys=True))
-        return "\n".join(lines) + "\n"
+        return "".join(line + "\n" for line in lines)
 
 
 def census(d: int, h: int, w: int, selector: str = "full",
@@ -491,14 +486,15 @@ def census(d: int, h: int, w: int, selector: str = "full",
     invariant under the moves (monodromy-based filters are: moves
     preserve the monodromy subgroup exactly), which is checked on the
     fly.  The result is partial when the budget ran out before every
-    filtered system was reached.  With the full-monodromy filter the
-    population is first tried by count (see _census_by_count), which
-    skips the enumeration when the systems form one orbit; at d >= 3
-    it floods conjugacy classes, not systems.  threads is
-    ignored; it stays only because perfbench/run.py calls
+    filtered system was reached.  With the full-monodromy filter at
+    d >= 3 the population is first tried by count (see
+    _census_by_count), which floods conjugacy classes, not systems, and
+    skips the enumeration when the systems form one orbit; at d <= 2
+    there are at most 4^h such systems and they are enumerated.  threads
+    is ignored; it stays only because perfbench/run.py calls
     census(..., threads=1)."""
     kernel = _Kernel(d, h, w, compile_moves(d, h, w, selector))
-    if filter is is_full_monodromy:
+    if filter is is_full_monodromy and d >= 3:
         orbits = _census_by_count(kernel, filter, budget)
         if orbits is not None:
             return CensusResult(d, h, w, selector, filter_name, orbits,
@@ -526,20 +522,19 @@ def census(d: int, h: int, w: int, selector: str = "full",
 
 def _census_by_count(kernel: _Kernel, filter: Callable[[HurwitzSystem], bool],
                      budget: int | None) -> list[OrbitRecord] | None:
-    """The full-monodromy census without enumeration, or None where it
-    cannot be decided this way.  An orbit of one full-monodromy system
-    that has all frobenius.full_monodromy_count of them is the whole
-    population, so it is the one orbit.  None when no count is known,
-    the budget is below the count, or the orbit is smaller (several
-    orbits); the enumerating census decides those.  An empty list when
-    there is no full-monodromy system.
+    """The full-monodromy census at d >= 3 without enumeration, or None
+    where it cannot be decided this way.  An orbit of one full-monodromy
+    system that has all frobenius.full_monodromy_count of them is the
+    whole population, so it is the one orbit.  None when no count is
+    known, the budget is below the count, or the orbit is smaller
+    (several orbits); the enumerating census decides those.  An empty
+    list when there is no full-monodromy system.
 
-    At d >= 3 the orbit is flooded modulo simultaneous conjugation
+    The orbit is flooded modulo simultaneous conjugation
     (_Kernel.flood_classes): S_d acts freely on full-monodromy systems
-    there, so the orbit has classes * |H| members for its stabiliser H,
-    from d!-fold fewer states.  Full monodromy is invariant under
-    conjugation, so the filter is checked on one key per class.  At
-    d <= 2 conjugation acts trivially and the systems are flooded."""
+    at d >= 3, so the orbit has classes * |H| members for its stabiliser
+    H, from d!-fold fewer states.  Full monodromy is invariant under
+    conjugation, so the filter is checked on one key per class."""
     d, h, w = kernel.d, kernel.h, kernel.w
     # the first draw runs the enumeration guard before any count is made
     seed = next(enumerate_systems(d, h, w, filter), None)
@@ -551,15 +546,12 @@ def _census_by_count(kernel: _Kernel, filter: Callable[[HurwitzSystem], bool],
             raise AssertionError("no full-monodromy system at d=%d h=%d w=%d, but the count "
                                  "is %d" % (d, h, w, count))
         return []
-    start = kernel.state(seed)
-    # flood one level past the count, so a count that is too small shows
-    if d <= 2:
-        links, _, cut = kernel.flood(start, count + 1)
-        classes, order = links.keys(), 1
-    else:
-        voltages, discrepancies, cut = kernel.flood_classes(start, count // kernel.ranks.n)
-        classes = voltages.keys()
-        order = group_order([kernel.ranks.perm[u] for u in discrepancies], d)
+    # flood one level past count // d! classes, so a count that is too
+    # small shows
+    voltages, discrepancies, cut = kernel.flood_classes(kernel.state(seed),
+                                                        count // kernel.ranks.n)
+    classes = voltages.keys()
+    order = group_order([kernel.ranks.perm[u] for u in discrepancies], d)
     # more classes than count // d! hold more than count systems
     if cut or len(classes) * order > count:
         raise AssertionError("the conjugates of the orbit of %s are more than the %d "

@@ -106,6 +106,17 @@ class TestExploreCensus:
         assert rec["size"] == 4 and rec["full_monodromy"] is True
         assert rec["params"]["filter"] == "full-monodromy"
 
+    @pytest.mark.parametrize("argv", [
+        ["--d", "3", "--h", "1", "--w", "0", "--filter", "full-monodromy"],  # no orbit
+        ["--d", "3", "--h", "0", "--w", "4"],
+    ])
+    def test_census_out_is_jsonl(self, tmp_path, argv):
+        path = tmp_path / "census.jsonl"
+        assert main(["census"] + argv + ["--out", str(path)]) == 0
+        for line in path.read_text().splitlines(keepends=True):
+            assert line.endswith("\n")
+            json.loads(line)
+
     def test_census_budget_inconclusive(self, capsys):
         assert main(["census", "--d", "3", "--h", "0", "--w", "4",
                      "--moves", "braid", "--budget", "5"]) == 3

@@ -14,6 +14,7 @@ from math import factorial
 
 import pytest
 
+from hurwitz import catalog
 from hurwitz.cli import main
 from hurwitz.moves import apply_move, parse_move
 from hurwitz.orbits import (_Kernel, _Ranks, census, compile_moves, connect,
@@ -50,6 +51,24 @@ def test_kernel_moves_match_reference(d, h, w, selector):
         assert kernel.system(state) == sys
         for (token, step), move in zip(kernel.steps, references):
             assert kernel.system(step(state)) == apply_move(sys, move), token
+
+
+def test_kernel_follows_the_catalog(monkeypatch):
+    # a catalog whose braid is the inverse braid: the kernel's steps must
+    # change with it, as the reference moves do
+    schemas = catalog.get_schemas()
+    swapped = dict(schemas.sections, **{"braid": schemas.sections["braid^-1"],
+                                        "braid^-1": schemas.sections["braid"]})
+    monkeypatch.setattr(catalog, "get_schemas", lambda: catalog.Schemas(swapped))
+    catalog.certified_braid_endo.cache_clear()
+    try:
+        kernel = _Kernel(3, 0, 4, compile_moves(3, 0, 4, "full"))
+        for sys in enumerate_systems(3, 0, 4):
+            state = kernel.state(sys)
+            for token, step in kernel.steps:
+                assert kernel.system(step(state)) == apply_move(sys, parse_move(token)), token
+    finally:
+        catalog.certified_braid_endo.cache_clear()
 
 
 # ---------------------------------------------------------------------------

@@ -290,10 +290,27 @@ def test_system_file_not_utf8_is_a_usage_error(tmp_path, capsys):
     ["explore", "--d", "4", "--h", "1", "--w", "12"],
     ["verify", "--case", "9,0,18", "--method", "census"],
     ["verify", "--case", "5,1,10", "--method", "census", "--budget", "10000000000000"],
+    ["explore", "--d", "3", "--h", "0", "--w", "2", "--filter", "group=-1x4"],
+    ["explore", "--d", "3", "--h", "0", "--w", "2", "--filter", "group=0x3"],
 ])
 def test_out_of_range_parameters_are_a_usage_error(capsys, argv):
     assert main(argv) == 2
     one_error_line(capsys)
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["census", "--d", "3", "--h", "0", "--w", "4"], "--out"),
+    (["census", "--d", "3", "--h", "0", "--w", "4"], "--log"),
+    (["verify", "--case", "2,1,4"], "--out"),
+    (["explore", "--d", "3", "--h", "0", "--w", "4"], "--out"),
+    (["count", "--d", "2", "--h", "0", "--w", "2"], "--out"),
+])
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys, argv, flag):
+    path = str(tmp_path / "missing" / "report")
+    assert main(argv + [flag, path]) == 2
+    # verify and explore print their table before writing the report
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: cannot write " + path)
 
 
 def test_count_past_the_digit_limit_is_a_usage_error(capsys):
