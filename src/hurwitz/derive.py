@@ -50,7 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .words import Word, concat, invert_word, reduce_word
+from .words import Word, concat, invert_word, reduce_word, strip_conjugate
 
 A, B, G, K, Q, T = 1, 2, 3, 4, 5, 6
 TOKEN_NAMES = {A: "a", B: "b", G: "g", K: "K", Q: "Q", T: "T"}
@@ -76,15 +76,6 @@ def words_by_length(alphabet: tuple[int, ...], max_len: int) -> Iterator[list[Wo
     for _ in range(max_len):
         level = [w + (x,) for w in level for x in letters if not w or w[-1] != -x]
         yield level
-
-
-def strip_conjugate(u: Word) -> tuple[Word, Word]:
-    """u = V . core . V^-1 with core cyclically reduced; (V, core)."""
-    v = []
-    while len(u) >= 2 and u[0] == -u[-1]:
-        v.append(u[0])
-        u = u[1:-1]
-    return tuple(v), u
 
 
 @dataclass(frozen=True)

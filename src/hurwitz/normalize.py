@@ -12,12 +12,15 @@ canonical system of its parameters, recording a replayable move word:
      watch the total handle weight drop by one each round,
   4. finish with a pure braid rewrite onto the star-shaped tuple.
 
-Step counts are uniformly bounded (no search is involved in fast
-mode), so canonicalization is linear time for fixed parameters.  The
-block rewrites are justified by braid-orbit transitivity on full
-blocks; validate mode realizes each one as an explicit braid word with
-the bidirectional search of orbits.connect and fails loudly if the
-orbits do not match.
+The word is built once, with window rewrites and pair retypes as macro
+tokens.  No search is involved and step counts are uniformly bounded,
+so canonicalization is linear time for fixed parameters.  The block
+rewrites are justified by braid-orbit transitivity on full blocks.
+canonicalize replays the finished word, checking every macro; validate
+mode expands it on that replay, replacing each macro by the elementary
+word orbits.connect finds from the system the macro acts on, which
+must land where the macro does.  A search that proves two orbits
+differ fails loudly; one that spends its budget raises BudgetError.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from dataclasses import replace
 from .catalog import certified_push_endo
 from .moves import (
     Certificate,
+    apply_move,
     apply_word,
     braid,
     certificate,
@@ -35,7 +39,7 @@ from .moves import (
     pair_retype,
     parse_move,
 )
-from .orbits import BudgetError, connect
+from .orbits import connect
 from .perms import (
     Perm,
     conjugate,
@@ -67,8 +71,8 @@ class OrbitMismatchError(NormalizeError):
     """Two window tuples proved to lie in different braid orbits."""
 
 
-class BudgetExceededError(NormalizeError):
-    """Search stopped before reaching an answer either way."""
+# states either search of validate mode may hold before it gives up
+SEARCH_BUDGET = 2_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -151,24 +155,22 @@ def prop_split_normal_form(points: tuple[int, ...], g: Perm, w_m: int,
 
 def realize_block_rewrite(sys: HurwitzSystem, lo: int, hi: int,
                           target: tuple[Perm, ...],
-                          budget: int = 2_000_000) -> list[str]:
+                          budget: int = SEARCH_BUDGET) -> list[str]:
     """Braid word carrying the window lo..hi onto target, found by
-    orbits.connect on the window alone.  Exhausting both frontiers
-    without meeting proves the tuples lie in different braid orbits,
-    which the callers treat as a hard counterexample.  The budget
-    follows connect's rule: it is checked at level boundaries against
-    the states held by both sides together."""
+    orbits.connect on the window alone; validate mode calls it for each
+    W token of the finished word.  Exhausting both frontiers without
+    meeting proves the tuples lie in different braid orbits, which is a
+    hard counterexample.  The budget follows connect's rule: it is
+    checked at level boundaries against the states held by both sides
+    together, and connect's BudgetError passes through."""
     src = sys.transpositions[lo - 1 : hi]
     if len(target) != len(src):
         raise NormalizeError("rewrite target has %d entries for a %d-entry window"
                              % (len(target), len(src)))
     if product(src, sys.d) != product(target, sys.d):
         raise OrbitMismatchError("window products differ, no braid word can exist")
-    try:
-        cert = connect(HurwitzSystem(sys.d, (), src), HurwitzSystem(sys.d, (), target),
-                       "braid", budget)
-    except BudgetError:
-        raise BudgetExceededError("rewrite search exceeded %d states" % budget) from None
+    cert = connect(HurwitzSystem(sys.d, (), src), HurwitzSystem(sys.d, (), target),
+                   "braid", budget)
     if cert is None:
         raise OrbitMismatchError(
             "window %d..%d of %s cannot be braided to %s" %
@@ -178,46 +180,19 @@ def realize_block_rewrite(sys: HurwitzSystem, lo: int, hi: int,
 
 
 def _apply_rewrite(sys: HurwitzSystem, lo: int, hi: int, target: tuple[Perm, ...],
-                   tokens: list[str], mode: str) -> HurwitzSystem:
-    """Replace the window, as a macro token in fast mode or through an
-    explicit braid realization in validate mode.  The macro is checked
-    once, when canonicalize replays the finished word."""
+                   tokens: list[str]) -> HurwitzSystem:
+    """Replace the window and record the macro token.  The macro is
+    checked when canonicalize replays the finished word."""
     if sys.transpositions[lo - 1 : hi] == target:
         return sys
-    if mode == "validate":
-        braid_tokens = realize_block_rewrite(sys, lo, hi, target)
-        new = apply_word(sys, " ".join(braid_tokens))
-        if new.transpositions[lo - 1 : hi] != target:
-            raise NormalizeError("braid realization missed its target")
-        tokens.extend(braid_tokens)
-        return new
     tokens.append("W%d-%d:%s" % (lo, hi, ";".join(format_perm(t) for t in target)))
     return HurwitzSystem(sys.d, sys.handles, sys.transpositions[: lo - 1] + target + sys.transpositions[hi:])
-
-
-def _apply_retype(sys: HurwitzSystem, j: int, tau: Perm,
-                  tokens: list[str], mode: str) -> HurwitzSystem:
-    """Retype the pair at j.  In fast mode this is a macro token; in
-    validate mode its effect is realized as an explicit elementary-move
-    word by bidirectional search (the macro is justified into the full
-    move orbit, not the braid orbit, so point-pushes may appear)."""
-    new = pair_retype(sys, j, tau)
-    if mode == "validate":
-        cert = connect(sys, new, "full")
-        if cert is None:
-            raise NormalizeError("retype at %d of %s is not realizable by elementary moves"
-                                 % (j, serialize(sys)))
-        tokens.extend(cert.moves.split())
-        return new
-    tokens.append("R%d:%s" % (j, format_perm(tau)))
-    return new
 
 
 # ---------------------------------------------------------------------------
 # branching repair: make the transpositions generate all of S_d
 
-def repair_branching_monodromy(sys: HurwitzSystem,
-                               mode: str = "fast") -> tuple[HurwitzSystem, list[str]]:
+def repair_branching_monodromy(sys: HurwitzSystem) -> tuple[HurwitzSystem, list[str]]:
     """Merge the branching blocks until the transpositions alone
     generate S_d, by rewriting a long enough block into split normal
     form and retyping its doubled tail across a block boundary.  Needs
@@ -251,10 +226,11 @@ def repair_branching_monodromy(sys: HurwitzSystem,
         window_product = product(sys.transpositions[lo - 1 : hi], sys.d)
         tau = transposition(sys.d, blk[0], blk[1])
         normal = prop_split_normal_form(blk, window_product, counts[chosen], tau)
-        sys = _apply_rewrite(sys, lo, hi, normal, tokens, mode)
+        sys = _apply_rewrite(sys, lo, hi, normal, tokens)
         partner = blocks[chosen + 1] if chosen + 1 < len(blocks) else blocks[chosen - 1]
         bridge = transposition(sys.d, blk[0], partner[0])
-        sys = _apply_retype(sys, hi - 1, bridge, tokens, mode)
+        sys = pair_retype(sys, hi - 1, bridge)
+        tokens.append("R%d:%s" % (hi - 1, format_perm(bridge)))
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +246,7 @@ def _push_conjugator(sys: HurwitzSystem, i: int, side: str) -> Perm:
     return evaluate_word(v, sys)
 
 
-def trivialize_handle(sys: HurwitzSystem, i: int,
-                      mode: str = "fast") -> tuple[HurwitzSystem, list[str]]:
+def trivialize_handle(sys: HurwitzSystem, i: int) -> tuple[HurwitzSystem, list[str]]:
     """Drive the entries of handle i to the identity.
 
     Each round repairs the branching monodromy, stages the whole
@@ -299,12 +274,12 @@ def trivialize_handle(sys: HurwitzSystem, i: int,
         v = _push_conjugator(sys, i, side)
         # the push multiplies the handle entry by v t_w v^-1
         tau = conjugate(splitter, v)
-        sys, repair_tokens = repair_branching_monodromy(sys, mode)
+        sys, repair_tokens = repair_branching_monodromy(sys)
         tokens.extend(repair_tokens)
         staged = prop_split_normal_form(tuple(range(1, sys.d + 1)),
                                         product(sys.transpositions, sys.d),
                                         sys.w, tau)
-        sys = _apply_rewrite(sys, 1, sys.w, staged, tokens, mode)
+        sys = _apply_rewrite(sys, 1, sys.w, staged, tokens)
         before = weight(lam) + weight(mu)
         sys = handle_push(sys, i, side)
         tokens.append("P%s%d" % (side, i))
@@ -334,9 +309,12 @@ def canonicalize(sys: HurwitzSystem,
                  mode: str = "fast") -> tuple[HurwitzSystem, Certificate]:
     """Carry a full-monodromy system with w >= 2d to the canonical
     system of its parameters; the certificate replays move by move.
+    In validate mode every macro token is replaced by an elementary
+    word, so the certificate holds braids and point-pushes only.
     Raises NormalizeError with the offending system line if any stage
     cannot make progress, which would be a counterexample to the
-    single-orbit claim."""
+    single-orbit claim, and BudgetError if a validate-mode search
+    spends its budget."""
     report = validate(sys)
     if not report.ok:
         raise NormalizeError("not a valid system: %s" % report.messages[0])
@@ -349,17 +327,35 @@ def canonicalize(sys: HurwitzSystem,
     start = sys
     tokens: list[str] = []
     for i in range(sys.h, 0, -1):
-        sys, more = trivialize_handle(sys, i, mode)
+        sys, more = trivialize_handle(sys, i)
         tokens.extend(more)
-    sys, more = repair_branching_monodromy(sys, mode)
+    sys, more = repair_branching_monodromy(sys)
     tokens.extend(more)
     star = canonical_star(sys.d, sys.h, sys.w)
-    sys = _apply_rewrite(sys, 1, sys.w, star.transpositions, tokens, mode)
+    sys = _apply_rewrite(sys, 1, sys.w, star.transpositions, tokens)
     if sys != star:
         raise NormalizeError("canonicalization ended at %s, not the canonical system"
                              % serialize(sys))
-    word = " ".join(tokens)
-    cert = certificate(start, word, sys)
-    if apply_word(start, word) != sys:
+    at, word = start, []
+    for token in tokens:
+        move = parse_move(token)
+        new = apply_move(at, move)
+        if mode != "validate" or move.kind in ("braid", "push"):
+            word.append(token)
+            at = new
+            continue
+        if move.kind == "rewrite":
+            piece = realize_block_rewrite(at, move.j, move.hi, move.perms)
+        else:  # a retype is justified into the full move orbit, pushes included
+            cert = connect(at, new, "full", SEARCH_BUDGET)
+            if cert is None:
+                raise NormalizeError("retype at %d of %s is not realizable by elementary "
+                                     "moves" % (move.j, serialize(at)))
+            piece = cert.moves.split()
+        if apply_word(at, " ".join(piece)) != new:
+            raise NormalizeError("braid realization missed its target")
+        word.extend(piece)
+        at = new
+    if at != sys:
         raise NormalizeError("canonicalization certificate failed to replay")
-    return sys, cert
+    return sys, certificate(start, " ".join(word), sys)

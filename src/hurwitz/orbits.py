@@ -74,17 +74,15 @@ def compile_moves(d: int, h: int, w: int, selector: str = "full") -> tuple[Compi
     """
     if selector not in ("braid", "full"):
         raise ValueError("move selector must be 'braid' or 'full', got %r" % selector)
-    tokens: list[tuple[str, str]] = []
-    for j in range(1, w):
-        tokens += [("B%d" % j, "B%d'" % j), ("B%d'" % j, "B%d" % j)]
+    forward = ["B%d" % j for j in range(1, w)]
     if selector == "full" and w >= 1:
         for i in range(1, h + 1):
             for side in ("a", "b"):
                 certified_push_endo(h, w, i, side)  # a bad catalog fails here
-                tokens += [("P%s%d" % (side, i), "P%s%d'" % (side, i)),
-                           ("P%s%d'" % (side, i), "P%s%d" % (side, i))]
-    return tuple(CompiledMove(token, inv, _reference_apply(parse_move(token)))
-                 for token, inv in tokens)
+                forward.append("P%s%d" % (side, i))
+    tokens = [t for token in forward for t in [token] + invert_tokens([token])]
+    return tuple(CompiledMove(token, invert_tokens([token])[0], _reference_apply(parse_move(token)))
+                 for token in tokens)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from functools import lru_cache
 from itertools import permutations
 from typing import Callable, Iterator
 
-from .frobenius import frobenius_count
+from .frobenius import MAX_COUNT_DEGREE, frobenius_count
 from .perms import (
     MAX_DEGREE,
     Perm,
@@ -314,10 +314,16 @@ def count_systems(d: int, h: int, w: int, budget: float = math.inf) -> int:
 
 
 def _estimate_count(d: int, h: int, w: int) -> int:
-    """Exact by the character sum for d <= 6, a crude upper bound above."""
-    if d <= 6:
-        return frobenius_count(d, h, w)
-    return (d * (d - 1) // 2) ** w * math.factorial(d) ** max(2 * h - 1, 0)
+    """What enumerating these systems costs: their exact number by the
+    character sum for d <= MAX_COUNT_DEGREE, above it the upper bound
+    C(d,2)^w d!^(2h) of free choices.  At h >= 1 enumeration also
+    builds the d!^2-pair commutator table, so that is charged as well,
+    as count_systems does."""
+    if d <= MAX_COUNT_DEGREE:
+        n = frobenius_count(d, h, w)
+    else:
+        n = (d * (d - 1) // 2) ** w * math.factorial(d) ** (2 * h)
+    return max(n, math.factorial(d) ** 2) if h > 0 else n
 
 
 def enumerate_systems(d: int, h: int, w: int,
@@ -325,8 +331,8 @@ def enumerate_systems(d: int, h: int, w: int,
                       ) -> Iterator[HurwitzSystem]:
     """Every valid system with these parameters exactly once, in a
     fixed deterministic order (lex on the transposition tuple, then on
-    handles).  Refuses negative h or w, and an estimated output size
-    over the enumeration guard."""
+    handles).  Refuses negative h or w, and an estimated cost (systems,
+    or commutator pairs at h >= 1) over the enumeration guard."""
     if h < 0 or w < 0:
         raise ValueError("h and w must be non-negative, got h=%d w=%d" % (h, w))
     if _estimate_count(d, h, w) > ENUMERATION_GUARD:

@@ -96,11 +96,18 @@ def commutator_word(x: Word, y: Word) -> Word:
     return concat(x, y, invert_word(x), invert_word(y))
 
 
+def strip_conjugate(u: Word) -> tuple[Word, Word]:
+    """(V, core) with u = V . core . V^-1 letter for letter and V as
+    long as possible; for a reduced u the core is cyclically reduced."""
+    v = []
+    while len(u) >= 2 and u[0] == -u[-1]:
+        v.append(u[0])
+        u = u[1:-1]
+    return tuple(v), u
+
+
 def cyclic_reduce(word: Word) -> Word:
-    w = reduce_word(word)
-    while len(w) >= 2 and w[0] == -w[-1]:
-        w = w[1:-1]
-    return w
+    return strip_conjugate(reduce_word(word))[1]
 
 
 def conjugate_parts(word: Word) -> tuple[Word, int] | None:
@@ -109,13 +116,8 @@ def conjugate_parts(word: Word) -> tuple[Word, int] | None:
     >>> conjugate_parts((1, 2, 3, -2, -1))
     ((1, 2), 3)
     """
-    if len(word) % 2 == 0:
-        return None
-    m = len(word) // 2
-    for i in range(m):
-        if word[i] != -word[-1 - i]:
-            return None
-    return word[:m], word[m]
+    v, core = strip_conjugate(word)
+    return (v, core[0]) if len(core) == 1 else None
 
 
 def is_conjugate(u: Word, v: Word) -> bool:

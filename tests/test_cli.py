@@ -6,8 +6,9 @@ import random
 
 import pytest
 
-from hurwitz import systems
+from hurwitz import normalize, systems
 from hurwitz.cli import main
+from hurwitz.orbits import BudgetError
 from hurwitz.perms import identity, transposition
 from hurwitz.systems import HurwitzSystem, random_system, is_full_monodromy, serialize
 
@@ -260,6 +261,24 @@ class TestCanonicalize:
         src = write_system(tmp_path, "sys.txt",
                            random_system(3, 1, 4, random.Random(1)))
         assert main(["canonicalize", src]) == 2
+
+    def test_validate_budget_is_inconclusive(self, tmp_path, capsys, monkeypatch):
+        # a search that spends its budget decides nothing: exit 3, not FAIL
+        rng = random.Random(5)
+        while True:
+            hs = random_system(3, 1, 6, rng)
+            if is_full_monodromy(hs):
+                break
+        assert any(token[0] == "W" for token in normalize.canonicalize(hs)[1].moves.split())
+
+        def spent(*args, **kwargs):
+            raise BudgetError("connect exceeded its 3-state budget")
+        monkeypatch.setattr(normalize, "connect", spent)
+        src = write_system(tmp_path, "sys.txt", hs)
+        assert main(["canonicalize", src, "--mode", "validate"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("inconclusive: ")
 
 
 class TestConfig:

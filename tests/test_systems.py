@@ -6,6 +6,7 @@ import random
 import pytest
 
 from hurwitz import systems as S
+from hurwitz.frobenius import frobenius_count
 from hurwitz.perms import MAX_DEGREE, identity, orbit_blocks, transposition
 
 
@@ -213,6 +214,13 @@ class TestCounts:
     def test_guard_refuses_huge(self):
         with pytest.raises(ValueError, match="guard"):
             next(iter(S.enumerate_systems(8, 2, 20)))
+
+    def test_guard_estimate_covers_the_count(self):
+        # an estimate below the count lets too large an enumeration start
+        for d in range(1, 9):
+            for h in range(3):
+                for w in range(0, 9, 2):
+                    assert S._estimate_count(d, h, w) >= frobenius_count(d, h, w), (d, h, w)
 
 
 class TestRandom:

@@ -339,6 +339,17 @@ def test_count_budget_covers_the_commutator_table(monkeypatch, capsys):
     assert len(captured.err.splitlines()) == 1 and captured.err.startswith("inconclusive: ")
 
 
+@pytest.mark.parametrize("d,h,w", [("7", "1", "4"), ("8", "1", "0")])
+def test_census_guard_covers_the_commutator_table(monkeypatch, capsys, d, h, w):
+    # (7,1,4) holds 2,451,828,960 systems; (8,1,0) holds 887,040, but
+    # enumerating them builds the table of all 8!² ≈ 1.6·10^9 pairs first
+    def refuse(d):
+        raise AssertionError("commutator table built")
+    monkeypatch.setattr(systems, "_commutator_pairs", refuse)
+    assert main(["census", "--d", d, "--h", h, "--w", w]) == 2
+    assert "guard" in one_error_line(capsys)
+
+
 def test_census_guard_needs_no_convolution(monkeypatch, capsys):
     # the guard reads the character sum; the convolution at w = 1000
     # would take seconds and print a 1,174-digit estimate
