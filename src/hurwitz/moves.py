@@ -2,13 +2,15 @@
 
 Every move is the permutation shadow of a certified mapping class:
 braids and point-pushes both apply their catalog schema through
-apply_endo, which evaluates the free-group images the schema changes
-under the current monodromy.  Braid moves only shuffle the
-transposition tuple; handle point-pushes also rewrite one handle
-entry.  The macros stand for braid words: a pair retype needs a full
-residual monodromy group, and a window rewrite must keep the braid
-invariants of its window.  Both are checked on application and again
-on replay.
+apply_endo.  move_program compiles each catalog map once into the
+images it changes, as letters over the entries they read; apply_endo
+evaluates those letter by letter under the current monodromy, and the
+orbits kernel runs the same programs on permutation ranks.  Braid
+moves only shuffle the transposition tuple; handle point-pushes also
+rewrite one handle entry.  The macros stand for braid words: a pair
+retype needs a full residual monodromy group, and a window rewrite
+must keep the braid invariants of its window.  Both are checked on
+application and again on replay.
 
 Move words are strings of tokens separated by spaces:
 
@@ -21,6 +23,8 @@ Move words are strings of tokens separated by spaces:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple, Sequence
 
 from .catalog import catalog_hash, certified_braid_endo, certified_push_endo
 from .perms import (
@@ -37,30 +41,69 @@ from .perms import (
     support,
 )
 from .systems import HurwitzSystem, deserialize, monodromy, serialize, validate
-from .words import EndoMap, Word
+from .words import Word
 
 
 class MoveError(ValueError):
     """Move out of range or precondition violated."""
 
 
+class Program(NamedTuple):
+    """Words compiled to letters that index the entries at reads (the
+    generators read, 0-based, ascending), then the inverses of those at
+    the places in negated, each inverted once per evaluation.  Word k is
+    the new image of generator changed[k] (none for a plain word)."""
+
+    changed: tuple[int, ...]
+    reads: tuple[int, ...]
+    negated: tuple[int, ...]
+    words: tuple[tuple[int, ...], ...]
+
+
+def _compile(words: Sequence[Word], changed: tuple[int, ...] = ()) -> Program:
+    reads = sorted({abs(x) - 1 for word in words for x in word})
+    place = {k: p for p, k in enumerate(reads)}
+    negated = sorted({place[-x - 1] for word in words for x in word if x < 0})
+    slot = {p: len(reads) + m for m, p in enumerate(negated)}
+    letters = tuple(tuple(place[x - 1] if x > 0 else slot[place[-x - 1]] for x in word)
+                    for word in words)
+    return Program(changed, tuple(reads), tuple(negated), letters)
+
+
+@lru_cache(maxsize=4096)
+def move_program(h: int, w: int, j: int, side: str, inverse_move: bool) -> Program:
+    """The compiled catalog move: the braid at j when side is "", else the
+    push along side of handle j.  Keyed by move, not by system."""
+    e = certified_push_endo(h, w, j, side) if side else certified_braid_endo(h, w, j)
+    changes = (e.inverse() if inverse_move else e).changes()
+    return _compile([word for _, word in changes], tuple(k - 1 for k, _ in changes))
+
+
+def _evaluate(program: Program, sys: HurwitzSystem) -> list[Perm]:
+    """Monodromy image of each program word, left to right."""
+    entries = sys.handles + sys.transpositions
+    values = [entries[k] for k in program.reads]
+    values += [inverse(values[p]) for p in program.negated]
+    out = []
+    for word in program.words:
+        acc = values[word[0]] if word else identity(sys.d)
+        for x in word[1:]:
+            acc = compose(acc, values[x])
+        out.append(acc)
+    return out
+
+
 def evaluate_word(word: Word, sys: HurwitzSystem) -> Perm:
     """Monodromy image of a free-group word, left to right."""
-    acc = identity(sys.d)
-    two_h = 2 * sys.h
-    for letter in word:
-        k = abs(letter)
-        p = sys.handles[k - 1] if k <= two_h else sys.transpositions[k - two_h - 1]
-        acc = compose(acc, p if letter > 0 else inverse(p))
-    return acc
+    return _evaluate(_compile([word]), sys)[0]
 
 
-def apply_endo(sys: HurwitzSystem, e: EndoMap) -> HurwitzSystem:
-    """The move of a certified endomorphism: evaluate the images of the
-    generators e changes; every other entry stays."""
+def apply_endo(sys: HurwitzSystem, program: Program) -> HurwitzSystem:
+    """The move of a compiled certified endomorphism: evaluate the
+    images of the generators it changes; every other entry stays."""
     entries = list(sys.handles + sys.transpositions)
-    for k, word in e.changes():
-        entries[k - 1] = evaluate_word(word, sys)
+    for k, image in zip(program.changed, _evaluate(program, sys)):
+        entries[k] = image
     return HurwitzSystem(sys.d, tuple(entries[: 2 * sys.h]), tuple(entries[2 * sys.h :]))
 
 
@@ -71,8 +114,7 @@ def braid(sys: HurwitzSystem, j: int, inverse_move: bool = False) -> HurwitzSyst
     """Braid the punctures j, j+1 (1-based) by the catalog's braid schema."""
     if not 1 <= j <= sys.w - 1:
         raise MoveError("braid position %d out of range 1..%d" % (j, sys.w - 1))
-    e = certified_braid_endo(sys.h, sys.w, j)
-    return apply_endo(sys, e.inverse() if inverse_move else e)
+    return apply_endo(sys, move_program(sys.h, sys.w, j, "", inverse_move))
 
 
 def handle_push(sys: HurwitzSystem, i: int, side: str,
@@ -88,8 +130,7 @@ def handle_push(sys: HurwitzSystem, i: int, side: str,
         raise MoveError("handle index %d out of range 1..%d" % (i, sys.h))
     if side not in ("a", "b"):
         raise MoveError("push side must be 'a' or 'b', got %r" % side)
-    e = certified_push_endo(sys.h, sys.w, i, side)
-    return apply_endo(sys, e.inverse() if inverse_move else e)
+    return apply_endo(sys, move_program(sys.h, sys.w, i, side, inverse_move))
 
 
 def check_push_contract(sys: HurwitzSystem, i: int, side: str) -> HurwitzSystem:

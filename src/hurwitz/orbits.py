@@ -35,10 +35,11 @@ from math import factorial
 from operator import itemgetter
 from typing import Callable, Iterator
 
-from .catalog import catalog_hash, certified_braid_endo, certified_push_endo
+from .catalog import catalog_hash, certified_push_endo
 from .frobenius import full_monodromy_count
-from .moves import Certificate, Move, apply_move, certificate, invert_tokens, parse_move
-from .perms import Perm, compose, conjugate, group_order, identity, inverse
+from .moves import (Certificate, Move, apply_move, certificate, invert_tokens, move_program,
+                    parse_move)
+from .perms import Perm, check_perm, compose, conjugate, group_order, identity, inverse
 from .systems import (
     BudgetError,
     HurwitzSystem,
@@ -140,25 +141,27 @@ class _Ranks:
         least = min(pairs)[0]
         return [(u, row[u].__getitem__) for pair, u in pairs if pair == least]
 
-    def evaluator(self, program) -> Callable[[tuple[int, ...]], list[int]]:
-        """The values of program's words at a tuple of ranks, each word a
-        tuple of (place in that tuple, negate) letters."""
+    def evaluator(self, pair: bool, negated: tuple[int, ...], words) -> Callable:
+        """A moves.Program's word values at the ranks it reads (keyed x * n
+        + y if pair), its letters indexing those ranks, then inverses."""
         mul, inv, n, one = self.mul, self.inv, self.n, self.identity
 
         def evaluate(values):
+            values = divmod(values, n) if pair else values
+            values = (*values, *(inv[values[p]] for p in negated))
             out = []
-            for word in program:
+            for word in words:
                 acc = one
-                for place, negate in word:
-                    x = values[place]
-                    acc = mul[acc * n + (inv[x] if negate else x)]
+                for x in word:
+                    acc = mul[acc * n + values[x]]
                 out.append(acc)
-            return out
+            return tuple(out)
         return evaluate
 
     def _lehmer(self, p: Perm) -> int:
         if len(p) != self.d:
             raise ValueError("permutation degree %d, expected %d" % (len(p), self.d))
+        check_perm(p)
         labels = [self._place[x] for x in p]
         r = 0
         for i, x in enumerate(labels):
@@ -181,9 +184,10 @@ class _Kernel:
     def __init__(self, d: int, h: int, w: int, moves: tuple[CompiledMove, ...]):
         self.d, self.h, self.w = d, h, w
         ranks = self.ranks = _Ranks(d)
-        # program -> images memo, shared by every step with that program;
-        # it holds ranks, not the kernel, so a kernel is freed on return
-        self._images = _Memo(lambda program: _Memo(ranks.evaluator(program)))
+        # (pair?, negated, words) -> images memo, shared by every step with
+        # that program; it holds ranks, not the kernel, so a kernel is
+        # freed on return
+        self._images = _Memo(lambda key: _Memo(ranks.evaluator(*key)))
         self.steps: list[tuple[str, _Step]] = [
             (mv.token, self._step(parse_move(mv.token))) for mv in moves]
 
@@ -279,32 +283,22 @@ class _Kernel:
         return voltages, discrepancies, False
 
     def _step(self, move: Move) -> _Step:
-        """The move as a step on states, built from its certified catalog
-        map: every catalog move changes exactly two generators (a braid
-        its two punctures, a push g_w and the opposite loop), so the step
-        evaluates their two images letter by letter through memoized
-        products.  The images depend only on the entries the words read,
-        so they are memoized on those, in one memo per distinct pair of
-        words (every forward braid shares one)."""
-        if move.kind == "braid":
-            e = certified_braid_endo(self.h, self.w, move.j)
-        else:
-            e = certified_push_endo(self.h, self.w, move.j, move.side)
-        if move.inverse:
-            e = e.inverse()
-        two_h, w = 2 * self.h, self.w
-
-        def entry(k: int) -> int:  # state index of generator k (1-based)
-            return w + k - 1 if k <= two_h else k - two_h - 1
-
-        changes = [(entry(k), word) for k, word in e.changes()]
-        # an automorphism changing two generators reads two entries or more
-        read = sorted({entry(abs(letter)) for _, word in changes for letter in word})
-        place = {k: p for p, k in enumerate(read)}
-        (a, first), (b, second) = changes
-        program = tuple(tuple((place[entry(abs(letter))], letter < 0) for letter in word)
-                        for word in (first, second))
-        images, get = self._images[program], itemgetter(*read)
+        """The move as a step on states, from the same compiled program of
+        its certified catalog map that moves.py applies: every catalog
+        move changes exactly two generators (a braid its two punctures, a
+        push g_w and the opposite loop), whose images are memoized on the
+        entries the words read, in one memo per distinct program (every
+        forward braid shares one); a braid's pair x, y keys x * n + y."""
+        program = move_program(self.h, self.w, move.j, move.side, move.inverse)
+        two_h, w, n = 2 * self.h, self.w, self.ranks.n
+        # state index of each generator (0-based) the program names
+        a, b = (w + k if k < two_h else k - two_h for k in program.changed)
+        read = [w + k if k < two_h else k - two_h for k in program.reads]
+        if read == [a, b] and b == a + 1:  # a braid: slice around the pair
+            images = self._images[True, program.negated, program.words]
+            return lambda st: st[:a] + images[st[a] * n + st[b]] + st[b + 1 :]
+        # a push: an automorphism changing two generators reads more
+        images, get = self._images[False, program.negated, program.words], itemgetter(*read)
 
         def step(st):
             new = list(st)

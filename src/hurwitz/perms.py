@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 Perm = tuple[int, ...]
@@ -40,14 +41,16 @@ def identity(d: int) -> Perm:
 
 
 def compose(p: Perm, q: Perm) -> Perm:
-    """Left-to-right product: apply p, then q.
+    """Left-to-right product: apply p, then q, as one C-level gather.
+    q may be any sequence; the result is always a tuple.
 
     >>> compose((2, 1, 3), (1, 3, 2))   # (1 2) then (2 3)
     (3, 1, 2)
     """
     if len(p) != len(q):
         raise ValueError("degree mismatch: %d vs %d" % (len(p), len(q)))
-    return tuple(q[i - 1] for i in p)
+    image = itemgetter(*p)((0, *q))
+    return image if len(p) > 1 else (image,)  # one index gathers a bare int
 
 
 def inverse(p: Perm) -> Perm:
@@ -141,8 +144,10 @@ def from_cycles(d: int, cycs: Iterable[Sequence[int]]) -> Perm:
     return check_perm(images)
 
 
+@lru_cache(maxsize=256)
 def parse_perm(text: str) -> Perm:
-    """Parse one-line comma-separated images, e.g. "2,1,3"."""
+    """Parse one-line comma-separated images, e.g. "2,1,3".  Memoized on
+    the text in a bounded cache; a malformed text raises every time."""
     parts = text.strip().split(",")
     try:
         images = [int(s) for s in parts]

@@ -182,6 +182,15 @@ def test_rank_order_is_text_order(d):
     assert all(0 <= ranks.rank[p] < ranks.n for p in perms)
 
 
+def test_ranks_refuse_a_non_permutation():
+    ranks = _Ranks(3)
+    one = ranks.identity
+    with pytest.raises(ValueError):
+        ranks.rank[(1, 1, 2)]
+    assert ranks.perm[one] == (1, 2, 3)
+    assert (1, 1, 2) not in ranks.rank
+
+
 # ---------------------------------------------------------------------------
 # (e) the full-monodromy filter
 

@@ -5,11 +5,11 @@ import random
 
 import pytest
 
-from hurwitz.catalog import catalog_hash
-from hurwitz.moves import (Certificate, MoveError, apply_move, apply_word,
-                           braid, certificate, check_push_contract,
+from hurwitz.catalog import catalog_hash, certified_braid_endo, certified_push_endo
+from hurwitz.moves import (Certificate, MoveError, apply_endo, apply_move,
+                           apply_word, braid, certificate, check_push_contract,
                            evaluate_word, handle_push, monodromy_change,
-                           pair_retype, parse_move)
+                           move_program, pair_retype, parse_move)
 from hurwitz.perms import (compose, conjugate, identity, inverse,
                            transposition)
 from hurwitz.systems import (HurwitzSystem, genus, is_full_monodromy,
@@ -172,6 +172,41 @@ class TestEvaluate:
         assert evaluate_word((2,), hs) == hs.handles[1]
         assert evaluate_word((3,), hs) == hs.transpositions[0]
         assert evaluate_word((-3,), hs) == inverse(hs.transpositions[0])
+
+
+def reference_evaluate(word, hs):
+    """evaluate_word as the package first defined it, kept as the oracle:
+    one compose per letter from the identity, each inverse taken anew."""
+    acc = identity(hs.d)
+    for letter in word:
+        k = abs(letter)
+        p = hs.handles[k - 1] if k <= 2 * hs.h else hs.transpositions[k - 2 * hs.h - 1]
+        acc = tuple((p if letter > 0 else inverse(p))[i - 1] for i in acc)
+    return acc
+
+
+def reference_apply(hs, e):
+    """apply_endo as the package first defined it: each generator e
+    changes takes its image word's value; the rest stay."""
+    entries = list(hs.handles + hs.transpositions)
+    for k, word in e.changes():
+        entries[k - 1] = reference_evaluate(word, hs)
+    return HurwitzSystem(hs.d, tuple(entries[: 2 * hs.h]), tuple(entries[2 * hs.h :]))
+
+
+@pytest.mark.parametrize("d,h,w", [(3, 1, 6), (4, 2, 8), (5, 0, 10), (2, 3, 4)])
+def test_compiled_moves_match_the_catalog_maps(d, h, w):
+    rng = random.Random("compiled:%d:%d:%d" % (d, h, w))
+    catalog = [(j, "", certified_braid_endo(h, w, j)) for j in range(1, w)]
+    catalog += [(i, side, certified_push_endo(h, w, i, side))
+                for i in range(1, h + 1) for side in "ab"]
+    for _ in range(20):
+        hs = random_system(d, h, w, rng)
+        assert validate(hs).ok
+        for j, side, e in catalog:
+            for inverse_move, f in ((False, e), (True, e.inverse())):
+                got = apply_endo(hs, move_program(h, w, j, side, inverse_move))
+                assert got == reference_apply(hs, f), (j, side, inverse_move)
 
 
 class TestMacros:

@@ -1,7 +1,7 @@
 """Permutation layer: composition order, cycle bookkeeping, groups."""
 
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 from math import factorial, prod
 
 import pytest
@@ -61,6 +61,39 @@ class TestComposition:
             check_perm(tuple(range(1, 18)))  # above the degree cap
 
 
+def reference_compose(p, q):
+    """compose as the package first defined it, kept as the oracle."""
+    return tuple(q[i - 1] for i in p)
+
+
+class TestComposeOracle:
+    @pytest.mark.parametrize("d", range(1, 5))
+    def test_every_pair_up_to_degree_4(self, d):
+        group = list(permutations(range(1, d + 1)))
+        for p in group:
+            for q in group:
+                assert compose(p, q) == reference_compose(p, q)
+
+    @pytest.mark.parametrize("d", range(5, 17))
+    def test_random_pairs(self, d):
+        rng = random.Random("compose:%d" % d)
+        for _ in range(500):
+            p, q = rand_perm(rng, d), rand_perm(rng, d)
+            assert compose(p, q) == reference_compose(p, q)
+
+    def test_degree_one_is_a_tuple(self):
+        assert compose((1,), (1,)) == (1,)
+        assert type(compose((1,), [1])) is tuple
+
+    def test_list_inputs(self):
+        assert compose([2, 1, 3], [1, 3, 2]) == (3, 1, 2)
+        assert compose((2, 3, 1), [3, 1, 2]) == reference_compose((2, 3, 1), [3, 1, 2])
+
+    def test_degree_mismatch(self):
+        with pytest.raises(ValueError, match="degree mismatch"):
+            compose((2, 1), (1, 2, 3))
+
+
 class TestCycles:
     def test_cycles_cover_fixed_points(self):
         p = parse_perm("2,1,3,5,4")
@@ -95,6 +128,13 @@ class TestCycles:
         for _ in range(50):
             p = rand_perm(rng, rng.randrange(1, 10))
             assert parse_perm(format_perm(p)) == p
+
+    @pytest.mark.parametrize("text", ["2,x,1", "1,1,2", ""])
+    def test_malformed_text_raises_every_time(self, text):
+        # the parse memo must not keep a failure as a result
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                parse_perm(text)
 
 
 class TestGroups:
