@@ -2,15 +2,15 @@
 
 Every move is the permutation shadow of a certified mapping class:
 braids and point-pushes both apply their catalog schema through
-apply_endo.  move_program compiles each catalog map once into the
-images it changes, as letters over the entries they read; apply_endo
-evaluates those letter by letter under the current monodromy, and the
-orbits kernel runs the same programs on permutation ranks.  Braid
-moves only shuffle the transposition tuple; handle point-pushes also
-rewrite one handle entry.  The macros stand for braid words: a pair
-retype needs a full residual monodromy group, and a window rewrite
-must keep the braid invariants of its window.  Both are checked on
-application and again on replay.
+apply_endo.  move_program compiles each certified catalog map once,
+keyed by the map, into the images it changes as letters over the
+entries they read; apply_endo evaluates those under the current
+monodromy, and the orbits kernel runs the same programs on ranks.
+Braid moves only shuffle the transposition tuple; handle point-pushes
+also rewrite one handle entry.  The macros stand for braid words: a
+pair retype needs a full residual monodromy group, and a window
+rewrite must keep the braid invariants of its window.  Both are
+checked on application and again on replay.
 
 Move words are strings of tokens separated by spaces:
 
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple
 
 from .catalog import catalog_hash, certified_braid_endo, certified_push_endo
 from .perms import (
@@ -41,7 +41,7 @@ from .perms import (
     support,
 )
 from .systems import HurwitzSystem, deserialize, monodromy, serialize, validate
-from .words import Word
+from .words import EndoMap, Word
 
 
 class MoveError(ValueError):
@@ -49,10 +49,10 @@ class MoveError(ValueError):
 
 
 class Program(NamedTuple):
-    """Words compiled to letters that index the entries at reads (the
-    generators read, 0-based, ascending), then the inverses of those at
-    the places in negated, each inverted once per evaluation.  Word k is
-    the new image of generator changed[k] (none for a plain word)."""
+    """A map's changed images as letters that index the entries at reads
+    (the generators read, 0-based, ascending), then the inverses of
+    those at the places in negated, each inverted once per evaluation.
+    Word k is the new image of generator changed[k]."""
 
     changed: tuple[int, ...]
     reads: tuple[int, ...]
@@ -60,50 +60,50 @@ class Program(NamedTuple):
     words: tuple[tuple[int, ...], ...]
 
 
-def _compile(words: Sequence[Word], changed: tuple[int, ...] = ()) -> Program:
+@lru_cache(maxsize=4096)
+def _compile(e: EndoMap, inverse_move: bool) -> Program:
+    """The program of e, or of its inverse: keyed by the certified map
+    itself, so it follows the catalog and never the systems it meets."""
+    changes = (e.inverse() if inverse_move else e).changes()
+    words = [word for _, word in changes]
     reads = sorted({abs(x) - 1 for word in words for x in word})
     place = {k: p for p, k in enumerate(reads)}
     negated = sorted({place[-x - 1] for word in words for x in word if x < 0})
     slot = {p: len(reads) + m for m, p in enumerate(negated)}
     letters = tuple(tuple(place[x - 1] if x > 0 else slot[place[-x - 1]] for x in word)
                     for word in words)
-    return Program(changed, tuple(reads), tuple(negated), letters)
+    return Program(tuple(k - 1 for k, _ in changes), tuple(reads), tuple(negated), letters)
 
 
-@lru_cache(maxsize=4096)
 def move_program(h: int, w: int, j: int, side: str, inverse_move: bool) -> Program:
     """The compiled catalog move: the braid at j when side is "", else the
-    push along side of handle j.  Keyed by move, not by system."""
+    push along side of handle j.  The catalog is asked every time."""
     e = certified_push_endo(h, w, j, side) if side else certified_braid_endo(h, w, j)
-    changes = (e.inverse() if inverse_move else e).changes()
-    return _compile([word for _, word in changes], tuple(k - 1 for k, _ in changes))
+    return _compile(e, inverse_move)
 
 
-def _evaluate(program: Program, sys: HurwitzSystem) -> list[Perm]:
-    """Monodromy image of each program word, left to right."""
-    entries = sys.handles + sys.transpositions
-    values = [entries[k] for k in program.reads]
-    values += [inverse(values[p]) for p in program.negated]
-    out = []
-    for word in program.words:
-        acc = values[word[0]] if word else identity(sys.d)
-        for x in word[1:]:
-            acc = compose(acc, values[x])
-        out.append(acc)
-    return out
+def _product(perms: Iterator[Perm], d: int) -> Perm:
+    """The letter loop: left-to-right product from the first factor."""
+    acc = next(perms, None)
+    for p in perms:
+        acc = compose(acc, p)
+    return identity(d) if acc is None else acc
 
 
 def evaluate_word(word: Word, sys: HurwitzSystem) -> Perm:
     """Monodromy image of a free-group word, left to right."""
-    return _evaluate(_compile([word]), sys)[0]
+    entries = sys.handles + sys.transpositions
+    return _product((entries[x - 1] if x > 0 else inverse(entries[-x - 1]) for x in word), sys.d)
 
 
 def apply_endo(sys: HurwitzSystem, program: Program) -> HurwitzSystem:
     """The move of a compiled certified endomorphism: evaluate the
     images of the generators it changes; every other entry stays."""
     entries = list(sys.handles + sys.transpositions)
-    for k, image in zip(program.changed, _evaluate(program, sys)):
-        entries[k] = image
+    values = [entries[k] for k in program.reads]
+    values += [inverse(values[p]) for p in program.negated]
+    for k, word in zip(program.changed, program.words):
+        entries[k] = _product(map(values.__getitem__, word), sys.d)
     return HurwitzSystem(sys.d, tuple(entries[: 2 * sys.h]), tuple(entries[2 * sys.h :]))
 
 

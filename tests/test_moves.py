@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from hurwitz import catalog
 from hurwitz.catalog import catalog_hash, certified_braid_endo, certified_push_endo
 from hurwitz.moves import (Certificate, MoveError, apply_endo, apply_move,
                            apply_word, braid, certificate, check_push_contract,
@@ -207,6 +208,27 @@ def test_compiled_moves_match_the_catalog_maps(d, h, w):
             for inverse_move, f in ((False, e), (True, e.inverse())):
                 got = apply_endo(hs, move_program(h, w, j, side, inverse_move))
                 assert got == reference_apply(hs, f), (j, side, inverse_move)
+
+
+def test_compiled_moves_follow_the_catalog(monkeypatch):
+    # a program is compiled from the map the catalog certifies now: a
+    # catalog whose braid is the inverse braid swaps B1 and B1', also
+    # after both were applied, and restoring the catalog restores them
+    t12, t23 = transposition(3, 1, 2), transposition(3, 2, 3)
+    hs = HurwitzSystem(3, (), (t12, t23, t23, t12))
+    forward, backward = braid(hs, 1), braid(hs, 1, inverse_move=True)
+    assert forward != backward
+    schemas = catalog.get_schemas()
+    swapped = dict(schemas.sections, **{"braid": schemas.sections["braid^-1"],
+                                        "braid^-1": schemas.sections["braid"]})
+    monkeypatch.setattr(catalog, "get_schemas", lambda: catalog.Schemas(swapped))
+    catalog.certified_braid_endo.cache_clear()
+    try:
+        assert (braid(hs, 1), braid(hs, 1, inverse_move=True)) == (backward, forward)
+    finally:
+        monkeypatch.undo()
+        catalog.certified_braid_endo.cache_clear()
+    assert (braid(hs, 1), braid(hs, 1, inverse_move=True)) == (forward, backward)
 
 
 class TestMacros:
