@@ -46,6 +46,8 @@ EXIT_BUDGET = 3
 
 DEFAULT_BUDGET = 400_000
 DEFAULT_SAMPLES = 200
+# values one --d/--h/--w flag may list, and verify or count cases in all
+MAX_CASES = 10_000
 MOVE_SETS = ("braid", "full")
 MODES = ("fast", "validate")
 
@@ -86,6 +88,8 @@ def _parse_range(text: str) -> list[int]:
                 raise UsageError("bad range %r" % part)
             if hi_i < lo_i:
                 raise UsageError("empty range %r" % part)
+            if len(out) + hi_i - lo_i + 1 > MAX_CASES:
+                raise UsageError("range %r lists more than %d values" % (text, MAX_CASES))
             out.extend(range(lo_i, hi_i + 1))
         else:
             try:
@@ -95,6 +99,15 @@ def _parse_range(text: str) -> list[int]:
     if not out:
         raise UsageError("empty range %r" % text)
     return out
+
+
+def _cases(ds: list[int], hs: list[int], ws: list[int],
+           given: int = 0) -> list[tuple[int, int, int]]:
+    """The d, h, w product after given cases, refused before it is built
+    when there would be more than MAX_CASES in all."""
+    if given + len(ds) * len(hs) * len(ws) > MAX_CASES:
+        raise UsageError("more than %d cases" % MAX_CASES)
+    return list(product(ds, hs, ws))
 
 
 def _parse_case(text: str) -> tuple[int, int, int]:
@@ -276,7 +289,8 @@ def cmd_verify(args) -> int:
     if args.d or args.h is not None or args.w:
         if not (args.d and args.h is not None and args.w):
             raise UsageError("verify needs --case entries or all of --d/--h/--w")
-        cases += product(_parse_range(args.d), _parse_range(args.h), _parse_range(args.w))
+        cases += _cases(_parse_range(args.d), _parse_range(args.h), _parse_range(args.w),
+                        len(cases))
     if not cases:
         raise UsageError("verify needs --case d,h,w or --d/--h/--w ranges")
     for d, h, w in cases:
@@ -523,9 +537,9 @@ def _count_row(d: int, h: int, w: int, budget: int) -> tuple:
 
 
 def cmd_count(args) -> int:
-    cases = list(product(_parse_range(args.d) if args.d else [2, 3, 4],
-                         _parse_range(args.h) if args.h is not None else [0, 1, 2],
-                         _parse_range(args.w) if args.w else [0, 2, 4, 6, 8]))
+    cases = _cases(_parse_range(args.d) if args.d else [2, 3, 4],
+                   _parse_range(args.h) if args.h is not None else [0, 1, 2],
+                   _parse_range(args.w) if args.w else [0, 2, 4, 6, 8])
     for d, h, w in cases:
         if d > MAX_COUNT_DEGREE:
             raise UsageError("d=%d unsupported: character table is computed for d <= %d"

@@ -16,11 +16,12 @@ The word is built once, with window rewrites and pair retypes as macro
 tokens.  No search is involved and step counts are uniformly bounded,
 so canonicalization is linear time for fixed parameters.  The block
 rewrites are justified by braid-orbit transitivity on full blocks.
-canonicalize replays the finished word, checking every macro; validate
-mode expands it on that replay, replacing each macro by the elementary
-word orbits.connect finds from the system the macro acts on, which
-must land where the macro does.  A search that proves two orbits
-differ fails loudly; one that spends its budget raises BudgetError.
+Every stage plays its tokens through _play, which applies and checks
+each one as it is emitted.  Validate mode walks the finished word,
+replacing each macro by the elementary word orbits.connect finds from
+the system the macro acts on, which must land where the macro does.  A
+search that proves two orbits differ fails loudly; one that spends its
+budget raises BudgetError.
 """
 
 from __future__ import annotations
@@ -28,37 +29,11 @@ from __future__ import annotations
 from dataclasses import replace
 
 from .catalog import certified_push_endo
-from .moves import (
-    Certificate,
-    apply_move,
-    apply_word,
-    braid,
-    certificate,
-    evaluate_word,
-    handle_push,
-    pair_retype,
-    parse_move,
-)
+from .moves import Certificate, apply_move, apply_word, certificate, evaluate_word, parse_move
 from .orbits import connect
-from .perms import (
-    Perm,
-    conjugate,
-    cycles,
-    format_perm,
-    identity,
-    is_transposition,
-    product,
-    support,
-    transposition,
-    weight,
-)
-from .systems import (
-    HurwitzSystem,
-    branching_blocks,
-    is_full_monodromy,
-    serialize,
-    validate,
-)
+from .perms import (Perm, conjugate, cycles, format_perm, identity, is_transposition, product,
+                    support, transposition, weight)
+from .systems import HurwitzSystem, branching_blocks, is_full_monodromy, serialize, validate
 from .words import conjugate_parts
 
 
@@ -73,6 +48,12 @@ class OrbitMismatchError(NormalizeError):
 
 # states either search of validate mode may hold before it gives up
 SEARCH_BUDGET = 2_000_000
+
+
+def _play(sys: HurwitzSystem, token: str, tokens: list[str]) -> HurwitzSystem:
+    """Record the token and apply it as parsed, with every check of apply_move."""
+    tokens.append(token)
+    return apply_move(sys, parse_move(token))
 
 
 # ---------------------------------------------------------------------------
@@ -95,9 +76,8 @@ def sort_standard_position(sys: HurwitzSystem) -> tuple[HurwitzSystem, list[str]
         for j in range(sys.w - 1):
             if keys[j] > keys[j + 1]:
                 # different blocks, hence disjoint supports
-                sys = braid(sys, j + 1)
+                sys = _play(sys, "B%d" % (j + 1), tokens)
                 keys[j], keys[j + 1] = keys[j + 1], keys[j]
-                tokens.append("B%d" % (j + 1))
                 changed = True
     return sys, tokens
 
@@ -181,12 +161,12 @@ def realize_block_rewrite(sys: HurwitzSystem, lo: int, hi: int,
 
 def _apply_rewrite(sys: HurwitzSystem, lo: int, hi: int, target: tuple[Perm, ...],
                    tokens: list[str]) -> HurwitzSystem:
-    """Replace the window and record the macro token.  The macro is
-    checked when canonicalize replays the finished word."""
+    """Play the macro token that replaces the window, so
+    check_block_rewrite checks it; a window already equal to the target
+    emits nothing."""
     if sys.transpositions[lo - 1 : hi] == target:
         return sys
-    tokens.append("W%d-%d:%s" % (lo, hi, ";".join(format_perm(t) for t in target)))
-    return HurwitzSystem(sys.d, sys.handles, sys.transpositions[: lo - 1] + target + sys.transpositions[hi:])
+    return _play(sys, "W%d-%d:%s" % (lo, hi, ";".join(format_perm(t) for t in target)), tokens)
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +209,7 @@ def repair_branching_monodromy(sys: HurwitzSystem) -> tuple[HurwitzSystem, list[
         sys = _apply_rewrite(sys, lo, hi, normal, tokens)
         partner = blocks[chosen + 1] if chosen + 1 < len(blocks) else blocks[chosen - 1]
         bridge = transposition(sys.d, blk[0], partner[0])
-        sys = pair_retype(sys, hi - 1, bridge)
-        tokens.append("R%d:%s" % (hi - 1, format_perm(bridge)))
+        sys = _play(sys, "R%d:%s" % (hi - 1, format_perm(bridge)), tokens)
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +260,7 @@ def trivialize_handle(sys: HurwitzSystem, i: int) -> tuple[HurwitzSystem, list[s
                                         sys.w, tau)
         sys = _apply_rewrite(sys, 1, sys.w, staged, tokens)
         before = weight(lam) + weight(mu)
-        sys = handle_push(sys, i, side)
-        tokens.append("P%s%d" % (side, i))
+        sys = _play(sys, "P%s%d" % (side, i), tokens)
         lam2, mu2 = sys.handle_pair(i)
         if weight(lam2) + weight(mu2) != before - 1:
             raise NormalizeError("staged push failed to reduce the handle weight on %s"
@@ -309,8 +287,10 @@ def canonicalize(sys: HurwitzSystem,
                  mode: str = "fast") -> tuple[HurwitzSystem, Certificate]:
     """Carry a full-monodromy system with w >= 2d to the canonical
     system of its parameters; the certificate replays move by move.
-    In validate mode every macro token is replaced by an elementary
-    word, so the certificate holds braids and point-pushes only.
+    Fast mode returns the word the stages played, each token applied
+    and checked once.  Validate mode walks that word again and replaces
+    every macro token by an elementary word, so the certificate holds
+    braids and point-pushes only.
     Raises NormalizeError with the offending system line if any stage
     cannot make progress, which would be a counterexample to the
     single-orbit claim, and BudgetError if a validate-mode search
@@ -336,11 +316,13 @@ def canonicalize(sys: HurwitzSystem,
     if sys != star:
         raise NormalizeError("canonicalization ended at %s, not the canonical system"
                              % serialize(sys))
+    if mode != "validate":
+        return sys, certificate(start, " ".join(tokens), sys)
     at, word = start, []
     for token in tokens:
         move = parse_move(token)
         new = apply_move(at, move)
-        if mode != "validate" or move.kind in ("braid", "push"):
+        if move.kind in ("braid", "push"):
             word.append(token)
             at = new
             continue

@@ -6,7 +6,8 @@ import random
 
 import pytest
 
-from hurwitz.moves import apply_word
+from hurwitz import moves, normalize
+from hurwitz.moves import MoveError, apply_word
 from hurwitz.normalize import (NormalizeError, OrbitMismatchError, canonical_star,
                                canonicalize, prop_split_normal_form,
                                realize_block_rewrite,
@@ -206,6 +207,26 @@ class TestRepair:
             assert validate(out).ok
             done += 1
 
+    def test_a_wrong_window_fails_in_the_stage(self, monkeypatch):
+        # every emitted token is checked as it is played: a split normal
+        # form with one entry swapped changes the window product
+        real = normalize.prop_split_normal_form
+
+        def swapped(points, g, w_m, tau):
+            out = real(points, g, w_m, tau)
+            return (next(t for t in all_transpositions(len(g)) if t != out[0]),) + out[1:]
+
+        monkeypatch.setattr(normalize, "prop_split_normal_form", swapped)
+        rng = random.Random(28)
+        done = 0
+        while done < 20:
+            hs = random_system(3, 1, 6, rng)
+            if len(branching_blocks(hs)) == 1 or not is_full_monodromy(hs):
+                continue
+            with pytest.raises(MoveError, match="window product"):
+                repair_branching_monodromy(hs)
+            done += 1
+
     def test_single_block_is_untouched(self):
         t12, t13 = transposition(3, 1, 2), transposition(3, 1, 3)
         hs = HurwitzSystem(3, (), (t12, t12, t13, t13, t12, t12))
@@ -253,6 +274,31 @@ class TestCanonical:
                 assert form == star
                 assert serialize(cert.replay()) == serialize(star)
                 done += 1
+
+    def test_each_token_is_applied_once(self, monkeypatch):
+        # fast mode plays each token once and runs no replay: one
+        # apply_endo per B/P token, one check_block_rewrite per W token
+        calls = {"endo": 0, "window": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(moves, "apply_endo", counted("endo", moves.apply_endo))
+        monkeypatch.setattr(moves, "check_block_rewrite",
+                            counted("window", moves.check_block_rewrite))
+        for d, h, w in ((4, 1, 8), (5, 2, 10)):
+            rng = random.Random("one-pass:%d:%d:%d" % (d, h, w))
+            for _ in range(5):
+                hs = random_system(d, h, w, rng, is_full_monodromy)
+                calls.update(endo=0, window=0)
+                form, cert = canonicalize(hs)
+                kinds = [token[0] for token in cert.moves.split()]
+                assert form == canonical_star(d, h, w)
+                assert calls == {"endo": kinds.count("B") + kinds.count("P"),
+                                 "window": kinds.count("W")}
 
     def test_idempotent(self):
         star = canonical_star(3, 1, 6)

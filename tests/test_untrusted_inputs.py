@@ -292,6 +292,10 @@ def test_system_file_not_utf8_is_a_usage_error(tmp_path, capsys):
     ["verify", "--case", "5,1,10", "--method", "census", "--budget", "10000000000000"],
     ["explore", "--d", "3", "--h", "0", "--w", "2", "--filter", "group=-1x4"],
     ["explore", "--d", "3", "--h", "0", "--w", "2", "--filter", "group=0x3"],
+    # refused before the range is expanded, which would exhaust memory
+    ["count", "--d", "2", "--h", "0", "--w", "0..100000000000"],
+    ["verify", "--d", "2", "--h", "0", "--w", "4..100000000000"],
+    ["count", "--d", "2..3", "--h", "0..100", "--w", "0..100"],
 ])
 def test_out_of_range_parameters_are_a_usage_error(capsys, argv):
     assert main(argv) == 2
