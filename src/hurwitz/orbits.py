@@ -9,16 +9,17 @@ that many systems proves they form one orbit, with no enumeration.
 That flood runs modulo simultaneous conjugation by S_d, which commutes
 with the moves and acts freely on full-monodromy systems: it floods
 one key per conjugacy class and counts the orbit as classes times the
-order of its stabiliser, from d!-fold fewer states.  All three
-searches run on one integer kernel: a state is a tuple of permutation
-ranks, numbered so that tuple order is system-line order, and every
-move, braid or push, is its certified catalog map evaluated through
-memoized products, as moves.py applies it.  The kernel grows every
-search the same way: expand applies each move to a frontier and links
-each new state to the state and token that reached it, and flood
-repeats that level by level.  census and orbit_bfs are floods, connect
-expands whichever of its two sides is smaller.  System lines are
-written only for what a search reports.  Everything here is
+order of its stabiliser, from d!-fold fewer states.  It applies only
+the forward moves: each inverse move is a power of its forward move.
+All three searches run on one integer kernel: a state is a tuple of
+permutation ranks, numbered so that tuple order is system-line order,
+and every move, braid or push, is its certified catalog map evaluated
+through memoized products, as moves.py applies it.  The kernel grows
+every search the same way: expand applies each move to a frontier and
+links each new state to the state and token that reached it, and
+flood repeats that level by level.  census and orbit_bfs are floods,
+connect expands whichever of its two sides is smaller.  System lines
+are written only for what a search reports.  Everything here is
 deterministic by construction: frontiers are processed in sorted order
 and the first discovery wins.  Budgets make long runs interruptible: a
 partial result is flagged, never silently truncated.
@@ -30,7 +31,7 @@ import heapq
 import json
 import struct
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import chain, permutations
 from math import factorial
 from operator import itemgetter
 from typing import Callable, Iterator
@@ -237,9 +238,15 @@ class _Kernel:
     def canonical(self, st: _State) -> tuple[_State, int]:
         """The least conjugate of st (its class key) and a u taking st
         to it.  Only the conjugators that make the first two entries
-        least can give it, so only they are tried."""
+        least can give it, so only they are tried.  When the identity is
+        the only one, st is its own key and comes back as it is, with u
+        the identity; otherwise u is the first of the least conjugators,
+        in ranks.elements() order, that gives the key."""
+        conjugators = self.ranks.least[st[0] * self.ranks.n + st[1]]
+        if len(conjugators) == 1 and conjugators[0][0] == self.ranks.identity:
+            return st, self.ranks.identity
         best = None
-        for u, row in self.ranks.least[st[0] * self.ranks.n + st[1]]:
+        for u, row in conjugators:
             c = tuple(map(row, st))
             if best is None or c < best:
                 best, v = c, u
@@ -257,8 +264,17 @@ class _Kernel:
         acts freely, as on full-monodromy systems at d >= 3, every class
         meets the orbit in |H| systems, so the orbit has len(voltages) *
         |H| of them.  The flood is cut at the first level boundary past
-        limit classes.  States need at least two entries."""
+        limit classes.  States need at least two entries.
+
+        Only the forward moves are applied, half of the steps.  Each move
+        permutes the finite set of systems with these parameters, so its
+        inverse is a positive power of it and the forward moves alone
+        reach every class the orbit meets.  Each edge of the class graph
+        is then still examined once, from its forward end, and Schreier's
+        lemma for a finite group needs no inverse generators: the
+        discrepancies still generate H."""
         n, inv, mul = self.ranks.n, self.ranks.inv, self.ranks.mul
+        forward = [step for token, step in self.steps if not parse_move(token).inverse]
         key, v = self.canonical(start)
         voltages = {key: inv[v]}
         discrepancies: set[int] = set()
@@ -269,7 +285,7 @@ class _Kernel:
             found = []
             for c in level:
                 u = voltages[c]
-                for _, step in self.steps:
+                for step in forward:
                     # step(c)^u is in the orbit and step(c)^v = key
                     key, v = self.canonical(step(c))
                     x = mul[inv[v] * n + u]
@@ -485,13 +501,16 @@ def census(d: int, h: int, w: int, selector: str = "full",
     there are at most 4^h such systems and they are enumerated.  threads
     is ignored; it stays only because perfbench/run.py calls
     census(..., threads=1)."""
+    systems = enumerate_systems(d, h, w, filter)
+    # the first draw runs the enumeration guard, before any move is certified
+    first = next(systems, None)
     kernel = _Kernel(d, h, w, compile_moves(d, h, w, selector))
     if filter is is_full_monodromy and d >= 3:
-        orbits = _census_by_count(kernel, filter, budget)
+        orbits = _census_by_count(kernel, first, filter, budget)
         if orbits is not None:
             return CensusResult(d, h, w, selector, filter_name, orbits,
                                 sum(rec.size for rec in orbits), False)
-    remaining = {kernel.state(sys) for sys in enumerate_systems(d, h, w, filter)}
+    remaining = {kernel.state(sys) for sys in chain([] if first is None else [first], systems)}
     total = 0
     orbits = []
     for start in sorted(remaining):
@@ -512,15 +531,17 @@ def census(d: int, h: int, w: int, selector: str = "full",
     return CensusResult(d, h, w, selector, filter_name, orbits, total, bool(remaining))
 
 
-def _census_by_count(kernel: _Kernel, filter: Callable[[HurwitzSystem], bool],
+def _census_by_count(kernel: _Kernel, seed: HurwitzSystem | None,
+                     filter: Callable[[HurwitzSystem], bool],
                      budget: int | None) -> list[OrbitRecord] | None:
     """The full-monodromy census at d >= 3 without enumeration, or None
-    where it cannot be decided this way.  An orbit of one full-monodromy
-    system that has all frobenius.full_monodromy_count of them is the
-    whole population, so it is the one orbit.  None when no count is
-    known, the budget is below the count, or the orbit is smaller
-    (several orbits); the enumerating census decides those.  An empty
-    list when there is no full-monodromy system.
+    where it cannot be decided this way.  seed is the first
+    full-monodromy system, or None when there is none.  An orbit of one
+    full-monodromy system that has all frobenius.full_monodromy_count of
+    them is the whole population, so it is the one orbit.  None when no
+    count is known, the budget is below the count, or the orbit is
+    smaller (several orbits); the enumerating census decides those.  An
+    empty list when there is no full-monodromy system.
 
     The orbit is flooded modulo simultaneous conjugation
     (_Kernel.flood_classes): S_d acts freely on full-monodromy systems
@@ -528,8 +549,6 @@ def _census_by_count(kernel: _Kernel, filter: Callable[[HurwitzSystem], bool],
     H, from d!-fold fewer states.  Full monodromy is invariant under
     conjugation, so the filter is checked on one key per class."""
     d, h, w = kernel.d, kernel.h, kernel.w
-    # the first draw runs the enumeration guard before any count is made
-    seed = next(enumerate_systems(d, h, w, filter), None)
     count = full_monodromy_count(d, h, w)
     if count is None or (budget is not None and budget < count):
         return None

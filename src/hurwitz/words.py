@@ -21,6 +21,7 @@ every elementary move must pass.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 Word = tuple[int, ...]
@@ -159,6 +160,15 @@ class EndoMap:
     def __post_init__(self):
         if len(self.images) != self.ctx.rank:
             raise ValueError("need %d generator images, got %d" % (self.ctx.rank, len(self.images)))
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.ctx, self.images, self.inverse_images))
+
+    def __hash__(self) -> int:
+        # computed once: moves._compile keys its cache on the map, and a
+        # map is looked up on every move application
+        return self._hash
 
     def image(self, letter: int) -> Word:
         word = self.images[abs(letter) - 1]

@@ -174,3 +174,79 @@ def test_a_flood_past_the_count_is_an_error(monkeypatch):
     monkeypatch.setattr(orbits, "full_monodromy_count", lambda d, h, w: 23)
     with pytest.raises(AssertionError, match="more than the 23 full-monodromy systems"):
         census(3, 0, 4, "full", is_full_monodromy, "full-monodromy")
+
+
+@pytest.mark.parametrize("d,h,w", [(3, 0, 6), (3, 1, 4), (4, 0, 6)])
+def test_canonical_is_the_least_conjugate(d, h, w):
+    # every state, full monodromy or not: the key is the least conjugate
+    # and the returned u takes the state to it
+    kernel = _Kernel(d, h, w, compile_moves(d, h, w, "full"))
+    row = kernel.ranks.row
+    for sys in enumerate_systems(d, h, w):
+        st = kernel.state(sys)
+        key, v = kernel.canonical(st)
+        assert key == min(kernel.conjugates(st))
+        assert tuple(map(row[v].__getitem__, st)) == key
+
+
+@pytest.mark.parametrize("d,h,w,selector", [(3, 1, 6, "full"), (3, 1, 4, "braid"),
+                                            (4, 0, 6, "braid"), (4, 1, 2, "full")])
+def test_class_flood_applies_each_forward_move_once_per_class(d, h, w, selector):
+    kernel = _Kernel(d, h, w, compile_moves(d, h, w, selector))
+    calls = {token: 0 for token, _ in kernel.steps}
+
+    def counted(token, step):
+        def step_and_count(st):
+            calls[token] += 1
+            return step(st)
+        return step_and_count
+    kernel.steps = [(token, counted(token, step)) for token, step in kernel.steps]
+    seed = next(enumerate_systems(d, h, w, is_full_monodromy))
+    classes = kernel.flood_classes(kernel.state(seed))[0]
+    forward = [token for token in calls if "'" not in token]
+    assert 2 * len(forward) == len(kernel.steps)
+    assert calls == {token: len(classes) if token in forward else 0 for token in calls}
+    assert sum(calls.values()) == len(classes) * len(forward)
+
+
+def all_moves_class_flood(kernel, start):
+    """The class flood over every move, forward and inverse, with each
+    key found by trying all of S_d: (class keys, |H|)."""
+    ranks = kernel.ranks
+    n, inv, mul, row = ranks.n, ranks.inv, ranks.mul, ranks.row
+
+    def canonical(st):
+        return min((tuple(map(row[u].__getitem__, st)), u) for u in ranks.elements())
+    key, v = canonical(start)
+    voltages, discrepancies, level = {key: inv[v]}, set(), [key]
+    while level:
+        found = []
+        for c in level:
+            for _, step in kernel.steps:
+                key, v = canonical(step(c))
+                x = mul[inv[v] * n + voltages[c]]
+                if key not in voltages:
+                    voltages[key] = x
+                    found.append(key)
+                elif voltages[key] != x:
+                    discrepancies.add(mul[inv[voltages[key]] * n + x])
+        level = found
+    return set(voltages), group_order([ranks.perm[u] for u in discrepancies], kernel.d)
+
+
+@pytest.mark.parametrize("selector", ["braid", "full"])
+@pytest.mark.parametrize("d,h,w", [case for case in COUNTED if case[0] >= 3])
+def test_forward_class_flood_matches_the_all_moves_flood(d, h, w, selector):
+    # S_d acts freely on full-monodromy systems at d >= 3, so the classes
+    # and H do not depend on which voltage a flood finds first; braids
+    # alone leave several orbits at h >= 1, so every orbit is compared
+    kernel = _Kernel(d, h, w, compile_moves(d, h, w, selector))
+    remaining = {kernel.state(sys) for sys in enumerate_systems(d, h, w, is_full_monodromy)}
+    while remaining:
+        start = min(remaining)
+        voltages, discrepancies, cut = kernel.flood_classes(start)
+        order = group_order([kernel.ranks.perm[u] for u in discrepancies], d)
+        assert not cut
+        assert (set(voltages), order) == all_moves_class_flood(kernel, start)
+        for key in voltages:
+            remaining -= kernel.conjugates(key)

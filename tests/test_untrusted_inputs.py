@@ -25,7 +25,7 @@ from hurwitz.moves import MoveError, apply_word, braid, certificate, parse_move
 from hurwitz.normalize import canonical_star
 from hurwitz.orbits import (compile_moves, connect, orbit_bfs, read_predecessor_log,
                             write_predecessor_log)
-from hurwitz import systems
+from hurwitz import orbits, systems
 from hurwitz.perms import format_perm, transposition
 from hurwitz.systems import HurwitzSystem, KeyParseError, deserialize, serialize
 
@@ -362,6 +362,16 @@ def test_census_guard_needs_no_convolution(monkeypatch, capsys):
     monkeypatch.setattr(systems, "count_systems", refuse)
     with pytest.raises(ValueError, match="guard"):
         next(iter(systems.enumerate_systems(6, 0, 1000)))
+    assert main(["census", "--d", "6", "--h", "0", "--w", "1000"]) == 2
+    assert "guard" in one_error_line(capsys)
+
+
+def test_census_guard_runs_before_the_kernel(monkeypatch, capsys):
+    # building the kernel certifies all 999 braids at w = 1000, each in
+    # O(w) generator checks: a refused census must not build one
+    def refuse(*args, **kwargs):
+        raise AssertionError("kernel built")
+    monkeypatch.setattr(orbits, "_Kernel", refuse)
     assert main(["census", "--d", "6", "--h", "0", "--w", "1000"]) == 2
     assert "guard" in one_error_line(capsys)
 

@@ -120,3 +120,20 @@ class TestEndos:
         e2 = EndoMap(ctx, ((1, 2), (-2,)), ((1, -2), (-2,)))
         rep = validate_peripheral(e2)
         assert not rep.ok
+
+    def test_equal_maps_hash_equal(self):
+        # the hash is kept on the map after its first use, so it must
+        # still be the hash of its fields: equal maps built apart, and a
+        # map rebuilt from one whose hash was already taken, hash equal
+        ctx = FreeContext(0, 3)
+        images, inverse_images = ((2,), (-2, 1, 2), (3,)), ((1, 2, -1), (1,), (3,))
+        e = EndoMap(ctx, images, inverse_images)
+        first = hash(e)
+        again = EndoMap(FreeContext(0, 3), tuple(images), tuple(inverse_images))
+        assert again == e and hash(again) == hash(e) == first
+        assert hash(e.inverse().inverse()) == first
+        assert hash(e) == hash((ctx, images, inverse_images))
+        assert len({e, again, e.inverse().inverse()}) == 1
+        # a map differing only in its stored inverse is another key
+        assert EndoMap(ctx, images, None) != e
+        assert len({e, EndoMap(ctx, images, None)}) == 2
