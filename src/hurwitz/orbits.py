@@ -11,6 +11,8 @@ with the moves and acts freely on full-monodromy systems: it floods
 one key per conjugacy class and counts the orbit as classes times the
 order of its stabiliser, from d!-fold fewer states.  It applies only
 the forward moves: each inverse move is a power of its forward move.
+A class key is found by narrowing the conjugators entry by entry, and
+the filter is decided once per set of entries among the keys.
 All three searches run on one integer kernel: a state is a tuple of
 permutation ranks, numbered so that tuple order is system-line order,
 and every move, braid or push, is its certified catalog map evaluated
@@ -127,20 +129,29 @@ class _Ranks:
         self.mul = _Memo(lambda key: rank[compose(perm[key // n], perm[key % n])])
         # row[y][x] = y^-1 x y, for conjugating a whole state by y
         self.row = _Memo(lambda y: _Memo(lambda x: rank[conjugate(perm[x], perm[y])]))
-        # keyed x * n + y: each u making the pair (x^u, y^u) least, with
-        # row[u].__getitem__
+        # keyed x * n + y: the u making the pair (x^u, y^u) least, in
+        # elements() order
         self.least = _Memo(self._least_conjugators)
+        # keyed (candidates, x): those candidates u making x^u least, in
+        # the same order
+        self.narrow = _Memo(self._narrow)
 
     def elements(self) -> Iterator[int]:
         """The rank of every permutation of the degree, one at a time."""
         return map(self.rank.__getitem__, permutations(range(1, self.d + 1)))
 
-    def _least_conjugators(self, key: int) -> list[tuple[int, Callable[[int], int]]]:
+    def _least_conjugators(self, key: int) -> tuple[int, ...]:
         x, y = divmod(key, self.n)
         row = self.row
         pairs = [((row[u][x], row[u][y]), u) for u in self.elements()]
         least = min(pairs)[0]
-        return [(u, row[u].__getitem__) for pair, u in pairs if pair == least]
+        return tuple(u for pair, u in pairs if pair == least)
+
+    def _narrow(self, key: tuple[tuple[int, ...], int]) -> tuple[int, ...]:
+        candidates, x = key
+        images = [self.row[u][x] for u in candidates]
+        least = min(images)
+        return tuple(u for u, image in zip(candidates, images) if image == least)
 
     def evaluator(self, pair: bool, negated: tuple[int, ...], words) -> Callable:
         """A moves.Program's word values at the ranks it reads (keyed x * n
@@ -237,20 +248,25 @@ class _Kernel:
 
     def canonical(self, st: _State) -> tuple[_State, int]:
         """The least conjugate of st (its class key) and a u taking st
-        to it.  Only the conjugators that make the first two entries
-        least can give it, so only they are tried.  When the identity is
-        the only one, st is its own key and comes back as it is, with u
-        the identity; otherwise u is the first of the least conjugators,
-        in ranks.elements() order, that gives the key."""
-        conjugators = self.ranks.least[st[0] * self.ranks.n + st[1]]
-        if len(conjugators) == 1 and conjugators[0][0] == self.ranks.identity:
-            return st, self.ranks.identity
-        best = None
-        for u, row in conjugators:
-            c = tuple(map(row, st))
-            if best is None or c < best:
-                best, v = c, u
-        return best, v
+        to it.  The conjugators that make the first two entries least
+        are narrowed entry by entry, each entry keeping those that make
+        it least, until one is left or the entries run out; ties that
+        survive every entry all give the key, and u is the first of them
+        in ranks.elements() order.  Only that u maps st, and not even it
+        when it is the identity: then st is its own key and comes back
+        as it is."""
+        ranks = self.ranks
+        us = ranks.least[st[0] * ranks.n + st[1]]
+        if len(us) > 1:
+            narrow = ranks.narrow
+            for x in st[2:]:
+                us = narrow[us, x]
+                if len(us) == 1:
+                    break
+        u = us[0]
+        if u == ranks.identity:
+            return st, u
+        return tuple(map(ranks.row[u].__getitem__, st)), u
 
     def flood_classes(self, start: _State, limit: int | None = None
                       ) -> tuple[dict[_State, int], set[int], bool]:
@@ -496,7 +512,8 @@ def census(d: int, h: int, w: int, selector: str = "full",
     fly.  The result is partial when the budget ran out before every
     filtered system was reached.  With the full-monodromy filter at
     d >= 3 the population is first tried by count (see
-    _census_by_count), which floods conjugacy classes, not systems, and
+    _census_by_count), which floods conjugacy classes, not systems,
+    calls the filter once per set of entries among the class keys, and
     skips the enumeration when the systems form one orbit; at d <= 2
     there are at most 4^h such systems and they are enumerated.  threads
     is ignored; it stays only because perfbench/run.py calls
@@ -547,7 +564,10 @@ def _census_by_count(kernel: _Kernel, seed: HurwitzSystem | None,
     (_Kernel.flood_classes): S_d acts freely on full-monodromy systems
     at d >= 3, so the orbit has classes * |H| members for its stabiliser
     H, from d!-fold fewer states.  Full monodromy is invariant under
-    conjugation, so the filter is checked on one key per class."""
+    conjugation, so the filter is checked on one key per class, and is
+    called once per distinct set of entries among the keys: it is
+    is_full_monodromy here, whether the group the entries generate is
+    S_d, and that group depends only on their set."""
     d, h, w = kernel.d, kernel.h, kernel.w
     count = full_monodromy_count(d, h, w)
     if count is None or (budget is not None and budget < count):
@@ -574,8 +594,16 @@ def _census_by_count(kernel: _Kernel, seed: HurwitzSystem | None,
     # members are conjugates of the three least keys
     least = heapq.nsmallest(3, {c for st in heapq.nsmallest(3, classes)
                                 for c in kernel.conjugates(st)})
-    return [_orbit_record(kernel, count, least,
-                          [st for st in classes if not filter(kernel.system(st))])]
+    passes: dict[frozenset[int], bool] = {}
+    escaped = []
+    for st in classes:
+        entries = frozenset(st)
+        ok = passes.get(entries)
+        if ok is None:
+            ok = passes[entries] = filter(kernel.system(st))
+        if not ok:
+            escaped.append(st)
+    return [_orbit_record(kernel, count, least, escaped)]
 
 
 def _orbit_record(kernel: _Kernel, size: int, least: list[_State], escaped) -> OrbitRecord:

@@ -83,9 +83,10 @@ def transposition(d: int, i: int, j: int) -> Perm:
     return tuple(images)
 
 
-def is_transposition(p: Perm) -> bool:
-    moved = [i for i, j in enumerate(p, start=1) if i != j]
-    return len(moved) == 2
+def is_transposition(p: Sequence[int]) -> bool:
+    """Is p a transposition of its degree?  A set lookup, so images
+    that are not a permutation, such as (2, 3, 3), read False."""
+    return 0 < len(p) <= MAX_DEGREE and tuple(p) in _transposition_set(len(p))
 
 
 def cycles(p: Perm) -> list[tuple[int, ...]]:

@@ -207,6 +207,11 @@ def validate_peripheral(e: EndoMap) -> PeripheralReport:
     puncture generator, the assignment being a bijection, (iii) the
     surface relator maps to a conjugate of itself, orientation kept
     (a map sending R to a conjugate of R^-1 is rejected).
+
+    A generator that e fixes passes (ii) as it is, and one that e and
+    its stored inverse both fix passes (i) as it is, so (i) and (ii)
+    work only on the generators that are moved; a braid moves two of
+    them, whatever w.  The bijection check and (iii) stay whole.
     """
     ctx = e.ctx
     if e.inverse_images is None:
@@ -214,6 +219,8 @@ def validate_peripheral(e: EndoMap) -> PeripheralReport:
     f = e.inverse()
     msgs: list[str] = []
     for k in range(1, ctx.rank + 1):
+        if e.images[k - 1] == f.images[k - 1] == (k,):
+            continue
         if e.apply(f.image(k)) != (k,):
             msgs.append("e(e^-1(%s)) != %s" % (ctx.name(k), ctx.name(k)))
             break
@@ -223,7 +230,11 @@ def validate_peripheral(e: EndoMap) -> PeripheralReport:
     pi: list[int] = []
     if not msgs:
         for j in range(1, ctx.w + 1):
-            core = cyclic_reduce(e.image(ctx.g(j)))
+            k = ctx.g(j)
+            if e.images[k - 1] == (k,):
+                pi.append(j)
+                continue
+            core = cyclic_reduce(e.image(k))
             if len(core) != 1 or core[0] <= 2 * ctx.h:
                 msgs.append("image of g%d is not a conjugate of a puncture generator" % j)
                 break

@@ -170,6 +170,59 @@ def test_escape_check_fires_on_the_by_count_path(monkeypatch, draws):
     assert len(draws) == 1
 
 
+def test_escape_check_calls_the_filter_once_per_entry_set(monkeypatch):
+    checked = []
+
+    def counted(sys):
+        checked.append(sys)
+        return is_full_monodromy(sys)
+    monkeypatch.setattr(orbits, "is_full_monodromy", counted)
+    # the first draw uses the uncounted filter, and the count is taken
+    # before _orbit_record checks its representative
+    monkeypatch.setattr(orbits, "enumerate_systems",
+                        lambda d, h, w, f: enumerate_systems(d, h, w, is_full_monodromy))
+    record, at_record = orbits._orbit_record, []
+
+    def recorded(*args):
+        at_record.append(len(checked))
+        return record(*args)
+    monkeypatch.setattr(orbits, "_orbit_record", recorded)
+    res = census(3, 1, 6, "full", counted, "full-monodromy")
+    assert (len(res.orbits), res.total) == (1, full_monodromy_count(3, 1, 6))
+    kernel = _Kernel(3, 1, 6, compile_moves(3, 1, 6, "full"))
+    seed = next(enumerate_systems(3, 1, 6, is_full_monodromy))
+    classes = kernel.flood_classes(kernel.state(seed))[0]
+    sets = {frozenset(st) for st in classes}
+    assert len(classes) > len(sets) == 17
+    assert at_record == [len(sets)]
+    assert {frozenset(map(kernel.ranks.rank.__getitem__, sys.transpositions + sys.handles))
+            for sys in checked[: len(sets)]} == sets
+
+
+def test_a_filter_rejecting_one_entry_set_escapes(monkeypatch, draws):
+    # a filter that depends only on the set of entries, as full monodromy
+    # does, rejecting the conjugates of one set that several classes share
+    kernel = _Kernel(3, 1, 6, compile_moves(3, 1, 6, "full"))
+    seed = next(enumerate_systems(3, 1, 6, is_full_monodromy))
+    classes = list(kernel.flood_classes(kernel.state(seed))[0])
+    entries = [frozenset(st) for st in classes]
+    shared = next(s for s in entries if entries.count(s) > 1)
+    perms = [kernel.ranks.perm[x] for x in shared]
+    rejected = {frozenset(conjugate(p, u) for p in perms)
+                for u in permutations(range(1, 4))}
+
+    def all_but_one_set(sys):
+        return (frozenset(sys.handles + sys.transpositions) not in rejected
+                and is_full_monodromy(sys))
+    monkeypatch.setattr(orbits, "is_full_monodromy", all_but_one_set)
+    escaped = [sys for sys in enumerate_systems(3, 1, 6, is_full_monodromy)
+               if not all_but_one_set(sys)]
+    message = "orbit escaped the filter at %s" % min(map(orbits.serialize, escaped))
+    with pytest.raises(AssertionError, match="^%s$" % re.escape(message)):
+        census(3, 1, 6, "full", all_but_one_set, "full-monodromy")
+    assert len(draws) == 1
+
+
 def test_a_flood_past_the_count_is_an_error(monkeypatch):
     monkeypatch.setattr(orbits, "full_monodromy_count", lambda d, h, w: 23)
     with pytest.raises(AssertionError, match="more than the 23 full-monodromy systems"):
@@ -187,6 +240,25 @@ def test_canonical_is_the_least_conjugate(d, h, w):
         key, v = kernel.canonical(st)
         assert key == min(kernel.conjugates(st))
         assert tuple(map(row[v].__getitem__, st)) == key
+
+
+@pytest.mark.parametrize("d,h,w", [(4, 0, 4), (3, 1, 2)])
+def test_canonical_breaks_ties_by_element_order(d, h, w):
+    # narrowing entry by entry against trying every conjugator: the key
+    # is the least conjugate and u the first in elements() order giving
+    # it, also where the centralizer is nontrivial and ties survive
+    # every entry
+    kernel = _Kernel(d, h, w, compile_moves(d, h, w, "full"))
+    row = kernel.ranks.row
+    tied = 0
+    for sys in enumerate_systems(d, h, w):
+        st = kernel.state(sys)
+        images = [(tuple(map(row[u].__getitem__, st)), u) for u in kernel.ranks.elements()]
+        key = min(kernel.conjugates(st))
+        givers = [u for image, u in images if image == key]
+        assert kernel.canonical(st) == (key, givers[0])
+        tied += len(givers) > 1
+    assert tied
 
 
 @pytest.mark.parametrize("d,h,w,selector", [(3, 1, 6, "full"), (3, 1, 4, "braid"),

@@ -123,6 +123,19 @@ class TestCycles:
         assert not is_transposition(identity(5))
         assert not is_transposition(parse_perm("2,3,1"))
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_is_transposition_is_two_moved_points(self, d):
+        # the set lookup against the definition: exactly two points moved
+        for p in permutations(range(1, d + 1)):
+            assert is_transposition(p) == (len(support(p)) == 2)
+
+    def test_is_transposition_outside_the_permutations(self):
+        assert is_transposition([2, 1, 3])
+        # moves two points, but is no permutation
+        assert not is_transposition((2, 3, 3))
+        # over the maximum degree
+        assert not is_transposition((2, 1) + tuple(range(3, 18)))
+
     def test_format_parse(self):
         rng = random.Random(5)
         for _ in range(50):

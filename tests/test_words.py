@@ -137,3 +137,61 @@ class TestEndos:
         # a map differing only in its stored inverse is another key
         assert EndoMap(ctx, images, None) != e
         assert len({e, EndoMap(ctx, images, None)}) == 2
+
+
+def braid_map(h, w, j, inverse_fix=None):
+    """The braid moving g_j past g_{j+1} at (h, w), with its stored
+    inverse; inverse_fix replaces the inverse image of one generator."""
+    ctx = FreeContext(h, w)
+    x, y = ctx.g(j), ctx.g(j + 1)
+    images = [(k,) for k in range(1, ctx.rank + 1)]
+    inverse_images = list(images)
+    images[x - 1], images[y - 1] = (y,), (-y, x, y)
+    inverse_images[x - 1], inverse_images[y - 1] = (x, y, -x), (x,)
+    if inverse_fix is not None:
+        k, word = inverse_fix
+        inverse_images[k - 1] = word
+    return EndoMap(ctx, tuple(images), tuple(inverse_images))
+
+
+class TestCertifyingMovedGenerators:
+    """validate_peripheral works only on the generators a map moves in
+    its inverse and puncture checks; the rest pass as they are."""
+
+    @pytest.mark.parametrize("k,word", [(4, (4,)), (3, (4,)), (6, (5,))])
+    def test_a_wrong_stored_inverse_is_rejected(self, k, word):
+        # generators 3 and 4 are the ones the braid moves; 6 is moved by
+        # the broken inverse alone
+        e = braid_map(0, 6, 3, inverse_fix=(k, word))
+        rep = validate_peripheral(e)
+        assert not rep.ok and "e^-1" in rep.messages[0]
+        assert validate_peripheral(braid_map(0, 6, 3)).ok
+
+    def test_a_moved_puncture_off_the_punctures_is_rejected(self):
+        # g2 -> g2 g3 is an automorphism, but g2's image is no conjugate
+        # of a puncture generator
+        ctx = FreeContext(1, 5)
+        g2, g3 = ctx.g(2), ctx.g(3)
+        images = [(k,) for k in range(1, ctx.rank + 1)]
+        inverse_images = list(images)
+        images[g2 - 1], inverse_images[g2 - 1] = (g2, g3), (g2, -g3)
+        rep = validate_peripheral(EndoMap(ctx, tuple(images), tuple(inverse_images)))
+        assert rep.messages == ("image of g2 is not a conjugate of a puncture generator",)
+
+    def test_inverse_check_work_does_not_grow_with_w(self, monkeypatch):
+        calls = []
+        apply = EndoMap.apply
+
+        def counted(self, word):
+            calls.append(word)
+            return apply(self, word)
+        monkeypatch.setattr(EndoMap, "apply", counted)
+        per_braid = set()
+        for h, w in [(0, 3), (1, 30), (0, 300)]:
+            for j in (1, w // 2, w - 1):
+                calls.clear()
+                rep = validate_peripheral(braid_map(h, w, j))
+                assert rep.ok and rep.puncture_map[j - 1 : j + 1] == (j + 1, j)
+                per_braid.add(len(calls))
+        # two moved generators, each checked both ways, and the relator
+        assert per_braid == {5}
