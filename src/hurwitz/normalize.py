@@ -3,25 +3,26 @@
 The pipeline turns any full-monodromy system with w >= 2d into the one
 canonical system of its parameters, recording a replayable move word:
 
-  1. sort the transpositions into contiguous branching blocks,
+  1. sort the transpositions into contiguous branching blocks, once,
   2. rewrite one block into a split normal form ending in a doubled
-     transposition, retype that pair to straddle two blocks, repeat
-     until the branching monodromy is all of S_d,
+     transposition, retype that pair to straddle two neighbouring
+     blocks, repeat until the branching monodromy is all of S_d,
   3. kill the handle entries pairwise: stage the doubled transposition
      that the next point-push will multiply into the handle, push, and
      watch the total handle weight drop by one each round,
   4. finish with a pure braid rewrite onto the star-shaped tuple.
 
-The word is built once, with window rewrites and pair retypes as macro
-tokens.  No search is involved and step counts are uniformly bounded,
-so canonicalization is linear time for fixed parameters.  The block
-rewrites are justified by braid-orbit transitivity on full blocks.
-Every stage plays its tokens through _play, which applies and checks
-each one as it is emitted.  Validate mode walks the finished word,
-replacing each macro by the elementary word orbits.connect finds from
-the system the macro acts on, which must land where the macro does.  A
-search that proves two orbits differ fails loudly; one that spends its
-budget raises BudgetError.
+Each stage sets up its precondition once, and the stages after it keep
+it.  The word is built once, with window rewrites and pair retypes as
+macro tokens.  No search is involved and step counts are uniformly
+bounded, so canonicalization is linear time for fixed parameters.  The
+block rewrites are justified by braid-orbit transitivity on full
+blocks.  Every stage plays moves.Move values through _play, which
+applies and checks each token text as it is emitted.  Validate mode
+walks the finished word, replacing each macro by the elementary word
+orbits.connect finds from the system the macro acts on, which must land
+where the macro does.  A search that proves two orbits differ fails
+loudly; one that spends its budget raises BudgetError.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from .catalog import certified_push_endo
-from .moves import Certificate, apply_move, apply_word, certificate, evaluate_word, parse_move
+from .moves import Certificate, Move, apply_move, apply_word, certificate, evaluate_word, parse_move
 from .orbits import connect
 from .perms import (Perm, conjugate, cycles, format_perm, identity, is_transposition, product,
                     support, transposition, weight)
@@ -50,8 +51,9 @@ class OrbitMismatchError(NormalizeError):
 SEARCH_BUDGET = 2_000_000
 
 
-def _play(sys: HurwitzSystem, token: str, tokens: list[str]) -> HurwitzSystem:
-    """Record the token and apply it as parsed, with every check of apply_move."""
+def _play(sys: HurwitzSystem, move: Move, tokens: list[str]) -> HurwitzSystem:
+    """Record move.token() and apply that text as parsed, with every check of apply_move."""
+    token = move.token()
     tokens.append(token)
     return apply_move(sys, parse_move(token))
 
@@ -63,11 +65,7 @@ def sort_standard_position(sys: HurwitzSystem) -> tuple[HurwitzSystem, list[str]
     """Bubble the transpositions into contiguous blocks, ordered by the
     least point of each block, stably, using only braid moves on
     disjoint adjacent entries (which act as plain swaps)."""
-    blocks = branching_blocks(sys)
-    where = {}
-    for idx, blk in enumerate(blocks):
-        for pt in blk:
-            where[pt] = idx
+    where = {pt: idx for idx, blk in enumerate(branching_blocks(sys)) for pt in blk}
     keys = [where[support(t)[0]] for t in sys.transpositions]
     tokens: list[str] = []
     changed = True
@@ -76,7 +74,7 @@ def sort_standard_position(sys: HurwitzSystem) -> tuple[HurwitzSystem, list[str]
         for j in range(sys.w - 1):
             if keys[j] > keys[j + 1]:
                 # different blocks, hence disjoint supports
-                sys = _play(sys, "B%d" % (j + 1), tokens)
+                sys = _play(sys, Move("braid", j + 1), tokens)
                 keys[j], keys[j + 1] = keys[j + 1], keys[j]
                 changed = True
     return sys, tokens
@@ -134,15 +132,14 @@ def prop_split_normal_form(points: tuple[int, ...], g: Perm, w_m: int,
 # braid realization of a window rewrite
 
 def realize_block_rewrite(sys: HurwitzSystem, lo: int, hi: int,
-                          target: tuple[Perm, ...],
-                          budget: int = SEARCH_BUDGET) -> list[str]:
+                          target: tuple[Perm, ...]) -> list[str]:
     """Braid word carrying the window lo..hi onto target, found by
     orbits.connect on the window alone; validate mode calls it for each
     W token of the finished word.  Exhausting both frontiers without
     meeting proves the tuples lie in different braid orbits, which is a
-    hard counterexample.  The budget follows connect's rule: it is
-    checked at level boundaries against the states held by both sides
-    together, and connect's BudgetError passes through."""
+    hard counterexample.  The budget is SEARCH_BUDGET under connect's
+    rule, checked at level boundaries against the states held by both
+    sides together; connect's BudgetError passes through."""
     src = sys.transpositions[lo - 1 : hi]
     if len(target) != len(src):
         raise NormalizeError("rewrite target has %d entries for a %d-entry window"
@@ -150,7 +147,7 @@ def realize_block_rewrite(sys: HurwitzSystem, lo: int, hi: int,
     if product(src, sys.d) != product(target, sys.d):
         raise OrbitMismatchError("window products differ, no braid word can exist")
     cert = connect(HurwitzSystem(sys.d, (), src), HurwitzSystem(sys.d, (), target),
-                   "braid", budget)
+                   "braid", SEARCH_BUDGET)
     if cert is None:
         raise OrbitMismatchError(
             "window %d..%d of %s cannot be braided to %s" %
@@ -166,7 +163,7 @@ def _apply_rewrite(sys: HurwitzSystem, lo: int, hi: int, target: tuple[Perm, ...
     emits nothing."""
     if sys.transpositions[lo - 1 : hi] == target:
         return sys
-    return _play(sys, "W%d-%d:%s" % (lo, hi, ";".join(format_perm(t) for t in target)), tokens)
+    return _play(sys, Move("rewrite", lo, perms=target, hi=hi), tokens)
 
 
 # ---------------------------------------------------------------------------
@@ -177,27 +174,22 @@ def repair_branching_monodromy(sys: HurwitzSystem) -> tuple[HurwitzSystem, list[
     generate S_d, by rewriting a long enough block into split normal
     form and retyping its doubled tail across a block boundary.  Needs
     w >= 2d so that a block with w_m >= 2#A_m always exists, and full
-    monodromy so the retype preconditions hold."""
+    monodromy so the retype preconditions hold.  One block returns at
+    once.  Otherwise the tuple is sorted once: a retype merges two
+    neighbouring windows of a sorted tuple, so the tuple stays sorted."""
     if sys.w < 2 * sys.d:
         raise NormalizeError("branching repair needs w >= 2d, got w=%d d=%d" % (sys.w, sys.d))
+    blocks = branching_blocks(sys)
+    if len(blocks) == 1:
+        return sys, []
     if not is_full_monodromy(sys):
         raise NormalizeError("branching repair needs full monodromy: %s" % serialize(sys))
-    tokens: list[str] = []
-    while True:
-        blocks = branching_blocks(sys)
-        if len(blocks) == 1:
-            return sys, tokens
-        # the sort only swaps entries of different blocks, so the
-        # partition it leaves is the one just computed
-        sys, sort_tokens = sort_standard_position(sys)
-        tokens.extend(sort_tokens)
-        index = {}
-        for bi, blk in enumerate(blocks):
-            for pt in blk:
-                index[pt] = bi
-        counts = [0] * len(blocks)
-        for t in sys.transpositions:
-            counts[index[support(t)[0]]] += 1
+    # the sort only swaps entries of different blocks, so it keeps the partition
+    sys, tokens = sort_standard_position(sys)
+    while len(blocks) > 1:
+        index = {pt: bi for bi, blk in enumerate(blocks) for pt in blk}
+        keys = [index[support(t)[0]] for t in sys.transpositions]
+        counts = [keys.count(bi) for bi in range(len(blocks))]
         chosen = next(bi for bi, blk in enumerate(blocks)
                       if counts[bi] >= 2 * len(blk))
         lo = 1 + sum(counts[:chosen])
@@ -209,7 +201,9 @@ def repair_branching_monodromy(sys: HurwitzSystem) -> tuple[HurwitzSystem, list[
         sys = _apply_rewrite(sys, lo, hi, normal, tokens)
         partner = blocks[chosen + 1] if chosen + 1 < len(blocks) else blocks[chosen - 1]
         bridge = transposition(sys.d, blk[0], partner[0])
-        sys = _play(sys, "R%d:%s" % (hi - 1, format_perm(bridge)), tokens)
+        sys = _play(sys, Move("retype", hi - 1, perms=(bridge,)), tokens)
+        blocks = branching_blocks(sys)
+    return sys, tokens
 
 
 # ---------------------------------------------------------------------------
@@ -228,23 +222,22 @@ def _push_conjugator(sys: HurwitzSystem, i: int, side: str) -> Perm:
 def trivialize_handle(sys: HurwitzSystem, i: int) -> tuple[HurwitzSystem, list[str]]:
     """Drive the entries of handle i to the identity.
 
-    Each round repairs the branching monodromy, stages the whole
-    transposition tuple so it ends in a doubled copy of the right
-    transposition, and pushes the last puncture around one loop of the
-    handle.  The staged transposition is chosen so the push multiplies
-    the rewritten handle entry by a cycle-splitting transposition: the
-    total handle weight drops by exactly one per push, so at most
-    2(d-1) pushes happen."""
-    tokens: list[str] = []
-    rounds = 0
+    The branching monodromy is repaired once, on entry.  Each round
+    stages the whole transposition tuple so it ends in a doubled copy
+    of the right transposition, and pushes the last puncture around one
+    loop of the handle.  Staging writes a split normal form whose body
+    links all d points, and a push changes only t_w and one handle
+    entry, so the tuple stays one block.  The staged transposition is
+    chosen so the push multiplies the rewritten handle entry by a
+    cycle-splitting transposition: the total handle weight, at most
+    2(d-1), drops by exactly one per push or the stage raises, so at
+    most 2(d-1) pushes happen."""
+    sys, tokens = repair_branching_monodromy(sys)
     while True:
         lam, mu = sys.handle_pair(i)
-        if weight(lam) + weight(mu) == 0:
+        total = weight(lam) + weight(mu)
+        if total == 0:
             return sys, tokens
-        if rounds > 2 * (sys.d - 1):
-            raise NormalizeError("handle trivialization exceeded its push bound on %s"
-                                 % serialize(sys))
-        rounds += 1
         # side a rewrites b_i, side b rewrites a_i
         side = "a" if weight(mu) > 0 else "b"
         moved_img = mu if side == "a" else lam
@@ -253,16 +246,13 @@ def trivialize_handle(sys: HurwitzSystem, i: int) -> tuple[HurwitzSystem, list[s
         v = _push_conjugator(sys, i, side)
         # the push multiplies the handle entry by v t_w v^-1
         tau = conjugate(splitter, v)
-        sys, repair_tokens = repair_branching_monodromy(sys)
-        tokens.extend(repair_tokens)
         staged = prop_split_normal_form(tuple(range(1, sys.d + 1)),
                                         product(sys.transpositions, sys.d),
                                         sys.w, tau)
         sys = _apply_rewrite(sys, 1, sys.w, staged, tokens)
-        before = weight(lam) + weight(mu)
-        sys = _play(sys, "P%s%d" % (side, i), tokens)
-        lam2, mu2 = sys.handle_pair(i)
-        if weight(lam2) + weight(mu2) != before - 1:
+        sys = _play(sys, Move("push", i, side=side), tokens)
+        lam, mu = sys.handle_pair(i)
+        if weight(lam) + weight(mu) != total - 1:
             raise NormalizeError("staged push failed to reduce the handle weight on %s"
                                  % serialize(sys))
 
@@ -287,10 +277,11 @@ def canonicalize(sys: HurwitzSystem,
                  mode: str = "fast") -> tuple[HurwitzSystem, Certificate]:
     """Carry a full-monodromy system with w >= 2d to the canonical
     system of its parameters; the certificate replays move by move.
-    Fast mode returns the word the stages played, each token applied
-    and checked once.  Validate mode walks that word again and replaces
-    every macro token by an elementary word, so the certificate holds
-    braids and point-pushes only.
+    The branching monodromy is repaired once, up front, and every later
+    stage keeps one block.  Fast mode returns the word the stages
+    played, each token applied and checked once.  Validate mode walks
+    that word again and replaces every macro token by an elementary
+    word, so the certificate holds braids and point-pushes only.
     Raises NormalizeError with the offending system line if any stage
     cannot make progress, which would be a counterexample to the
     single-orbit claim, and BudgetError if a validate-mode search
@@ -305,12 +296,10 @@ def canonicalize(sys: HurwitzSystem,
     if not is_full_monodromy(sys):
         raise NormalizeError("canonicalization needs full monodromy: %s" % serialize(sys))
     start = sys
-    tokens: list[str] = []
+    sys, tokens = repair_branching_monodromy(sys)
     for i in range(sys.h, 0, -1):
         sys, more = trivialize_handle(sys, i)
         tokens.extend(more)
-    sys, more = repair_branching_monodromy(sys)
-    tokens.extend(more)
     star = canonical_star(sys.d, sys.h, sys.w)
     sys = _apply_rewrite(sys, 1, sys.w, star.transpositions, tokens)
     if sys != star:

@@ -78,12 +78,12 @@ def compile_moves(d: int, h: int, w: int, selector: str = "full") -> tuple[Compi
     """
     if selector not in ("braid", "full"):
         raise ValueError("move selector must be 'braid' or 'full', got %r" % selector)
-    forward = ["B%d" % j for j in range(1, w)]
+    forward = [Move("braid", j).token() for j in range(1, w)]
     if selector == "full" and w >= 1:
         for i in range(1, h + 1):
             for side in ("a", "b"):
                 certified_push_endo(h, w, i, side)  # a bad catalog fails here
-                forward.append("P%s%d" % (side, i))
+                forward.append(Move("push", i, side=side).token())
     tokens = [t for token in forward for t in [token] + invert_tokens([token])]
     return tuple(CompiledMove(token, invert_tokens([token])[0], _reference_apply(parse_move(token)))
                  for token in tokens)

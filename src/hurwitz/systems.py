@@ -127,15 +127,10 @@ def is_full_monodromy(sys: HurwitzSystem) -> bool:
     return is_symmetric(sys.handles + sys.transpositions, sys.d)
 
 
-def branching_blocks(sys: HurwitzSystem, lo: int = 1, hi: int | None = None) -> list[tuple[int, ...]]:
-    """Blocks of the branching monodromy group of the index window
-    lo..hi (1-based, inclusive); the group itself is the direct product
-    of symmetric groups on the blocks."""
-    if hi is None:
-        hi = sys.w
-    if not (1 <= lo and hi <= sys.w and lo <= hi + 1):
-        raise ValueError("window %d..%d out of range 1..%d" % (lo, hi, sys.w))
-    return transposition_blocks(sys.transpositions[lo - 1 : hi], sys.d)
+def branching_blocks(sys: HurwitzSystem) -> list[tuple[int, ...]]:
+    """Blocks of the branching monodromy group; the group itself is the
+    direct product of symmetric groups on the blocks."""
+    return transposition_blocks(sys.transpositions, sys.d)
 
 
 # ---------------------------------------------------------------------------
@@ -330,9 +325,16 @@ def enumerate_systems(d: int, h: int, w: int,
                       filter: Callable[[HurwitzSystem], bool] | None = None
                       ) -> Iterator[HurwitzSystem]:
     """Every valid system with these parameters exactly once, in a
-    fixed deterministic order (lex on the transposition tuple, then on
-    handles).  Refuses negative h or w, and an estimated cost (systems,
-    or commutator pairs at h >= 1) over the enumeration guard."""
+    fixed deterministic order that is not system-line order (census
+    sorts its states itself).  Transposition tuples come lex in
+    all_transpositions (point) order, where (1 3) precedes (2 3) though
+    its line 3,2,1 follows 1,3,2.  Under each tuple the handles come lex
+    on images at h = 1.  At h >= 2 they are grouped by the commutator of
+    the first pair, the remaining pairs follow this same order and the
+    first pair varies fastest, so (3,2,0) yields (3,2,1),(3,2,1),
+    (1,2,3),(1,2,3) before (1,2,3),(1,2,3),(1,2,3),(1,3,2).  Refuses
+    negative h or w, and an estimated cost (systems, or commutator pairs
+    at h >= 1) over the enumeration guard."""
     if h < 0 or w < 0:
         raise ValueError("h and w must be non-negative, got h=%d w=%d" % (h, w))
     if _estimate_count(d, h, w) > ENUMERATION_GUARD:

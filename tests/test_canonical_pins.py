@@ -39,6 +39,15 @@ FAST_PINS = [
     ((5, 2, 10), 4, "762513ead31245d439bb27d7b0852e0482690344c710f7b328c526a6b522da8f"),
     ((5, 2, 10), 5, "327d254ac3eefee406bb8f22cbcafe79695f5af17840fa58fcd667b260ba446f"),
     ((5, 2, 10), 6, "d7a2ec7e57c4752283310bb950fbe0f1454d4652b210a387494840e866fe5854"),
+    ((3, 3, 6), 0, "02c5e16e3864256eb403bb910f6b02d314bc93ca2bfff9c696c4d2d80623a13d"),
+    ((3, 3, 6), 1, "e8cc148e5d0d89d01b1b2d2df7a2b66749ee11c5cd8e961e4862fa8758ae4c98"),
+    ((3, 3, 6), 2, "c328f618b19236a0fa2cede497308d659e652b646c40d907fbddcd772307ead2"),
+    ((6, 1, 12), 0, "ec7ec5a48d41136087a3ab518a6c3312236c389be76e7254a35c39d7ca0ef46f"),
+    ((6, 1, 12), 1, "6b2d63ba1ce04cbb598085c89b131f707ed9d2d3fc74443696ff4a894f5570a3"),
+    ((6, 1, 12), 2, "2a052b0bc111fba098b79d193f7a6c812bc53b21ea7f09a9692729807dd3b1d4"),
+    ((7, 1, 14), 0, "34e576e16ff97fa9e71b023ff54a28ff9ce6f2753e895fe3c83c5672272ce673"),
+    ((7, 1, 14), 1, "ce3ab8416148416a35bebe0e5e99fec00ed73fbf0bc1372a43704de23a0347c5"),
+    ((7, 1, 14), 2, "626677db8619214747c5171d721895b6f5e52ca357146278f11908658e769508"),
 ]
 
 

@@ -2,7 +2,8 @@
 
 A module may import only package modules of a lower layer, and only at
 its top level: an import tucked inside a function hides a cycle that
-the module graph would otherwise show.
+the module graph would otherwise show.  The move-token text has one
+writer, moves.Move.token: no other module holds a token format literal.
 """
 
 import ast
@@ -25,6 +26,9 @@ LAYER = {
 }
 
 MODULES = sorted(path.stem for path in PACKAGE.glob("*.py"))
+
+# the printf formats of braid, push, retype and rewrite tokens
+TOKEN_FORMATS = ("B%d", "P%s%d", "R%d:", "W%d-%d:")
 
 
 def package_imports(tree: ast.Module):
@@ -73,3 +77,17 @@ def test_checker_sees_function_level_and_upward_imports():
     found = [(node.lineno, name) for node, name in package_imports(tree)]
     assert found == [(1, "perms"), (3, "normalize")]
     assert [node.lineno for node in tree.body if isinstance(node, ast.ImportFrom)] == [1]
+
+
+def token_formats(tree: ast.AST) -> list[tuple[int, str]]:
+    """(line, format) for every token format inside a string constant."""
+    return [(node.lineno, fmt) for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            for fmt in TOKEN_FORMATS if fmt in node.value]
+
+
+def test_only_moves_writes_token_text():
+    found = {module: token_formats(ast.parse((PACKAGE / (module + ".py")).read_text(
+        encoding="utf-8"))) for module in MODULES}
+    assert {module for module, hits in found.items() if hits} == {"moves"}, found
+    assert {fmt for _, fmt in found["moves"]} == set(TOKEN_FORMATS)

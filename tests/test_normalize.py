@@ -3,6 +3,7 @@ window rewrites, monodromy repair, handle trivialization, and the
 canonical form."""
 
 import random
+from itertools import permutations
 
 import pytest
 
@@ -17,7 +18,7 @@ from hurwitz.orbits import BudgetError
 from hurwitz.perms import (all_transpositions, cycles, from_cycles, identity,
                            compose, inverse, is_symmetric, product, support,
                            transposition)
-from hurwitz.systems import (HurwitzSystem, branching_blocks,
+from hurwitz.systems import (HurwitzSystem, branching_blocks, commutator,
                              is_full_monodromy, random_system, serialize,
                              validate)
 
@@ -55,6 +56,22 @@ def sample_window(rng, n, w_m, g):
         window.append(last)
         if is_symmetric(window, n):
             return tuple(window)
+
+
+def three_block_system(rng):
+    """d = 6, w = 12: transpositions inside {1,2}, {3,4} and {5,6}, one
+    random handle pair and the last transposition forced by the
+    relator, by rejection until there are three blocks and the
+    monodromy is full."""
+    pool = [transposition(6, 1, 2), transposition(6, 3, 4), transposition(6, 5, 6)]
+    elems = list(permutations(range(1, 7)))
+    while True:
+        ts = [rng.choice(pool) for _ in range(11)]
+        x, y = rng.choice(elems), rng.choice(elems)
+        last = compose(inverse(product(ts, 6)), inverse(commutator(x, y)))
+        hs = HurwitzSystem(6, (x, y), tuple(ts) + (last,))
+        if last in pool and len(branching_blocks(hs)) == 3 and is_full_monodromy(hs):
+            return hs
 
 
 class TestSplitNormalForm:
@@ -154,7 +171,8 @@ class TestRealizeRewrite:
         with pytest.raises(OrbitMismatchError):
             realize_block_rewrite(host, 1, 2, (t13, t13))
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
+        monkeypatch.setattr(normalize, "SEARCH_BUDGET", 3)
         rng = random.Random(21)
         g = identity(4)
         src = sample_window(rng, 4, 8, g)
@@ -162,7 +180,7 @@ class TestRealizeRewrite:
         host = HurwitzSystem(4, (), src + tuple(reversed(src)))
         if src != dst:
             with pytest.raises(BudgetError):
-                realize_block_rewrite(host, 1, 8, dst, budget=3)
+                realize_block_rewrite(host, 1, 8, dst)
 
 
 class TestStandardPosition:
@@ -299,6 +317,41 @@ class TestCanonical:
                 assert form == canonical_star(d, h, w)
                 assert calls == {"endo": kinds.count("B") + kinds.count("P"),
                                  "window": kinds.count("W")}
+
+    def test_each_stage_sets_up_its_precondition_once(self, monkeypatch):
+        # canonicalize repairs once and trivialize_handle once on entry;
+        # a repair sorts once however many blocks it merges
+        repairs, sorts = [], []
+        real_repair = normalize.repair_branching_monodromy
+        real_sort = normalize.sort_standard_position
+
+        def repair(sys):
+            repairs.append(len(branching_blocks(sys)))
+            sorts.append(0)
+            return real_repair(sys)
+
+        def sort(sys):
+            sorts[-1] += 1
+            return real_sort(sys)
+
+        monkeypatch.setattr(normalize, "repair_branching_monodromy", repair)
+        monkeypatch.setattr(normalize, "sort_standard_position", sort)
+        rng = random.Random("three-blocks")
+        systems = [three_block_system(rng) for _ in range(3)]
+        for d, h, w in ((4, 1, 8), (5, 2, 10)):
+            rng = random.Random("once:%d:%d:%d" % (d, h, w))
+            systems += [random_system(d, h, w, rng, is_full_monodromy) for _ in range(5)]
+        for hs in systems:
+            assert validate(hs).ok
+            repairs.clear()
+            sorts.clear()
+            form, _ = canonicalize(hs)
+            assert form == canonical_star(hs.d, hs.h, hs.w)
+            assert len(repairs) == 1 + hs.h
+            # the first repair sorts once when it has blocks to merge,
+            # three of them in the constructed systems; the rest find one
+            assert sorts == [int(repairs[0] > 1)] + [0] * hs.h
+            assert repairs[1:] == [1] * hs.h
 
     def test_idempotent(self):
         star = canonical_star(3, 1, 6)

@@ -100,10 +100,6 @@ class TestMonodromy:
         t34 = transposition(4, 3, 4)
         sys = make(4, [], [t12, t12, t34, t34])
         assert S.branching_blocks(sys) == [(1, 2), (3, 4)]
-        assert S.branching_blocks(sys, 1, 2) == [(1, 2), (3,), (4,)]
-        assert S.branching_blocks(sys, 3, 4) == [(1,), (2,), (3, 4)]
-        with pytest.raises(ValueError):
-            S.branching_blocks(sys, 0, 2)
 
 
 class TestSerialization:
