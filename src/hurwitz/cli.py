@@ -359,7 +359,7 @@ def cmd_census(args) -> int:
         if not res.orbits:
             raise UsageError("no orbit to log")
         moves = compile_moves(args.d, args.h, args.w, args.moves)
-        flood = orbit_bfs(deserialize(res.orbits[0].rep), moves)
+        flood = orbit_bfs(deserialize(res.orbits[0].rep), moves, args.budget)
         try:
             write_predecessor_log(args.log, flood)
         except OSError as exc:

@@ -24,14 +24,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .catalog import catalog_hash, certified_braid_endo, certified_push_endo
 from .perms import (
     Perm,
-    compose,
     format_perm,
-    identity,
     inverse,
     is_symmetric,
     is_transposition,
@@ -82,18 +80,10 @@ def move_program(h: int, w: int, j: int, side: str, inverse_move: bool) -> Progr
     return _compile(e, inverse_move)
 
 
-def _product(perms: Iterator[Perm], d: int) -> Perm:
-    """The letter loop: left-to-right product from the first factor."""
-    acc = next(perms, None)
-    for p in perms:
-        acc = compose(acc, p)
-    return identity(d) if acc is None else acc
-
-
 def evaluate_word(word: Word, sys: HurwitzSystem) -> Perm:
     """Monodromy image of a free-group word, left to right."""
     entries = sys.handles + sys.transpositions
-    return _product((entries[x - 1] if x > 0 else inverse(entries[-x - 1]) for x in word), sys.d)
+    return product((entries[x - 1] if x > 0 else inverse(entries[-x - 1]) for x in word), sys.d)
 
 
 def apply_endo(sys: HurwitzSystem, program: Program) -> HurwitzSystem:
@@ -103,7 +93,7 @@ def apply_endo(sys: HurwitzSystem, program: Program) -> HurwitzSystem:
     values = [entries[k] for k in program.reads]
     values += [inverse(values[p]) for p in program.negated]
     for k, word in zip(program.changed, program.words):
-        entries[k] = _product(map(values.__getitem__, word), sys.d)
+        entries[k] = product(map(values.__getitem__, word), sys.d)
     return HurwitzSystem(sys.d, tuple(entries[: 2 * sys.h]), tuple(entries[2 * sys.h :]))
 
 

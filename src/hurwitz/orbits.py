@@ -505,20 +505,27 @@ def census(d: int, h: int, w: int, selector: str = "full",
            filter: Callable[[HurwitzSystem], bool] | None = None,
            filter_name: str = "all", budget: int | None = None,
            threads: int = 1) -> CensusResult:
-    """Partition every filtered system into move orbits by repeated
-    floods from the least unvisited system.  The filter must be
-    invariant under the moves (monodromy-based filters are: moves
-    preserve the monodromy subgroup exactly), which is checked on the
-    fly.  The result is partial when the budget ran out before every
-    filtered system was reached.  With the full-monodromy filter at
-    d >= 3 the population is first tried by count (see
-    _census_by_count), which floods conjugacy classes, not systems,
-    calls the filter once per set of entries among the class keys, and
-    skips the enumeration when the systems form one orbit; at d <= 2
-    there are at most 4^h such systems and they are enumerated.  threads
-    is ignored; it stays only because perfbench/run.py calls
-    census(..., threads=1)."""
-    systems = enumerate_systems(d, h, w, filter)
+    """Partition every filtered system into move orbits in one pass
+    over the systems in line order: each system no flood has reached
+    is the least member of its orbit, so it is flooded from.  The filter
+    must be invariant under the moves (monodromy-based filters are:
+    moves preserve the monodromy subgroup exactly), which is checked on
+    the fly; it sees each system once.  The budget is checked after each
+    flood; once it is spent, a filtered system no flood has reached
+    makes the result partial.  With the full-monodromy filter at d >= 3
+    the population is first tried by count (see _census_by_count), which
+    floods conjugacy classes, not systems, calls the filter once per set
+    of entries among the class keys, and skips the enumeration when the
+    systems form one orbit; at d <= 2 there are at most 4^h such systems
+    and they are enumerated.  threads is ignored; it stays only because
+    perfbench/run.py calls census(..., threads=1)."""
+    reached: set[_State] = set()
+
+    def admit(sys: HurwitzSystem) -> bool:
+        # reached is empty until the kernel below is built
+        return ((not reached or kernel.state(sys) not in reached)
+                and (filter is None or filter(sys)))
+    systems = enumerate_systems(d, h, w, admit)
     # the first draw runs the enumeration guard, before any move is certified
     first = next(systems, None)
     kernel = _Kernel(d, h, w, compile_moves(d, h, w, selector))
@@ -527,25 +534,21 @@ def census(d: int, h: int, w: int, selector: str = "full",
         if orbits is not None:
             return CensusResult(d, h, w, selector, filter_name, orbits,
                                 sum(rec.size for rec in orbits), False)
-    remaining = {kernel.state(sys) for sys in chain([] if first is None else [first], systems)}
-    total = 0
-    orbits = []
-    for start in sorted(remaining):
-        if start not in remaining:
-            continue
+    total, orbits, partial = 0, [], False
+    for sys in chain([] if first is None else [first], systems):
+        if orbits and budget is not None and total >= budget:
+            partial = True
+            break
+        start = kernel.state(sys)
         links, _, _ = kernel.flood(start, None if budget is None else budget - total)
         members = links.keys()
-        # orbits are disjoint, so a member missing from remaining was
-        # never in the filtered population
-        orbits.append(_orbit_record(kernel, len(members), heapq.nsmallest(3, members),
-                                    members - remaining))
-        remaining.difference_update(members)
+        # start passed the filter when it was drawn
+        escaped = [] if filter is None else [
+            st for st in members if st != start and not filter(kernel.system(st))]
+        orbits.append(_orbit_record(kernel, len(members), heapq.nsmallest(3, members), escaped))
+        reached.update(members)
         total += len(members)
-        if budget is not None and total >= budget:
-            break
-    orbits.sort(key=lambda rec: rec.rep)
-    # a flood cut by the budget leaves the rest of its orbit in remaining
-    return CensusResult(d, h, w, selector, filter_name, orbits, total, bool(remaining))
+    return CensusResult(d, h, w, selector, filter_name, orbits, total, partial)
 
 
 def _census_by_count(kernel: _Kernel, seed: HurwitzSystem | None,

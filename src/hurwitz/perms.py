@@ -70,7 +70,12 @@ def conjugate(t: Perm, s: Perm) -> Perm:
 
 
 def product(perms: Iterable[Perm], d: int) -> Perm:
-    acc = identity(d)
+    """Left-to-right product from the first factor; the identity of
+    degree d when there is none."""
+    perms = iter(perms)
+    acc = next(perms, None)
+    if acc is None:
+        return identity(d)
     for p in perms:
         acc = compose(acc, p)
     return acc

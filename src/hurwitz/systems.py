@@ -246,25 +246,6 @@ def _commutator_pairs(d: int) -> dict[Perm, list[tuple[Perm, Perm]]]:
     return table
 
 
-def _handle_tuples(target: Perm, h: int, pairs: dict[Perm, list[tuple[Perm, Perm]]],
-                   d: int) -> Iterator[tuple[Perm, ...]]:
-    """All 2h-tuples whose commutator product, left to right, is target."""
-    if h == 0:
-        if target == identity(d):
-            yield ()
-        return
-    if h == 1:
-        for x, y in pairs.get(target, ()):
-            yield (x, y)
-        return
-    for c1 in sorted(pairs):
-        rest_target = compose(inverse(c1), target)
-        first = pairs[c1]
-        for tail in _handle_tuples(rest_target, h - 1, pairs, d):
-            for x, y in first:
-                yield (x, y) + tail
-
-
 def _spend(spent: int, products: int, budget: float) -> int:
     """spent + products, or BudgetError when that passes budget."""
     spent += products
@@ -324,43 +305,47 @@ def _estimate_count(d: int, h: int, w: int) -> int:
 def enumerate_systems(d: int, h: int, w: int,
                       filter: Callable[[HurwitzSystem], bool] | None = None
                       ) -> Iterator[HurwitzSystem]:
-    """Every valid system with these parameters exactly once, in a
-    fixed deterministic order that is not system-line order (census
-    sorts its states itself).  Transposition tuples come lex in
-    all_transpositions (point) order, where (1 3) precedes (2 3) though
-    its line 3,2,1 follows 1,3,2.  Under each tuple the handles come lex
-    on images at h = 1.  At h >= 2 they are grouped by the commutator of
-    the first pair, the remaining pairs follow this same order and the
-    first pair varies fastest, so (3,2,0) yields (3,2,1),(3,2,1),
-    (1,2,3),(1,2,3) before (1,2,3),(1,2,3),(1,2,3),(1,3,2).  Refuses
-    negative h or w, and an estimated cost (systems, or commutator pairs
-    at h >= 1) over the enumeration guard."""
+    """Every valid system with these parameters that passes filter,
+    exactly once, in system-line order: lex over (t_1..t_w, a_1, b_1,
+    ..., a_h, b_h) with each entry ordered by its text.  filter is
+    called once per system, as it comes up.  Refuses negative h or w,
+    and an estimated cost (systems, or commutator pairs at h >= 1) over
+    the enumeration guard."""
     if h < 0 or w < 0:
         raise ValueError("h and w must be non-negative, got h=%d w=%d" % (h, w))
     if _estimate_count(d, h, w) > ENUMERATION_GUARD:
         raise ValueError("enumeration would exceed the guard of %d systems" % ENUMERATION_GUARD)
     if w % 2:
         return
-    trans = all_transpositions(d)
+    trans = sorted(all_transpositions(d), key=format_perm)
     pairs = _commutator_pairs(d) if h > 0 else {}
+    # every handle pair but the last is a free choice; the pair lists are
+    # in tuple order, which is text order because the guard keeps h >= 1
+    # to d <= 7
+    elems = _all_elements(d) if h > 1 else []
+    free_pairs = [((x, y), commutator(x, y)) for x in elems for y in elems]
     # at h = 0 the last transposition is forced by the relator
     forced = h == 0 and w > 0
     free = w - 1 if forced else w
     # depth first on an explicit stack, since w may pass the recursion
     # limit; children are pushed in reverse so prefixes come out in lex
     # order
-    stack = [((), identity(d))]
+    stack = [((), (), identity(d))]
     while stack:
-        prefix, prod = stack.pop()
-        if len(prefix) < free:
-            stack += [(prefix + (t,), compose(prod, t)) for t in reversed(trans)]
+        ts, handles, prod = stack.pop()
+        if len(ts) < free:
+            stack += [(ts + (t,), handles, compose(prod, t)) for t in reversed(trans)]
+            continue
+        if len(handles) < 2 * h - 2:
+            stack += [(ts, handles + pair, compose(prod, c)) for pair, c in reversed(free_pairs)]
             continue
         target = inverse(prod)
-        if forced:
-            found = [HurwitzSystem(d, (), prefix + (target,))] if is_transposition(target) else []
+        if h > 0:
+            found = (HurwitzSystem(d, handles + pair, ts) for pair in pairs.get(target, ()))
+        elif forced:
+            found = [HurwitzSystem(d, (), ts + (target,))] if is_transposition(target) else []
         else:
-            found = (HurwitzSystem(d, handles, prefix)
-                     for handles in _handle_tuples(target, h, pairs, d))
+            found = [HurwitzSystem(d, (), ())]
         for sys in found:
             if filter is None or filter(sys):
                 yield sys

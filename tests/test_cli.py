@@ -2,15 +2,27 @@
 reruns."""
 
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from hurwitz import normalize, systems
 from hurwitz.cli import main
-from hurwitz.orbits import BudgetError
+from hurwitz.orbits import BudgetError, read_predecessor_log
 from hurwitz.perms import identity, transposition
 from hurwitz.systems import HurwitzSystem, random_system, is_full_monodromy, serialize
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+# runs its arguments as a command and prints its exit code and peak RSS in KiB
+RSS_PROBE = """import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
 
 
 def write_system(tmp_path, name, hs):
@@ -150,6 +162,29 @@ class TestExploreCensus:
         assert main(["replay", str(log)]) == 0
         assert "replay: OK (4 states" in capsys.readouterr().out
 
+    def test_predecessor_log_honours_the_budget(self, tmp_path, capsys):
+        # the orbit holds 8,736 systems; the flood stops at the first
+        # level boundary past 100 states and writes whole levels
+        log = tmp_path / "orbit.predlog"
+        assert main(["census", "--d", "3", "--h", "1", "--w", "6", "--filter", "full-monodromy",
+                     "--budget", "100", "--out", str(tmp_path / "c.jsonl"),
+                     "--log", str(log)]) == 3
+        assert read_predecessor_log(str(log)).size == 129
+        assert main(["replay", str(log)]) == 0
+        assert "replay: OK (129 states" in capsys.readouterr().out
+
+    def test_budgeted_census_stays_small(self):
+        # a budget bounds the work: the census floods about 1,000 of the
+        # 2,242,560 systems and stops, without holding the rest in memory.
+        # A child's peak RSS counts the memory of the process it was forked
+        # from, so a fresh interpreter starts the census and reports it
+        census = [sys.executable, "-m", "hurwitz", "census", "--d", "4", "--h", "1", "--w", "6",
+                  "--budget", "1000"]
+        probe = subprocess.run([sys.executable, "-c", RSS_PROBE] + census, capture_output=True,
+                               text=True, env=dict(os.environ, PYTHONPATH=SRC), check=True)
+        code, peak_kib = map(int, probe.stdout.split())
+        assert code == 3
+        assert peak_kib < 100 * 1024
 
 @pytest.mark.parametrize("argv", [["census", "--d", "2", "--h", "0", "--w", "1000"],
                                   ["verify", "--case", "2,0,1000"]])

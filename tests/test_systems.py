@@ -7,6 +7,7 @@ import pytest
 
 from hurwitz import systems as S
 from hurwitz.frobenius import frobenius_count
+from hurwitz.orbits import _Ranks
 from hurwitz.perms import MAX_DEGREE, identity, orbit_blocks, transposition
 
 
@@ -210,6 +211,23 @@ class TestCounts:
     def test_guard_refuses_huge(self):
         with pytest.raises(ValueError, match="guard"):
             next(iter(S.enumerate_systems(8, 2, 20)))
+
+    @pytest.mark.parametrize("d,h,w", [(3, 2, 2), (2, 3, 2), (3, 2, 0), (10, 0, 2), (2, 0, 0),
+                                       (1, 2, 0)])
+    def test_enumeration_is_in_line_order(self, d, h, w):
+        # line order is the order of the kernel's rank tuples: text order
+        # entry by entry, where at d = 10 "10," sorts before "2,"
+        rank = _Ranks(d).rank
+        states = [tuple(map(rank.__getitem__, x.transpositions + x.handles))
+                  for x in S.enumerate_systems(d, h, w)]
+        assert len(states) == (45 if d == 10 else S.count_systems(d, h, w))
+        assert all(a < b for a, b in zip(states, states[1:]))
+
+    def test_sphere_enumeration_builds_no_commutator_table(self, monkeypatch):
+        def refuse(d):
+            raise AssertionError("commutator table built")
+        monkeypatch.setattr(S, "_commutator_pairs", refuse)
+        assert len(list(S.enumerate_systems(10, 0, 2))) == 45
 
     def test_guard_estimate_covers_the_count(self):
         # an estimate below the count lets too large an enumeration start
