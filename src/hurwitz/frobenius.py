@@ -82,6 +82,7 @@ def _character_table_on_transpositions(d: int) -> tuple[tuple[int, int], ...]:
                  for lam in partitions(d))
 
 
+@lru_cache(maxsize=None)
 def frobenius_count(d: int, h: int, w: int) -> int:
     """Number of valid systems with these parameters, exactly."""
     if d < 1 or h < 0 or w < 0:

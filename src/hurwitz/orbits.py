@@ -8,11 +8,16 @@ against the exact count of frobenius.full_monodromy_count: reaching
 that many systems proves they form one orbit, with no enumeration.
 That flood runs modulo simultaneous conjugation by S_d, which commutes
 with the moves and acts freely on full-monodromy systems: it floods
-one key per conjugacy class and counts the orbit as classes times the
-order of its stabiliser, from d!-fold fewer states.  It applies only
-the forward moves: each inverse move is a power of its forward move.
-A class key is found by narrowing the conjugators entry by entry, and
-the filter is decided once per set of entries among the keys.
+one key per conjugacy class, from d!-fold fewer states, and the orbit
+is the whole population when the classes times d! make the count and
+the orbit's stabiliser is all of S_d.  It applies only the forward
+moves, and of the braids only B1 and one rotation: each inverse move
+is a power of its forward move, and the rotation conjugates each braid
+into the one before.  A class key is found by narrowing the
+conjugators entry by entry, and the filter is decided once per set of
+entries among the keys, on the least key with that set.  The
+permutation tables and move images of the last degree used are kept
+between calls, so a census of a degree seen before reuses them.
 All three searches run on one integer kernel: a state is a tuple of
 permutation ranks, numbered so that tuple order is system-line order,
 and every move, braid or push, is its certified catalog map evaluated
@@ -33,6 +38,7 @@ import heapq
 import json
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain, permutations
 from math import factorial
 from operator import itemgetter
@@ -42,7 +48,7 @@ from .catalog import catalog_hash, certified_push_endo
 from .frobenius import full_monodromy_count
 from .moves import (Certificate, Move, apply_move, certificate, invert_tokens, move_program,
                     parse_move)
-from .perms import Perm, check_perm, compose, conjugate, group_order, identity, inverse
+from .perms import Perm, check_perm, compose, conjugate, identity, inverse, is_symmetric
 from .systems import (
     BudgetError,
     HurwitzSystem,
@@ -135,6 +141,9 @@ class _Ranks:
         # keyed (candidates, x): those candidates u making x^u least, in
         # the same order
         self.narrow = _Memo(self._narrow)
+        # keyed (pair?, negated, words): the images memo of one
+        # moves.Program, shared by every step with that program
+        self.images = _Memo(lambda key: _Memo(self.evaluator(*key)))
 
     def elements(self) -> Iterator[int]:
         """The rank of every permutation of the degree, one at a time."""
@@ -182,6 +191,14 @@ class _Ranks:
         return r
 
 
+@lru_cache(maxsize=1)
+def _ranks(d: int) -> _Ranks:
+    """The _Ranks of degree d, shared by every kernel of that degree.
+    Only the last degree's are kept, so a census pays for its tables
+    once per degree, not once per call."""
+    return _Ranks(d)
+
+
 _State = tuple[int, ...]
 _Step = Callable[[_State], _State]
 
@@ -195,11 +212,7 @@ class _Kernel:
 
     def __init__(self, d: int, h: int, w: int, moves: tuple[CompiledMove, ...]):
         self.d, self.h, self.w = d, h, w
-        ranks = self.ranks = _Ranks(d)
-        # (pair?, negated, words) -> images memo, shared by every step with
-        # that program; it holds ranks, not the kernel, so a kernel is
-        # freed on return
-        self._images = _Memo(lambda key: _Memo(ranks.evaluator(*key)))
+        self.ranks = _ranks(d)
         self.steps: list[tuple[str, _Step]] = [
             (mv.token, self._step(parse_move(mv.token))) for mv in moves]
 
@@ -268,6 +281,26 @@ class _Kernel:
             return st, u
         return tuple(map(ranks.row[u].__getitem__, st)), u
 
+    def class_steps(self) -> list[_Step]:
+        """The steps flood_classes applies: the forward moves, with the
+        braids B1..B_{w-1} replaced at w >= 4 by B1 and the rotation R,
+        which applies B1, then B2, ..., then B_{w-1}.  The braid relations
+        give R(B_{i+1}(s)) = B_i(R(s)), so B_{i+1} = R^-1 B_i R, and on the finite
+        set of systems R^-1 is a positive power of R: B1 and R reach what
+        the braids reach."""
+        forward = [(parse_move(token), step) for token, step in self.steps]
+        forward = [(move, step) for move, step in forward if not move.inverse]
+        braids = {move.j: step for move, step in forward if move.kind == "braid"}
+        if self.w < 4 or sorted(braids) != list(range(1, self.w)):
+            return [step for _, step in forward]
+        path = [braids[j] for j in range(1, self.w)]
+
+        def rotation(st: _State) -> _State:
+            for step in path:
+                st = step(st)
+            return st
+        return [braids[1], rotation] + [step for move, step in forward if move.kind != "braid"]
+
     def flood_classes(self, start: _State, limit: int | None = None
                       ) -> tuple[dict[_State, int], set[int], bool]:
         """The orbit of start modulo simultaneous conjugation, as
@@ -282,15 +315,17 @@ class _Kernel:
         |H| of them.  The flood is cut at the first level boundary past
         limit classes.  States need at least two entries.
 
-        Only the forward moves are applied, half of the steps.  Each move
-        permutes the finite set of systems with these parameters, so its
-        inverse is a positive power of it and the forward moves alone
-        reach every class the orbit meets.  Each edge of the class graph
-        is then still examined once, from its forward end, and Schreier's
-        lemma for a finite group needs no inverse generators: the
+        The steps are class_steps: forward moves only, and at w >= 4 two
+        braid steps instead of w - 1, so each class is canonicalized once
+        per step.  Each step permutes the finite set of systems with
+        these parameters, so its inverse is a positive power of it, and
+        the steps generate the group the moves generate: they reach every
+        class the orbit meets.  Each edge of the class graph is then
+        still examined once, from its forward end, and Schreier's lemma
+        for a finite group needs no inverse generators: the
         discrepancies still generate H."""
         n, inv, mul = self.ranks.n, self.ranks.inv, self.ranks.mul
-        forward = [step for token, step in self.steps if not parse_move(token).inverse]
+        steps = self.class_steps()
         key, v = self.canonical(start)
         voltages = {key: inv[v]}
         discrepancies: set[int] = set()
@@ -301,7 +336,7 @@ class _Kernel:
             found = []
             for c in level:
                 u = voltages[c]
-                for step in forward:
+                for step in steps:
                     # step(c)^u is in the orbit and step(c)^v = key
                     key, v = self.canonical(step(c))
                     x = mul[inv[v] * n + u]
@@ -319,18 +354,19 @@ class _Kernel:
         its certified catalog map that moves.py applies: every catalog
         move changes exactly two generators (a braid its two punctures, a
         push g_w and the opposite loop), whose images are memoized on the
-        entries the words read, in one memo per distinct program (every
-        forward braid shares one); a braid's pair x, y keys x * n + y."""
+        entries the words read, in one memo per distinct program and
+        degree (every forward braid shares one); a braid's pair x, y keys
+        x * n + y."""
         program = move_program(self.h, self.w, move.j, move.side, move.inverse)
-        two_h, w, n = 2 * self.h, self.w, self.ranks.n
+        two_h, w, n, memo = 2 * self.h, self.w, self.ranks.n, self.ranks.images
         # state index of each generator (0-based) the program names
         a, b = (w + k if k < two_h else k - two_h for k in program.changed)
         read = [w + k if k < two_h else k - two_h for k in program.reads]
         if read == [a, b] and b == a + 1:  # a braid: slice around the pair
-            images = self._images[True, program.negated, program.words]
+            images = memo[True, program.negated, program.words]
             return lambda st: st[:a] + images[st[a] * n + st[b]] + st[b + 1 :]
         # a push: an automorphism changing two generators reads more
-        images, get = self._images[False, program.negated, program.words], itemgetter(*read)
+        images, get = memo[False, program.negated, program.words], itemgetter(*read)
 
         def step(st):
             new = list(st)
@@ -510,16 +546,21 @@ def census(d: int, h: int, w: int, selector: str = "full",
     is the least member of its orbit, so it is flooded from.  The filter
     must be invariant under the moves (monodromy-based filters are:
     moves preserve the monodromy subgroup exactly), which is checked on
-    the fly; it sees each system once.  The budget is checked after each
+    the fly; it sees each system once, and is_full_monodromy each set of
+    entries once, since the group the entries generate depends only on
+    their set.  The budget is checked after each
     flood; once it is spent, a filtered system no flood has reached
     makes the result partial.  With the full-monodromy filter at d >= 3
     the population is first tried by count (see _census_by_count), which
     floods conjugacy classes, not systems, calls the filter once per set
-    of entries among the class keys, and skips the enumeration when the
-    systems form one orbit; at d <= 2 there are at most 4^h such systems
+    of entries among the class keys, on the least key with that set, and
+    skips the enumeration when the systems form one orbit; at d <= 2 there are at most 4^h such systems
     and they are enumerated.  threads is ignored; it stays only because
     perfbench/run.py calls census(..., threads=1)."""
     reached: set[_State] = set()
+    by_count = filter is is_full_monodromy and d >= 3
+    if filter is is_full_monodromy:
+        filter = _once_per_entry_set(filter)
 
     def admit(sys: HurwitzSystem) -> bool:
         # reached is empty until the kernel below is built
@@ -529,8 +570,8 @@ def census(d: int, h: int, w: int, selector: str = "full",
     # the first draw runs the enumeration guard, before any move is certified
     first = next(systems, None)
     kernel = _Kernel(d, h, w, compile_moves(d, h, w, selector))
-    if filter is is_full_monodromy and d >= 3:
-        orbits = _census_by_count(kernel, first, filter, budget)
+    if by_count:
+        orbits = _census_by_count(kernel, first, is_full_monodromy, budget)
         if orbits is not None:
             return CensusResult(d, h, w, selector, filter_name, orbits,
                                 sum(rec.size for rec in orbits), False)
@@ -551,6 +592,22 @@ def census(d: int, h: int, w: int, selector: str = "full",
     return CensusResult(d, h, w, selector, filter_name, orbits, total, partial)
 
 
+def _once_per_entry_set(filter: Callable[[HurwitzSystem], bool]
+                        ) -> Callable[[HurwitzSystem], bool]:
+    """filter called once per distinct set of entries, for a filter
+    that depends only on that set, as is_full_monodromy does: the group
+    the entries generate is the same whatever their order."""
+    passes: dict[frozenset[Perm], bool] = {}
+
+    def once(sys: HurwitzSystem) -> bool:
+        entries = frozenset(sys.transpositions + sys.handles)
+        ok = passes.get(entries)
+        if ok is None:
+            ok = passes[entries] = filter(sys)
+        return ok
+    return once
+
+
 def _census_by_count(kernel: _Kernel, seed: HurwitzSystem | None,
                      filter: Callable[[HurwitzSystem], bool],
                      budget: int | None) -> list[OrbitRecord] | None:
@@ -564,13 +621,18 @@ def _census_by_count(kernel: _Kernel, seed: HurwitzSystem | None,
     empty list when there is no full-monodromy system.
 
     The orbit is flooded modulo simultaneous conjugation
-    (_Kernel.flood_classes): S_d acts freely on full-monodromy systems
-    at d >= 3, so the orbit has classes * |H| members for its stabiliser
-    H, from d!-fold fewer states.  Full monodromy is invariant under
-    conjugation, so the filter is checked on one key per class, and is
-    called once per distinct set of entries among the keys: it is
-    is_full_monodromy here, whether the group the entries generate is
-    S_d, and that group depends only on their set."""
+    (_Kernel.flood_classes), from d!-fold fewer states: S_d acts freely
+    on full-monodromy systems at d >= 3, so the classes met hold
+    classes * d! of them and the orbit classes * |H| for its stabiliser
+    H <= S_d.  So the orbit is the population exactly when classes * d!
+    is the count and the discrepancies generate S_d (is_symmetric); the
+    order of H is never computed.  More classes than count // d! are an
+    error.  Full monodromy is invariant under conjugation, so the filter
+    is checked on one key per class, and is called once per distinct
+    set of entries among the keys, on the least key with that set, so
+    the outcome does not depend on the order the flood met the keys in:
+    the filter is is_full_monodromy here, whether the group the entries
+    generate is S_d, and that group depends only on their set."""
     d, h, w = kernel.d, kernel.h, kernel.w
     count = full_monodromy_count(d, h, w)
     if count is None or (budget is not None and budget < count):
@@ -582,30 +644,31 @@ def _census_by_count(kernel: _Kernel, seed: HurwitzSystem | None,
         return []
     # flood one level past count // d! classes, so a count that is too
     # small shows
-    voltages, discrepancies, cut = kernel.flood_classes(kernel.state(seed),
-                                                        count // kernel.ranks.n)
+    n = kernel.ranks.n
+    voltages, discrepancies, cut = kernel.flood_classes(kernel.state(seed), count // n)
     classes = voltages.keys()
-    order = group_order([kernel.ranks.perm[u] for u in discrepancies], d)
-    # more classes than count // d! hold more than count systems
-    if cut or len(classes) * order > count:
+    # S_d acts freely, so the classes met hold len(classes) * d!
+    # full-monodromy systems, and the orbit len(classes) * |H| of them
+    if cut or len(classes) * n > count:
         raise AssertionError("the conjugates of the orbit of %s are more than the %d "
                              "full-monodromy systems counted" % (serialize(seed), count))
-    if len(classes) * order < count:
+    if len(classes) * n < count or not is_symmetric(
+            [kernel.ranks.perm[u] for u in discrepancies], d):
         return None
     # a member's class key is at most the member, and with the whole
     # population in the orbit every key is a member: the three least
     # members are conjugates of the three least keys
     least = heapq.nsmallest(3, {c for st in heapq.nsmallest(3, classes)
                                 for c in kernel.conjugates(st)})
-    passes: dict[frozenset[int], bool] = {}
-    escaped = []
+    # each set of entries is decided on its least key, whatever order
+    # the flood met the keys in
+    keys: dict[frozenset[int], _State] = {}
     for st in classes:
         entries = frozenset(st)
-        ok = passes.get(entries)
-        if ok is None:
-            ok = passes[entries] = filter(kernel.system(st))
-        if not ok:
-            escaped.append(st)
+        known = keys.get(entries)
+        if known is None or st < known:
+            keys[entries] = st
+    escaped = [st for st in sorted(keys.values()) if not filter(kernel.system(st))]
     return [_orbit_record(kernel, count, least, escaped)]
 
 

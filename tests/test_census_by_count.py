@@ -10,6 +10,7 @@ lambda around it) forces the enumerating census.
 """
 
 import re
+from functools import reduce
 from itertools import permutations
 from math import factorial
 
@@ -223,6 +224,69 @@ def test_a_filter_rejecting_one_entry_set_escapes(monkeypatch, draws):
     assert len(draws) == 1
 
 
+def test_the_escape_check_does_not_depend_on_flood_order(monkeypatch):
+    # reject the class of the least key among several with one entry set,
+    # where the flood meets another class of that set first: each set
+    # is decided on its least key, so reversing the moves, which reorders
+    # the flood, changes neither the escape nor what the filter sees
+    kernel = _Kernel(3, 1, 6, compile_moves(3, 1, 6, "full"))
+    seed = next(enumerate_systems(3, 1, 6, is_full_monodromy))
+    met = list(kernel.flood_classes(kernel.state(seed))[0])
+    first, least_of = {}, {}
+    for st in met:
+        first.setdefault(frozenset(st), st)
+    for st in sorted(met):
+        least_of.setdefault(frozenset(st), st)
+    least = min(st for entries, st in least_of.items() if first[entries] != st)
+    rejected = {kernel.system(st) for st in kernel.conjugates(least)}
+    seen = []
+
+    def all_but_one_class(sys):
+        seen.append(sys)
+        return sys not in rejected and is_full_monodromy(sys)
+    monkeypatch.setattr(orbits, "is_full_monodromy", all_but_one_class)
+    message = "orbit escaped the filter at %s" % kernel.key(least)
+    runs = []
+    for moves in (compile_moves, lambda *args: compile_moves(*args)[::-1]):
+        monkeypatch.setattr(orbits, "compile_moves", moves)
+        reordered = _Kernel(3, 1, 6, moves(3, 1, 6, "full"))
+        runs.append(list(reordered.flood_classes(reordered.state(seed))[0]))
+        with pytest.raises(AssertionError, match="^%s$" % re.escape(message)):
+            census(3, 1, 6, "full", all_but_one_class, "full-monodromy")
+        runs.append(seen[:])
+        seen.clear()
+    flood, calls, reversed_flood, reversed_calls = runs
+    assert flood != reversed_flood and sorted(flood) == sorted(reversed_flood)
+    # after the draw of the seed, each set is decided on its least key
+    assert calls == reversed_calls
+    assert calls[-len(first):] == [kernel.system(st) for st in sorted(least_of.values())]
+
+
+@pytest.mark.parametrize("d,h,w,selector", [(4, 1, 2, "full"), (4, 1, 2, "braid"),
+                                            (3, 1, 0, "full"), (2, 2, 4, "full")])
+def test_enumerating_census_calls_the_filter_once_per_entry_set(monkeypatch, d, h, w, selector):
+    expected = census(d, h, w, selector, lambda sys: is_full_monodromy(sys), "full-monodromy")
+    checked = []
+
+    def counted(sys):
+        checked.append(frozenset(sys.transpositions + sys.handles))
+        return is_full_monodromy(sys)
+    monkeypatch.setattr(orbits, "is_full_monodromy", counted)
+    record = orbits._orbit_record
+
+    def uncounted(*args):
+        # _orbit_record checks its representative, outside the filter
+        mark = len(checked)
+        rec = record(*args)
+        del checked[mark:]
+        return rec
+    monkeypatch.setattr(orbits, "_orbit_record", uncounted)
+    res = census(d, h, w, selector, counted, "full-monodromy")
+    assert_same(res, expected)
+    sets = {frozenset(sys.transpositions + sys.handles) for sys in enumerate_systems(d, h, w)}
+    assert len(checked) == len(set(checked)) == len(sets)
+
+
 def test_a_flood_past_the_count_is_an_error(monkeypatch):
     monkeypatch.setattr(orbits, "full_monodromy_count", lambda d, h, w: 23)
     with pytest.raises(AssertionError, match="more than the 23 full-monodromy systems"):
@@ -263,7 +327,9 @@ def test_canonical_breaks_ties_by_element_order(d, h, w):
 
 @pytest.mark.parametrize("d,h,w,selector", [(3, 1, 6, "full"), (3, 1, 4, "braid"),
                                             (4, 0, 6, "braid"), (4, 1, 2, "full")])
-def test_class_flood_applies_each_forward_move_once_per_class(d, h, w, selector):
+def test_class_flood_applies_two_braid_steps_per_class(d, h, w, selector):
+    # at w >= 4 the braids are B1 and the rotation R, which applies B1,
+    # then B2, ..., then B_{w-1}; each class is canonicalized once per step
     kernel = _Kernel(d, h, w, compile_moves(d, h, w, selector))
     calls = {token: 0 for token, _ in kernel.steps}
 
@@ -273,12 +339,35 @@ def test_class_flood_applies_each_forward_move_once_per_class(d, h, w, selector)
             return step(st)
         return step_and_count
     kernel.steps = [(token, counted(token, step)) for token, step in kernel.steps]
+    canonical, keyed = kernel.canonical, []
+
+    def canonical_and_count(st):
+        keyed.append(st)
+        return canonical(st)
+    kernel.canonical = canonical_and_count
     seed = next(enumerate_systems(d, h, w, is_full_monodromy))
     classes = kernel.flood_classes(kernel.state(seed))[0]
-    forward = [token for token in calls if "'" not in token]
-    assert 2 * len(forward) == len(kernel.steps)
-    assert calls == {token: len(classes) if token in forward else 0 for token in calls}
-    assert sum(calls.values()) == len(classes) * len(forward)
+    pushes = [token for token in calls if token.startswith("P") and "'" not in token]
+    per_class = dict.fromkeys(pushes, 1)
+    per_class.update({"B%d" % j: 1 for j in range(2, w)}, B1=2 if w >= 4 else 1)
+    assert calls == {token: len(classes) * per_class.get(token, 0) for token in calls}
+    assert len(keyed) == len(classes) * (min(w - 1, 2) + len(pushes)) + 1
+
+
+@pytest.mark.parametrize("d,h,w", [(3, 0, 6), (3, 1, 4), (4, 0, 4), (3, 1, 6)])
+def test_the_rotation_conjugates_each_braid_to_the_one_before(d, h, w):
+    # R(B_{i+1}(s)) == B_i(R(s)), so B_{i+1} = R^-1 B_i R: the class flood
+    # reaches with B1 and R what it reaches with every braid
+    kernel = _Kernel(d, h, w, compile_moves(d, h, w, "braid"))
+    b1, rotation = kernel.class_steps()
+    braids = [step for token, step in kernel.steps if "'" not in token]
+    assert len(braids) == w - 1
+    for sys in enumerate_systems(d, h, w):
+        st = kernel.state(sys)
+        assert b1(st) == braids[0](st)
+        assert rotation(st) == reduce(lambda s, step: step(s), braids, st)
+        for i in range(w - 2):
+            assert rotation(braids[i + 1](st)) == braids[i](rotation(st))
 
 
 def all_moves_class_flood(kernel, start):

@@ -17,7 +17,7 @@ import pytest
 from hurwitz import catalog
 from hurwitz.cli import main
 from hurwitz.moves import apply_move, parse_move
-from hurwitz.orbits import (_Kernel, _Ranks, census, compile_moves, connect,
+from hurwitz.orbits import (_Kernel, _Ranks, _ranks, census, compile_moves, connect,
                             orbit_bfs, read_predecessor_log,
                             write_predecessor_log)
 from hurwitz.perms import format_perm, group_order, orbit_blocks
@@ -189,6 +189,36 @@ def test_ranks_refuse_a_non_permutation():
         ranks.rank[(1, 1, 2)]
     assert ranks.perm[one] == (1, 2, 3)
     assert (1, 1, 2) not in ranks.rank
+
+
+def test_kernels_of_one_degree_share_one_table():
+    first = _Kernel(3, 1, 4, compile_moves(3, 1, 4, "full"))
+    assert _Kernel(3, 0, 6, compile_moves(3, 0, 6, "braid")).ranks is first.ranks
+    other = _Kernel(4, 0, 4, compile_moves(4, 0, 4, "full"))
+    assert other.ranks is not first.ranks and other.ranks.d == 4
+    # only the last degree's tables are kept
+    assert _ranks.cache_info().currsize == 1
+    assert _Kernel(3, 1, 4, compile_moves(3, 1, 4, "full")).ranks is not first.ranks
+
+
+SHARED_TABLE_CENSUSES = [((3, 0, 6, "braid"), is_full_monodromy), ((3, 1, 4, "full"), None),
+                         ((3, 1, 6, "full"), is_full_monodromy),
+                         ((4, 0, 6, "braid"), is_full_monodromy),
+                         ((4, 1, 2, "full"), is_full_monodromy), ((2, 2, 4, "full"), None)]
+
+
+def test_census_is_the_same_with_cold_and_warm_tables():
+    def run(case, filter):
+        return census(*case, filter, "all" if filter is None else "full-monodromy").to_jsonl()
+    cold = []
+    for case, filter in SHARED_TABLE_CENSUSES:
+        _ranks.cache_clear()
+        cold.append(run(case, filter))
+    # each case twice in a row, then the list backwards: every census
+    # after the first of a degree starts from tables others filled
+    twice = [run(*args) for args in SHARED_TABLE_CENSUSES for _ in range(2)]
+    backwards = [run(*args) for args in reversed(SHARED_TABLE_CENSUSES)][::-1]
+    assert twice == [jsonl for jsonl in cold for _ in range(2)] and backwards == cold
 
 
 # ---------------------------------------------------------------------------
