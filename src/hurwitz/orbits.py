@@ -284,19 +284,19 @@ class _Kernel:
     def class_steps(self) -> list[_Step]:
         """The steps flood_classes applies: the forward moves, with the
         braids B1..B_{w-1} replaced at w >= 4 by B1 and the rotation R,
-        which applies B1, then B2, ..., then B_{w-1}.  The braid relations
-        give R(B_{i+1}(s)) = B_i(R(s)), so B_{i+1} = R^-1 B_i R, and on the finite
-        set of systems R^-1 is a positive power of R: B1 and R reach what
-        the braids reach."""
+        which applies B1, then B2, ..., then B_{w-1}.  The braid
+        relations give R(B_{i+1}(s)) = B_i(R(s)), so B_{i+1} = R^-1 B_i R,
+        and on the finite set of systems R^-1 is a positive power of R:
+        B1 and R reach what the braids reach."""
         forward = [(parse_move(token), step) for token, step in self.steps]
         forward = [(move, step) for move, step in forward if not move.inverse]
-        braids = {move.j: step for move, step in forward if move.kind == "braid"}
-        if self.w < 4 or sorted(braids) != list(range(1, self.w)):
+        if self.w < 4:
             return [step for _, step in forward]
-        path = [braids[j] for j in range(1, self.w)]
+        braids = {move.j: step for move, step in forward if move.kind == "braid"}
+        in_order = [braids[j] for j in range(1, self.w)]
 
         def rotation(st: _State) -> _State:
-            for step in path:
+            for step in in_order:
                 st = step(st)
             return st
         return [braids[1], rotation] + [step for move, step in forward if move.kind != "braid"]
@@ -548,14 +548,14 @@ def census(d: int, h: int, w: int, selector: str = "full",
     moves preserve the monodromy subgroup exactly), which is checked on
     the fly; it sees each system once, and is_full_monodromy each set of
     entries once, since the group the entries generate depends only on
-    their set.  The budget is checked after each
-    flood; once it is spent, a filtered system no flood has reached
-    makes the result partial.  With the full-monodromy filter at d >= 3
-    the population is first tried by count (see _census_by_count), which
-    floods conjugacy classes, not systems, calls the filter once per set
-    of entries among the class keys, on the least key with that set, and
-    skips the enumeration when the systems form one orbit; at d <= 2 there are at most 4^h such systems
-    and they are enumerated.  threads is ignored; it stays only because
+    their set.  The budget is checked after each flood; once it is
+    spent, a filtered system no flood has reached makes the result
+    partial.  With the full-monodromy filter at d >= 3 the population is
+    first tried by count (see _census_by_count), which floods conjugacy
+    classes, not systems, calls the filter once per set of entries among
+    the class keys, on the least key with that set, and skips the
+    enumeration when the systems form one orbit; at d <= 2 there are at
+    most 4^h such systems and they are enumerated.  threads is ignored; it stays only because
     perfbench/run.py calls census(..., threads=1)."""
     reached: set[_State] = set()
     by_count = filter is is_full_monodromy and d >= 3
@@ -571,7 +571,7 @@ def census(d: int, h: int, w: int, selector: str = "full",
     first = next(systems, None)
     kernel = _Kernel(d, h, w, compile_moves(d, h, w, selector))
     if by_count:
-        orbits = _census_by_count(kernel, first, is_full_monodromy, budget)
+        orbits = _census_by_count(kernel, first, budget)
         if orbits is not None:
             return CensusResult(d, h, w, selector, filter_name, orbits,
                                 sum(rec.size for rec in orbits), False)
@@ -609,7 +609,6 @@ def _once_per_entry_set(filter: Callable[[HurwitzSystem], bool]
 
 
 def _census_by_count(kernel: _Kernel, seed: HurwitzSystem | None,
-                     filter: Callable[[HurwitzSystem], bool],
                      budget: int | None) -> list[OrbitRecord] | None:
     """The full-monodromy census at d >= 3 without enumeration, or None
     where it cannot be decided this way.  seed is the first
@@ -628,11 +627,11 @@ def _census_by_count(kernel: _Kernel, seed: HurwitzSystem | None,
     is the count and the discrepancies generate S_d (is_symmetric); the
     order of H is never computed.  More classes than count // d! are an
     error.  Full monodromy is invariant under conjugation, so the filter
-    is checked on one key per class, and is called once per distinct
-    set of entries among the keys, on the least key with that set, so
-    the outcome does not depend on the order the flood met the keys in:
-    the filter is is_full_monodromy here, whether the group the entries
-    generate is S_d, and that group depends only on their set."""
+    is_full_monodromy is checked on one key per class, and is called
+    once per distinct set of entries among the keys, on the least key
+    with that set, so the outcome does not depend on the order the flood
+    met the keys in: whether the group the entries generate is S_d
+    depends only on their set."""
     d, h, w = kernel.d, kernel.h, kernel.w
     count = full_monodromy_count(d, h, w)
     if count is None or (budget is not None and budget < count):
@@ -668,7 +667,7 @@ def _census_by_count(kernel: _Kernel, seed: HurwitzSystem | None,
         known = keys.get(entries)
         if known is None or st < known:
             keys[entries] = st
-    escaped = [st for st in sorted(keys.values()) if not filter(kernel.system(st))]
+    escaped = [st for st in sorted(keys.values()) if not is_full_monodromy(kernel.system(st))]
     return [_orbit_record(kernel, count, least, escaped)]
 
 
