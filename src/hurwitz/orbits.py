@@ -3,30 +3,31 @@
 Exhaustive breadth-first floods answer the connectivity questions
 exactly: a census partitions every system with given parameters into
 move orbits, and connect searches for an explicit path between two
-systems.  At d >= 3 a full-monodromy census first tries one flood
-against the exact count of frobenius.full_monodromy_count: reaching
-that many systems proves they form one orbit, with no enumeration.
-That flood runs modulo simultaneous conjugation by S_d, which commutes
-with the moves and acts freely on full-monodromy systems: it floods
-one key per conjugacy class, from d!-fold fewer states, and the orbit
-is the whole population when the classes times d! make the count and
-the orbit's stabiliser is all of S_d.  It applies only the forward
-moves, and of the braids only B1 and one rotation: each inverse move
-is a power of its forward move, and the rotation conjugates each braid
-into the one before.  A class key is found by narrowing the
+systems.  At d >= 3 a full-monodromy census first tries one flood,
+from a constructed seed (systems.full_monodromy_seed), against the
+exact count of frobenius.full_monodromy_count: reaching that many
+systems proves they form one orbit, with no enumeration.  That flood
+runs modulo simultaneous conjugation by S_d, which commutes with the
+moves and acts freely on full-monodromy systems: it floods one key per
+conjugacy class, from d!-fold fewer states, and the orbit is the whole
+population when the classes times d! make the count and the orbit's
+stabiliser is all of S_d.  It applies only the forward moves, and of
+the braids only B1 and one rotation, applied in one pass: each inverse
+move is a power of its forward move, and the rotation conjugates each
+braid into the one before.  A class key is found by narrowing the
 conjugators entry by entry, and the filter is decided once per set of
 entries among the keys, on the least key with that set.  The
 permutation tables and move images of the last degree used are kept
-between calls, so a census of a degree seen before reuses them.
-All three searches run on one integer kernel: a state is a tuple of
+between calls, so a census of a degree seen before reuses them.  All
+three searches run on one integer kernel: a state is a tuple of
 permutation ranks, numbered so that tuple order is system-line order,
 and every move, braid or push, is its certified catalog map evaluated
 through memoized products, as moves.py applies it.  The kernel grows
 every search the same way: expand applies each move to a frontier and
-links each new state to the state and token that reached it, and
-flood repeats that level by level.  census and orbit_bfs are floods,
-connect expands whichever of its two sides is smaller.  System lines
-are written only for what a search reports.  Everything here is
+links each new state to the state and token that reached it, and flood
+repeats that level by level.  census and orbit_bfs are floods, connect
+expands whichever of its two sides is smaller.  System lines are
+written only for what a search reports.  Everything here is
 deterministic by construction: frontiers are processed in sorted order
 and the first discovery wins.  Budgets make long runs interruptible: a
 partial result is flagged, never silently truncated.
@@ -39,10 +40,10 @@ import json
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, permutations
+from itertools import permutations
 from math import factorial
 from operator import itemgetter
-from typing import Callable, Iterator
+from typing import Callable
 
 from .catalog import catalog_hash, certified_push_endo
 from .frobenius import full_monodromy_count
@@ -54,6 +55,8 @@ from .systems import (
     HurwitzSystem,
     branching_blocks,
     enumerate_systems,
+    enumeration_guard,
+    full_monodromy_seed,
     is_full_monodromy,
     serialize,
 )
@@ -84,15 +87,19 @@ def compile_moves(d: int, h: int, w: int, selector: str = "full") -> tuple[Compi
     """
     if selector not in ("braid", "full"):
         raise ValueError("move selector must be 'braid' or 'full', got %r" % selector)
-    forward = [Move("braid", j).token() for j in range(1, w)]
+    forward = [Move("braid", j) for j in range(1, w)]
     if selector == "full" and w >= 1:
         for i in range(1, h + 1):
             for side in ("a", "b"):
                 certified_push_endo(h, w, i, side)  # a bad catalog fails here
-                forward.append(Move("push", i, side=side).token())
-    tokens = [t for token in forward for t in [token] + invert_tokens([token])]
-    return tuple(CompiledMove(token, invert_tokens([token])[0], _reference_apply(parse_move(token)))
-                 for token in tokens)
+                forward.append(Move("push", i, side=side))
+    compiled = []
+    for move in forward:
+        back = Move(move.kind, move.j, move.side, inverse=True)
+        token, back_token = move.token(), back.token()
+        compiled += [CompiledMove(token, back_token, _reference_apply(move)),
+                     CompiledMove(back_token, token, _reference_apply(back))]
+    return tuple(compiled)
 
 
 # ---------------------------------------------------------------------------
@@ -144,10 +151,14 @@ class _Ranks:
         # keyed (pair?, negated, words): the images memo of one
         # moves.Program, shared by every step with that program
         self.images = _Memo(lambda key: _Memo(self.evaluator(*key)))
+        self._elements: tuple[int, ...] | None = None
 
-    def elements(self) -> Iterator[int]:
-        """The rank of every permutation of the degree, one at a time."""
-        return map(self.rank.__getitem__, permutations(range(1, self.d + 1)))
+    def elements(self) -> tuple[int, ...]:
+        """The rank of every permutation of the degree, in permutations()
+        order; built on first use and then kept."""
+        if self._elements is None:
+            self._elements = tuple(map(self.rank.__getitem__, permutations(range(1, self.d + 1))))
+        return self._elements
 
     def _least_conjugators(self, key: int) -> tuple[int, ...]:
         x, y = divmod(key, self.n)
@@ -203,18 +214,48 @@ _State = tuple[int, ...]
 _Step = Callable[[_State], _State]
 
 
+def _canonical(ranks: _Ranks) -> Callable[[_State], tuple[_State, int]]:
+    """The class key function of a kernel, with the tables it reads
+    bound once: canonical(st) is the least conjugate of st (its class
+    key) and a u taking st to it.  The conjugators that make the first
+    two entries least are narrowed entry by entry, each entry keeping
+    those that make it least, until one is left or the entries run out;
+    ties that survive every entry all give the key, and u is the first
+    of them in ranks.elements() order.  Only that u maps st, and not
+    even it when it is the identity: then st is its own key and comes
+    back as it is."""
+    least, narrow, row, n, one = ranks.least, ranks.narrow, ranks.row, ranks.n, ranks.identity
+
+    def canonical(st: _State) -> tuple[_State, int]:
+        us = least[st[0] * n + st[1]]
+        if len(us) > 1:
+            for x in st[2:]:
+                us = narrow[us, x]
+                if len(us) == 1:
+                    break
+        u = us[0]
+        if u == one:
+            return st, u
+        return tuple(map(row[u].__getitem__, st)), u
+    return canonical
+
+
 class _Kernel:
     """The moves of one parameter set acting on rank tuples
     (t_1..t_w, a_1, b_1, ..., a_h, b_h).  steps holds (token, step)
-    in the order of the given moves.  links maps each state a search
-    has reached to the (state, token) it was first reached from, or None
+    in the order of the given moves, and moves the parsed move of each,
+    so each token is parsed once per kernel.  canonical is the class
+    key function of _canonical.  links maps each state a search has
+    reached to the (state, token) it was first reached from, or None
     for a start."""
 
     def __init__(self, d: int, h: int, w: int, moves: tuple[CompiledMove, ...]):
         self.d, self.h, self.w = d, h, w
         self.ranks = _ranks(d)
+        self.moves = [parse_move(mv.token) for mv in moves]
         self.steps: list[tuple[str, _Step]] = [
-            (mv.token, self._step(parse_move(mv.token))) for mv in moves]
+            (mv.token, self._step(move)) for mv, move in zip(moves, self.moves)]
+        self.canonical = _canonical(self.ranks)
 
     def state(self, sys: HurwitzSystem) -> _State:
         return tuple(map(self.ranks.rank.__getitem__, sys.transpositions + sys.handles))
@@ -259,28 +300,6 @@ class _Kernel:
         row = self.ranks.row
         return {tuple(map(row[u].__getitem__, st)) for u in self.ranks.elements()}
 
-    def canonical(self, st: _State) -> tuple[_State, int]:
-        """The least conjugate of st (its class key) and a u taking st
-        to it.  The conjugators that make the first two entries least
-        are narrowed entry by entry, each entry keeping those that make
-        it least, until one is left or the entries run out; ties that
-        survive every entry all give the key, and u is the first of them
-        in ranks.elements() order.  Only that u maps st, and not even it
-        when it is the identity: then st is its own key and comes back
-        as it is."""
-        ranks = self.ranks
-        us = ranks.least[st[0] * ranks.n + st[1]]
-        if len(us) > 1:
-            narrow = ranks.narrow
-            for x in st[2:]:
-                us = narrow[us, x]
-                if len(us) == 1:
-                    break
-        u = us[0]
-        if u == ranks.identity:
-            return st, u
-        return tuple(map(ranks.row[u].__getitem__, st)), u
-
     def class_steps(self) -> list[_Step]:
         """The steps flood_classes applies: the forward moves, with the
         braids B1..B_{w-1} replaced at w >= 4 by B1 and the rotation R,
@@ -288,18 +307,35 @@ class _Kernel:
         relations give R(B_{i+1}(s)) = B_i(R(s)), so B_{i+1} = R^-1 B_i R,
         and on the finite set of systems R^-1 is a positive power of R:
         B1 and R reach what the braids reach."""
-        forward = [(parse_move(token), step) for token, step in self.steps]
-        forward = [(move, step) for move, step in forward if not move.inverse]
+        forward = [(move, step) for move, (_, step) in zip(self.moves, self.steps)
+                   if not move.inverse]
         if self.w < 4:
             return [step for _, step in forward]
-        braids = {move.j: step for move, step in forward if move.kind == "braid"}
-        in_order = [braids[j] for j in range(1, self.w)]
+        braids = {move.j: (move, step) for move, step in forward if move.kind == "braid"}
+        rotation = self._rotation([braids[j][0] for j in range(1, self.w)])
+        return [braids[1][1], rotation] + [step for move, step in forward if move.kind != "braid"]
+
+    def _rotation(self, braids: list[Move]) -> _Step:
+        """R = B_{w-1} ... B2 B1 in one pass over the transpositions: B_j
+        writes the first image of its pair at j - 1 and carries the
+        second on as the left entry of B_{j+1}'s pair.  Each braid reads
+        its images from the memo its own step reads."""
+        n, last = self.ranks.n, self.w - 1
+        pairs = []
+        for j, move in enumerate(braids, start=1):
+            a, _, read, images = self._program(move)
+            if read is not None or a != j - 1:
+                raise AssertionError("braid %s does not change its pair alone" % move.token())
+            pairs.append((j, images))
 
         def rotation(st: _State) -> _State:
-            for step in in_order:
-                st = step(st)
-            return st
-        return [braids[1], rotation] + [step for move, step in forward if move.kind != "braid"]
+            out = list(st)
+            y = st[0]
+            for j, images in pairs:
+                out[j - 1], y = images[y * n + st[j]]
+            out[last] = y
+            return tuple(out)
+        return rotation
 
     def flood_classes(self, start: _State, limit: int | None = None
                       ) -> tuple[dict[_State, int], set[int], bool]:
@@ -325,8 +361,8 @@ class _Kernel:
         for a finite group needs no inverse generators: the
         discrepancies still generate H."""
         n, inv, mul = self.ranks.n, self.ranks.inv, self.ranks.mul
-        steps = self.class_steps()
-        key, v = self.canonical(start)
+        steps, canonical = self.class_steps(), self.canonical
+        key, v = canonical(start)
         voltages = {key: inv[v]}
         discrepancies: set[int] = set()
         level = [key]
@@ -338,7 +374,7 @@ class _Kernel:
                 u = voltages[c]
                 for step in steps:
                     # step(c)^u is in the orbit and step(c)^v = key
-                    key, v = self.canonical(step(c))
+                    key, v = canonical(step(c))
                     x = mul[inv[v] * n + u]
                     known = voltages.get(key)
                     if known is None:
@@ -357,22 +393,32 @@ class _Kernel:
         entries the words read, in one memo per distinct program and
         degree (every forward braid shares one); a braid's pair x, y keys
         x * n + y."""
-        program = move_program(self.h, self.w, move.j, move.side, move.inverse)
-        two_h, w, n, memo = 2 * self.h, self.w, self.ranks.n, self.ranks.images
-        # state index of each generator (0-based) the program names
-        a, b = (w + k if k < two_h else k - two_h for k in program.changed)
-        read = [w + k if k < two_h else k - two_h for k in program.reads]
-        if read == [a, b] and b == a + 1:  # a braid: slice around the pair
-            images = memo[True, program.negated, program.words]
+        a, b, read, images = self._program(move)
+        if read is None:  # a braid: slice around the pair
+            n = self.ranks.n
             return lambda st: st[:a] + images[st[a] * n + st[b]] + st[b + 1 :]
         # a push: an automorphism changing two generators reads more
-        images, get = memo[False, program.negated, program.words], itemgetter(*read)
+        get = itemgetter(*read)
 
         def step(st):
             new = list(st)
             new[a], new[b] = images[get(st)]
             return tuple(new)
         return step
+
+    def _program(self, move: Move) -> tuple[int, int, list[int] | None, _Memo]:
+        """The move's compiled program on states: the indices a, b of the
+        two entries it changes, the indices its words read, and its
+        images memo.  read is None for a braid's pair, where the words
+        read just a and b = a + 1, and the memo is keyed x * n + y."""
+        program = move_program(self.h, self.w, move.j, move.side, move.inverse)
+        two_h, w = 2 * self.h, self.w
+        # state index of each generator (0-based) the program names
+        a, b = (w + k if k < two_h else k - two_h for k in program.changed)
+        read = [w + k if k < two_h else k - two_h for k in program.reads]
+        pair = read == [a, b] and b == a + 1
+        images = self.ranks.images[pair, program.negated, program.words]
+        return a, b, None if pair else read, images
 
 
 # ---------------------------------------------------------------------------
@@ -552,31 +598,29 @@ def census(d: int, h: int, w: int, selector: str = "full",
     spent, a filtered system no flood has reached makes the result
     partial.  With the full-monodromy filter at d >= 3 the population is
     first tried by count (see _census_by_count), which floods conjugacy
-    classes, not systems, calls the filter once per set of entries among
-    the class keys, on the least key with that set, and skips the
-    enumeration when the systems form one orbit; at d <= 2 there are at
-    most 4^h such systems and they are enumerated.  threads is ignored; it stays only because
-    perfbench/run.py calls census(..., threads=1)."""
-    reached: set[_State] = set()
-    by_count = filter is is_full_monodromy and d >= 3
-    if filter is is_full_monodromy:
-        filter = _once_per_entry_set(filter)
-
-    def admit(sys: HurwitzSystem) -> bool:
-        # reached is empty until the kernel below is built
-        return ((not reached or kernel.state(sys) not in reached)
-                and (filter is None or filter(sys)))
-    systems = enumerate_systems(d, h, w, admit)
-    # the first draw runs the enumeration guard, before any move is certified
-    first = next(systems, None)
+    classes, not systems, from a constructed seed, calls the filter once
+    per set of entries among the class keys, on the least key with that
+    set, and enumerates nothing when the systems form one orbit; at
+    d <= 2 there are at most 4^h such systems and they are enumerated.
+    Every census first runs the enumeration guard, before any move is
+    certified, whether or not it goes on to enumerate.  threads is
+    ignored; it stays only because perfbench/run.py calls census(...,
+    threads=1)."""
+    enumeration_guard(d, h, w)
     kernel = _Kernel(d, h, w, compile_moves(d, h, w, selector))
-    if by_count:
-        orbits = _census_by_count(kernel, first, budget)
+    if filter is is_full_monodromy and d >= 3:
+        orbits = _census_by_count(kernel, budget)
         if orbits is not None:
             return CensusResult(d, h, w, selector, filter_name, orbits,
                                 sum(rec.size for rec in orbits), False)
+    if filter is is_full_monodromy:
+        filter = _once_per_entry_set(filter)
+    reached: set[_State] = set()
+
+    def admit(sys: HurwitzSystem) -> bool:
+        return kernel.state(sys) not in reached and (filter is None or filter(sys))
     total, orbits, partial = 0, [], False
-    for sys in chain([] if first is None else [first], systems):
+    for sys in enumerate_systems(d, h, w, admit):
         if orbits and budget is not None and total >= budget:
             partial = True
             break
@@ -608,16 +652,15 @@ def _once_per_entry_set(filter: Callable[[HurwitzSystem], bool]
     return once
 
 
-def _census_by_count(kernel: _Kernel, seed: HurwitzSystem | None,
-                     budget: int | None) -> list[OrbitRecord] | None:
+def _census_by_count(kernel: _Kernel, budget: int | None) -> list[OrbitRecord] | None:
     """The full-monodromy census at d >= 3 without enumeration, or None
-    where it cannot be decided this way.  seed is the first
-    full-monodromy system, or None when there is none.  An orbit of one
-    full-monodromy system that has all frobenius.full_monodromy_count of
-    them is the whole population, so it is the one orbit.  None when no
-    count is known, the budget is below the count, or the orbit is
-    smaller (several orbits); the enumerating census decides those.  An
-    empty list when there is no full-monodromy system.
+    where it cannot be decided this way.  An orbit of one full-monodromy
+    system that has all frobenius.full_monodromy_count of them is the
+    whole population, so it is the one orbit; that system is
+    systems.full_monodromy_seed, built, not drawn.  None when no count is
+    known, the budget is below the count, no seed is constructed, or the
+    orbit is smaller (several orbits); the enumerating census decides
+    those.  An empty list when the count is 0.
 
     The orbit is flooded modulo simultaneous conjugation
     (_Kernel.flood_classes), from d!-fold fewer states: S_d acts freely
@@ -636,11 +679,11 @@ def _census_by_count(kernel: _Kernel, seed: HurwitzSystem | None,
     count = full_monodromy_count(d, h, w)
     if count is None or (budget is not None and budget < count):
         return None
-    if seed is None:
-        if count:
-            raise AssertionError("no full-monodromy system at d=%d h=%d w=%d, but the count "
-                                 "is %d" % (d, h, w, count))
+    if not count:
         return []
+    seed = full_monodromy_seed(d, h, w)
+    if seed is None:
+        return None
     # flood one level past count // d! classes, so a count that is too
     # small shows
     n = kernel.ranks.n

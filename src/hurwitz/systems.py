@@ -38,6 +38,7 @@ from .perms import (
     parse_perm,
     PermGroup,
     product,
+    transposition,
     transposition_blocks,
 )
 
@@ -302,19 +303,25 @@ def _estimate_count(d: int, h: int, w: int) -> int:
     return max(n, math.factorial(d) ** 2) if h > 0 else n
 
 
+def enumeration_guard(d: int, h: int, w: int) -> None:
+    """Raise ValueError where enumerate_systems refuses: a negative h or
+    w, or an estimated cost (systems, or commutator pairs at h >= 1)
+    over the enumeration guard."""
+    if h < 0 or w < 0:
+        raise ValueError("h and w must be non-negative, got h=%d w=%d" % (h, w))
+    if _estimate_count(d, h, w) > ENUMERATION_GUARD:
+        raise ValueError("enumeration would exceed the guard of %d systems" % ENUMERATION_GUARD)
+
+
 def enumerate_systems(d: int, h: int, w: int,
                       filter: Callable[[HurwitzSystem], bool] | None = None
                       ) -> Iterator[HurwitzSystem]:
     """Every valid system with these parameters that passes filter,
     exactly once, in system-line order: lex over (t_1..t_w, a_1, b_1,
     ..., a_h, b_h) with each entry ordered by its text.  filter is
-    called once per system, as it comes up.  Refuses negative h or w,
-    and an estimated cost (systems, or commutator pairs at h >= 1) over
-    the enumeration guard."""
-    if h < 0 or w < 0:
-        raise ValueError("h and w must be non-negative, got h=%d w=%d" % (h, w))
-    if _estimate_count(d, h, w) > ENUMERATION_GUARD:
-        raise ValueError("enumeration would exceed the guard of %d systems" % ENUMERATION_GUARD)
+    called once per system, as it comes up.  The enumeration_guard runs
+    at the first draw."""
+    enumeration_guard(d, h, w)
     if w % 2:
         return
     trans = sorted(all_transpositions(d), key=format_perm)
@@ -349,6 +356,31 @@ def enumerate_systems(d: int, h: int, w: int,
         for sys in found:
             if filter is None or filter(sys):
                 yield sys
+
+
+def full_monodromy_seed(d: int, h: int, w: int) -> HurwitzSystem | None:
+    """A full-monodromy system with these parameters by construction, or
+    None where this construction does not apply.  For h >= 1 and even
+    w >= 2: every t_j = (1 2), a_1 = (1 2 ... d) and every other handle
+    entry the identity; the t_j cancel in pairs and [a_1, 1] = 1.  For
+    h = 0 and even w >= 2(d-1): the doubled (k k+1) for k < d, padded
+    with copies of (1 2).  Either way the entries hold transpositions
+    linking all d points, which generate S_d (Hurwitz 1891; Fulton 1969,
+    section 1).
+
+    >>> serialize(full_monodromy_seed(3, 1, 2))
+    'd=3 h=1 w=2 | t: 2,1,3 ; 2,1,3 | ab: 2,3,1 , 1,2,3'
+    >>> print(full_monodromy_seed(3, 0, 2))
+    None
+    """
+    if d < 2 or h < 0 or w % 2 or w < (2 if h else 2 * (d - 1)):
+        return None
+    swap = transposition(d, 1, 2)
+    if h:
+        cycle = tuple(range(2, d + 1)) + (1,)
+        return HurwitzSystem(d, (cycle,) + (identity(d),) * (2 * h - 1), (swap,) * w)
+    doubled = tuple(t for k in range(1, d) for t in [transposition(d, k, k + 1)] * 2)
+    return HurwitzSystem(d, (), doubled + (swap,) * (w - len(doubled)))
 
 
 def random_system(d: int, h: int, w: int, rng,

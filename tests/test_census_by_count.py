@@ -16,8 +16,9 @@ from math import factorial
 
 import pytest
 
-from hurwitz import orbits
+from hurwitz import moves, orbits
 from hurwitz.frobenius import frobenius_count, full_monodromy_count, transitive_count
+from hurwitz.moves import parse_move
 from hurwitz.orbits import _Kernel, census, compile_moves
 from hurwitz.perms import conjugate, group_order, orbit_blocks
 from hurwitz.systems import HurwitzSystem, enumerate_systems, is_full_monodromy
@@ -144,9 +145,41 @@ def draws(monkeypatch):
 
 
 def test_by_count_draws_one_system(draws):
+    # the seed is constructed, so nothing is drawn
     res = census(4, 0, 6, "braid", is_full_monodromy, "full-monodromy")
-    assert len(draws) == 1
+    assert len(draws) == 0
     assert (len(res.orbits), res.total, res.partial) == (1, 2880, False)
+
+
+@pytest.mark.parametrize("d,h,w,selector", [(3, 1, 6, "full"), (4, 0, 6, "braid")])
+def test_by_count_census_draws_nothing(draws, d, h, w, selector):
+    res = census(d, h, w, selector, is_full_monodromy, "full-monodromy")
+    assert draws == []
+    assert (len(res.orbits), res.total) == (1, full_monodromy_count(d, h, w))
+
+
+def test_the_enumeration_guard_runs_before_the_by_count_flood(monkeypatch):
+    # (5,1,10) has a count and a constructed seed, but 2,402,343,995,760
+    # systems: the guard refuses it before any move is certified
+    def refuse(*args):
+        raise AssertionError("moves compiled")
+    monkeypatch.setattr(orbits, "compile_moves", refuse)
+    with pytest.raises(ValueError, match="^enumeration would exceed the guard of 1000000000 "
+                                         "systems$"):
+        census(5, 1, 10, "full", is_full_monodromy, "full-monodromy", budget=10**13)
+
+
+def test_each_move_token_is_parsed_once_per_census(monkeypatch):
+    parsed = []
+
+    def counted(token):
+        parsed.append(token)
+        return parse_move(token)
+    monkeypatch.setattr(orbits, "parse_move", counted)
+    monkeypatch.setattr(moves, "parse_move", counted)
+    census(4, 0, 6, "braid", is_full_monodromy, "full-monodromy")
+    assert sorted(parsed) == sorted(mv.token for mv in compile_moves(4, 0, 6, "braid"))
+    assert len(parsed) == 10
 
 
 def conjugates(sys):
@@ -168,7 +201,7 @@ def test_escape_check_fires_on_the_by_count_path(monkeypatch, draws):
     message = "orbit escaped the filter at %s" % min(map(orbits.serialize, rejected))
     with pytest.raises(AssertionError, match="^%s$" % re.escape(message)):
         census(3, 0, 4, "full", all_but_one_class, "full-monodromy")
-    assert len(draws) == 1
+    assert len(draws) == 0
 
 
 def test_escape_check_calls_the_filter_once_per_entry_set(monkeypatch):
@@ -221,7 +254,7 @@ def test_a_filter_rejecting_one_entry_set_escapes(monkeypatch, draws):
     message = "orbit escaped the filter at %s" % min(map(orbits.serialize, escaped))
     with pytest.raises(AssertionError, match="^%s$" % re.escape(message)):
         census(3, 1, 6, "full", all_but_one_set, "full-monodromy")
-    assert len(draws) == 1
+    assert len(draws) == 0
 
 
 def test_the_escape_check_does_not_depend_on_flood_order(monkeypatch):
@@ -327,18 +360,22 @@ def test_canonical_breaks_ties_by_element_order(d, h, w):
 
 @pytest.mark.parametrize("d,h,w,selector", [(3, 1, 6, "full"), (3, 1, 4, "braid"),
                                             (4, 0, 6, "braid"), (4, 1, 2, "full")])
-def test_class_flood_applies_two_braid_steps_per_class(d, h, w, selector):
-    # at w >= 4 the braids are B1 and the rotation R, which applies B1,
-    # then B2, ..., then B_{w-1}; each class is canonicalized once per step
+def test_class_flood_applies_b1_and_the_rotation_once_per_class(d, h, w, selector):
+    # at w >= 4 the braid steps are B1 and the rotation R, in one pass,
+    # then the forward pushes; each class is canonicalized once per step
     kernel = _Kernel(d, h, w, compile_moves(d, h, w, selector))
-    calls = {token: 0 for token, _ in kernel.steps}
+    steps = kernel.class_steps()
+    pushes = [move for move in kernel.moves if move.kind == "push" and not move.inverse]
+    assert len(steps) == min(w - 1, 2) + len(pushes)
+    b1 = dict(kernel.steps)["B1"]
+    calls = [0] * len(steps)
 
-    def counted(token, step):
+    def counted(k, step):
         def step_and_count(st):
-            calls[token] += 1
+            calls[k] += 1
             return step(st)
         return step_and_count
-    kernel.steps = [(token, counted(token, step)) for token, step in kernel.steps]
+    kernel.class_steps = lambda: [counted(k, step) for k, step in enumerate(steps)]
     canonical, keyed = kernel.canonical, []
 
     def canonical_and_count(st):
@@ -347,11 +384,14 @@ def test_class_flood_applies_two_braid_steps_per_class(d, h, w, selector):
     kernel.canonical = canonical_and_count
     seed = next(enumerate_systems(d, h, w, is_full_monodromy))
     classes = kernel.flood_classes(kernel.state(seed))[0]
-    pushes = [token for token in calls if token.startswith("P") and "'" not in token]
-    per_class = dict.fromkeys(pushes, 1)
-    per_class.update({"B%d" % j: 1 for j in range(2, w)}, B1=2 if w >= 4 else 1)
-    assert calls == {token: len(classes) * per_class.get(token, 0) for token in calls}
-    assert len(keyed) == len(classes) * (min(w - 1, 2) + len(pushes)) + 1
+    assert calls == [len(classes)] * len(steps)
+    assert len(keyed) == len(classes) * len(steps) + 1
+    # the first step is B1 and, at w >= 4, the second is R
+    for st in classes:
+        assert steps[0](st) == b1(st)
+        if w >= 4:
+            assert steps[1](st) == reduce(lambda s, j: dict(kernel.steps)["B%d" % j](s),
+                                          range(1, w), st)
 
 
 @pytest.mark.parametrize("d,h,w", [(3, 0, 6), (3, 1, 4), (4, 0, 4), (3, 1, 6)])

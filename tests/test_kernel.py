@@ -10,6 +10,7 @@ moves.py-style moves directly.
 import hashlib
 import random
 import struct
+from itertools import permutations
 from math import factorial
 
 import pytest
@@ -180,6 +181,14 @@ def test_rank_order_is_text_order(d):
     assert by_rank == sorted(perms, key=format_perm)
     assert all(ranks.perm[ranks.rank[p]] == p for p in perms)
     assert all(0 <= ranks.rank[p] < ranks.n for p in perms)
+
+
+@pytest.mark.parametrize("d", [1, 3, 5])
+def test_elements_are_built_once_in_permutations_order(d):
+    ranks = _Ranks(d)
+    elements = ranks.elements()
+    assert elements == tuple(ranks.rank[p] for p in permutations(range(1, d + 1)))
+    assert ranks.elements() is elements
 
 
 def test_ranks_refuse_a_non_permutation():

@@ -237,6 +237,24 @@ class TestCounts:
                     assert S._estimate_count(d, h, w) >= frobenius_count(d, h, w), (d, h, w)
 
 
+@pytest.mark.parametrize("d", range(2, 9))
+@pytest.mark.parametrize("h", range(4))
+def test_constructed_seed_is_a_full_monodromy_system(d, h):
+    # constructed for every even w from 2 (h >= 1) or 2(d-1) (h = 0) on
+    covered = 2 if h else 2 * (d - 1)
+    for w in range(0, covered + 7):
+        seed = S.full_monodromy_seed(d, h, w)
+        if w % 2 or w < covered:
+            assert seed is None, w
+            continue
+        assert (seed.d, seed.h, seed.w) == (d, h, w)
+        assert S.validate(seed).ok and S.is_full_monodromy(seed), w
+
+
+def test_no_seed_is_constructed_at_degree_one():
+    assert S.full_monodromy_seed(1, 0, 0) is None and S.full_monodromy_seed(1, 1, 2) is None
+
+
 class TestRandom:
     def test_valid_and_seed_stable(self):
         a = S.random_system(4, 1, 8, random.Random(3))
