@@ -364,8 +364,8 @@ def full_monodromy_seed(d: int, h: int, w: int) -> HurwitzSystem | None:
     w >= 2: every t_j = (1 2), a_1 = (1 2 ... d) and every other handle
     entry the identity; the t_j cancel in pairs and [a_1, 1] = 1.  For
     h = 0 and even w >= 2(d-1): the doubled (k k+1) for k < d, padded
-    with copies of (1 2).  Either way the entries hold transpositions
-    linking all d points, which generate S_d (Hurwitz 1891; Fulton 1969,
+    with copies of (1 2).  (1 2) with a d-cycle generates S_d, and so do
+    transpositions linking all d points (Hurwitz 1891; Fulton 1969,
     section 1).
 
     >>> serialize(full_monodromy_seed(3, 1, 2))

@@ -367,7 +367,7 @@ def test_class_flood_applies_b1_and_the_rotation_once_per_class(d, h, w, selecto
     steps = kernel.class_steps()
     pushes = [move for move in kernel.moves if move.kind == "push" and not move.inverse]
     assert len(steps) == min(w - 1, 2) + len(pushes)
-    b1 = dict(kernel.steps)["B1"]
+    step_of = dict(kernel.steps)
     calls = [0] * len(steps)
 
     def counted(k, step):
@@ -388,10 +388,9 @@ def test_class_flood_applies_b1_and_the_rotation_once_per_class(d, h, w, selecto
     assert len(keyed) == len(classes) * len(steps) + 1
     # the first step is B1 and, at w >= 4, the second is R
     for st in classes:
-        assert steps[0](st) == b1(st)
+        assert steps[0](st) == step_of["B1"](st)
         if w >= 4:
-            assert steps[1](st) == reduce(lambda s, j: dict(kernel.steps)["B%d" % j](s),
-                                          range(1, w), st)
+            assert steps[1](st) == reduce(lambda s, j: step_of["B%d" % j](s), range(1, w), st)
 
 
 @pytest.mark.parametrize("d,h,w", [(3, 0, 6), (3, 1, 4), (4, 0, 4), (3, 1, 6)])
