@@ -5,12 +5,14 @@ braids and point-pushes both apply their catalog schema through
 apply_endo.  move_program compiles each certified catalog map once,
 keyed by the map, into the images it changes as letters over the
 entries they read; apply_endo evaluates those under the current
-monodromy, and the orbits kernel runs the same programs on ranks.
+monodromy, padding each entry it reads once and folding each word by
+gathers, and the orbits kernel runs the same programs on ranks.
 Braid moves only shuffle the transposition tuple; handle point-pushes
 also rewrite one handle entry.  The macros stand for braid words: a
 pair retype needs a full residual monodromy group, and a window
-rewrite must keep the braid invariants of its window.  Both are
-checked on application and again on replay.
+rewrite must keep the braid invariants of its window, which
+check_block_rewrite reads off the two points of each transposition.
+Both are checked on application and again on replay.
 
 Move words are strings of tokens separated by spaces:
 
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 from typing import NamedTuple
 
 from .catalog import catalog_hash, certified_braid_endo, certified_push_endo
@@ -33,8 +36,9 @@ from .perms import (
     inverse,
     is_symmetric,
     is_transposition,
-    orbit_blocks,
+    pair_product,
     parse_perm,
+    point_pairs,
     product,
     support,
 )
@@ -88,13 +92,29 @@ def evaluate_word(word: Word, sys: HurwitzSystem) -> Perm:
 
 def apply_endo(sys: HurwitzSystem, program: Program) -> HurwitzSystem:
     """The move of a compiled certified endomorphism: evaluate the
-    images of the generators it changes; every other entry stays."""
+    images of the generators it changes; every other entry stays.  Each
+    value read is padded once, as compose pads its right factor, and a
+    word is folded from its first letter by one gather per further
+    letter."""
+    d = sys.d
     entries = list(sys.handles + sys.transpositions)
     values = [entries[k] for k in program.reads]
     values += [inverse(values[p]) for p in program.negated]
-    for k, word in zip(program.changed, program.words):
-        entries[k] = product(map(values.__getitem__, word), sys.d)
-    return HurwitzSystem(sys.d, tuple(entries[: 2 * sys.h]), tuple(entries[2 * sys.h :]))
+    for v in values:
+        if len(v) != d:
+            raise ValueError("degree mismatch: %d vs %d" % (d, len(v)))
+    if d == 1:  # one index gathers a bare int
+        for k, word in zip(program.changed, program.words):
+            entries[k] = product(map(values.__getitem__, word), d)
+    else:
+        padded = [(0, *v) for v in values]
+        for k, word in zip(program.changed, program.words):
+            letters = iter(word)
+            acc = values[next(letters)]
+            for x in letters:
+                acc = itemgetter(*acc)(padded[x])
+            entries[k] = acc
+    return HurwitzSystem(d, tuple(entries[: 2 * sys.h]), tuple(entries[2 * sys.h :]))
 
 
 # ---------------------------------------------------------------------------
@@ -172,25 +192,53 @@ def _require_equal_pair(sys: HurwitzSystem, j: int) -> Perm:
 
 def check_block_rewrite(sys: HurwitzSystem, lo: int, hi: int,
                         target: tuple[Perm, ...]) -> None:
-    """Cheap braid-orbit invariants for a macro rewrite token: equal
-    products, equal window subgroup (same block partition) and the same
-    number of entries in each block, since a braid keeps every entry
-    inside its block.  With one block of two or more points the count
-    is the window length, which the caller already matched."""
+    """Cheap braid-orbit invariants for a macro rewrite token, checked in
+    this order: equal products, every target entry a transposition,
+    equal window subgroup (same block partition) and, when two or more
+    blocks have two or more points, the same number of entries in each
+    block, since a braid keeps every entry inside its block.  With one
+    such block the count is the window length, which the caller already
+    matched.  The windows are read as the point pairs of their
+    transpositions: the products by swaps (perms.pair_product), the
+    partitions as each point's least block-mate.  A source entry that is
+    not a transposition, which only a system that is not valid has,
+    links each point it moves to its image, as orbit_blocks reads it."""
+    d = sys.d
     src = sys.transpositions[lo - 1 : hi]
-    if product(src, sys.d) != product(target, sys.d):
+    src_pairs, target_pairs = point_pairs(src, d), point_pairs(target, d)
+    if _window_product(src, src_pairs, d) != _window_product(target, target_pairs, d):
         raise MoveError("rewrite changes the window product")
-    for t in target:
-        if not is_transposition(t):
-            raise MoveError("rewrite target entry is not a transposition")
-    blocks = orbit_blocks(src, sys.d)
-    if blocks != orbit_blocks(target, sys.d):
+    if target_pairs is None:
+        raise MoveError("rewrite target entry is not a transposition")
+    if src_pairs is None:
+        # link and count every moved point on both sides, as orbit_blocks
+        # and support read a window
+        src_pairs = [(p, t[p - 1]) for t in src for p in support(t)]
+        target_pairs = [(p, t[p - 1]) for t in target for p in support(t)]
+    label = _block_labels(src_pairs, d)
+    if label != _block_labels(target_pairs, d):
         raise MoveError("rewrite changes the window block partition")
-    if sum(len(b) > 1 for b in blocks) > 1:
-        block_of = {p: k for k, b in enumerate(blocks) for p in b}
-        if (sorted(block_of[p] for t in src for p in support(t))
-                != sorted(block_of[p] for t in target for p in support(t))):
-            raise MoveError("rewrite changes the number of entries in a block")
+    if len({k for p, k in enumerate(label) if k != p}) > 1 and (
+            sorted(label[a] for a, _ in src_pairs) != sorted(label[a] for a, _ in target_pairs)):
+        raise MoveError("rewrite changes the number of entries in a block")
+
+
+def _window_product(window: tuple[Perm, ...], pairs: list[tuple[int, int]] | None,
+                    d: int) -> Perm:
+    return tuple(product(window, d)) if pairs is None else pair_product(pairs, d)
+
+
+def _block_labels(pairs: list[tuple[int, int]], d: int) -> list[int]:
+    """label[p] is the least point of p's block, for p = 1..d, when each
+    pair (a, b) links a and b; label[0] is 0."""
+    label = list(range(d + 1))
+    for a, b in pairs:
+        x, y = label[a], label[b]
+        if x != y:
+            if x > y:
+                x, y = y, x
+            label = [x if k == y else k for k in label]
+    return label
 
 
 def pair_retype(sys: HurwitzSystem, j: int, tau: Perm) -> HurwitzSystem:
@@ -231,7 +279,7 @@ class Move:
             return "P%s%d%s" % (self.side, self.j, prime)
         if self.kind == "retype":
             return "R%d:%s" % (self.j, format_perm(self.perms[0]))
-        return "W%d-%d:%s" % (self.j, self.hi, ";".join(format_perm(p) for p in self.perms))
+        return "W%d-%d:%s" % (self.j, self.hi, ";".join(map(format_perm, self.perms)))
 
 
 def _move_index(text: str) -> int:

@@ -32,8 +32,8 @@ from dataclasses import replace
 from .catalog import certified_push_endo
 from .moves import Certificate, Move, apply_move, apply_word, certificate, evaluate_word, parse_move
 from .orbits import connect
-from .perms import (Perm, conjugate, cycles, format_perm, identity, is_transposition, product,
-                    support, transposition, weight)
+from .perms import (Perm, conjugate, cycles, format_perm, identity, is_transposition, pair_product,
+                    point_pairs, product, support, transposition, weight)
 from .systems import HurwitzSystem, branching_blocks, is_full_monodromy, serialize, validate
 from .words import conjugate_parts
 
@@ -124,7 +124,7 @@ def prop_split_normal_form(points: tuple[int, ...], g: Perm, w_m: int,
             out.extend((conn, conn))
     out.extend([tau] * (w_m - length))
     assert len(out) == w_m
-    assert product(out, d) == g
+    assert pair_product(point_pairs(out, d), d) == g
     return tuple(out)
 
 
@@ -233,28 +233,28 @@ def trivialize_handle(sys: HurwitzSystem, i: int) -> tuple[HurwitzSystem, list[s
     2(d-1), drops by exactly one per push or the stage raises, so at
     most 2(d-1) pushes happen."""
     sys, tokens = repair_branching_monodromy(sys)
-    while True:
-        lam, mu = sys.handle_pair(i)
-        total = weight(lam) + weight(mu)
-        if total == 0:
-            return sys, tokens
+    lam, mu = sys.handle_pair(i)
+    lam_weight, mu_weight = weight(lam), weight(mu)
+    while lam_weight + mu_weight:
+        total = lam_weight + mu_weight
         # side a rewrites b_i, side b rewrites a_i
-        side = "a" if weight(mu) > 0 else "b"
+        side = "a" if mu_weight > 0 else "b"
         moved_img = mu if side == "a" else lam
         x = support(moved_img)[0]
         splitter = transposition(sys.d, x, moved_img[x - 1])
         v = _push_conjugator(sys, i, side)
         # the push multiplies the handle entry by v t_w v^-1
         tau = conjugate(splitter, v)
-        staged = prop_split_normal_form(tuple(range(1, sys.d + 1)),
-                                        product(sys.transpositions, sys.d),
-                                        sys.w, tau)
+        g = pair_product(point_pairs(sys.transpositions, sys.d), sys.d)
+        staged = prop_split_normal_form(tuple(range(1, sys.d + 1)), g, sys.w, tau)
         sys = _apply_rewrite(sys, 1, sys.w, staged, tokens)
         sys = _play(sys, Move("push", i, side=side), tokens)
         lam, mu = sys.handle_pair(i)
-        if weight(lam) + weight(mu) != total - 1:
+        lam_weight, mu_weight = weight(lam), weight(mu)
+        if lam_weight + mu_weight != total - 1:
             raise NormalizeError("staged push failed to reduce the handle weight on %s"
                                  % serialize(sys))
+    return sys, tokens
 
 
 # ---------------------------------------------------------------------------

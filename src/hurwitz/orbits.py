@@ -39,7 +39,7 @@ import heapq
 import json
 import struct
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import permutations
 from math import factorial
 from operator import itemgetter
@@ -242,20 +242,24 @@ def _canonical(ranks: _Ranks) -> Callable[[_State], tuple[_State, int]]:
 
 class _Kernel:
     """The moves of one parameter set acting on rank tuples
-    (t_1..t_w, a_1, b_1, ..., a_h, b_h).  steps holds (token, step)
-    in the order of the given moves, and moves the parsed move of each,
-    so each token is parsed once per kernel.  canonical is the class
-    key function of _canonical.  links maps each state a search has
-    reached to the (state, token) it was first reached from, or None
-    for a start."""
+    (t_1..t_w, a_1, b_1, ..., a_h, b_h).  moves holds the parsed move
+    of each given move, so each token is parsed once per kernel, and
+    steps its (token, step), in the same order, built on first use: the
+    class flood builds only the steps of class_steps.  canonical is the
+    class key function of _canonical.  links maps each state a search
+    has reached to the (state, token) it was first reached from, or
+    None for a start."""
 
     def __init__(self, d: int, h: int, w: int, moves: tuple[CompiledMove, ...]):
         self.d, self.h, self.w = d, h, w
         self.ranks = _ranks(d)
-        self.moves = [parse_move(mv.token) for mv in moves]
-        self.steps: list[tuple[str, _Step]] = [
-            (mv.token, self._step(move)) for mv, move in zip(moves, self.moves)]
+        self.tokens = [mv.token for mv in moves]
+        self.moves = [parse_move(token) for token in self.tokens]
         self.canonical = _canonical(self.ranks)
+
+    @cached_property
+    def steps(self) -> list[tuple[str, _Step]]:
+        return [(token, self._step(move)) for token, move in zip(self.tokens, self.moves)]
 
     def state(self, sys: HurwitzSystem) -> _State:
         return tuple(map(self.ranks.rank.__getitem__, sys.transpositions + sys.handles))
@@ -307,13 +311,13 @@ class _Kernel:
         relations give R(B_{i+1}(s)) = B_i(R(s)), so B_{i+1} = R^-1 B_i R,
         and on the finite set of systems R^-1 is a positive power of R:
         B1 and R reach what the braids reach."""
-        forward = [(move, step) for move, (_, step) in zip(self.moves, self.steps)
-                   if not move.inverse]
+        forward = [move for move in self.moves if not move.inverse]
         if self.w < 4:
-            return [step for _, step in forward]
-        braids = {move.j: (move, step) for move, step in forward if move.kind == "braid"}
-        rotation = self._rotation([braids[j][0] for j in range(1, self.w)])
-        return [braids[1][1], rotation] + [step for move, step in forward if move.kind != "braid"]
+            return [self._step(move) for move in forward]
+        braids = {move.j: move for move in forward if move.kind == "braid"}
+        rotation = self._rotation([braids[j] for j in range(1, self.w)])
+        return [self._step(braids[1]), rotation] + [
+            self._step(move) for move in forward if move.kind != "braid"]
 
     def _rotation(self, braids: list[Move]) -> _Step:
         """R = B_{w-1} ... B2 B1 in one pass over the transpositions: B_j

@@ -13,7 +13,7 @@ convention, ``conjugate(t, s) == s^-1 t s``.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, reduce
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
@@ -71,16 +71,27 @@ def conjugate(t: Perm, s: Perm) -> Perm:
 
 def product(perms: Iterable[Perm], d: int) -> Perm:
     """Left-to-right product from the first factor; the identity of
-    degree d when there is none."""
+    degree d when there is none.  Each further factor is one gather, as
+    in compose, with compose's degree check.
+
+    >>> product([(2, 1, 3), (1, 3, 2), (2, 1, 3)], 3)
+    (3, 2, 1)
+    """
     perms = iter(perms)
     acc = next(perms, None)
     if acc is None:
         return identity(d)
+    n = len(acc)
+    if n == 1:  # one index gathers a bare int
+        return reduce(compose, perms, acc)
     for p in perms:
-        acc = compose(acc, p)
+        if len(p) != n:
+            raise ValueError("degree mismatch: %d vs %d" % (n, len(p)))
+        acc = itemgetter(*acc)((0, *p))
     return acc
 
 
+@lru_cache(maxsize=None)
 def transposition(d: int, i: int, j: int) -> Perm:
     assert 1 <= i <= d and 1 <= j <= d and i != j
     images = list(range(1, d + 1))
@@ -89,9 +100,43 @@ def transposition(d: int, i: int, j: int) -> Perm:
 
 
 def is_transposition(p: Sequence[int]) -> bool:
-    """Is p a transposition of its degree?  A set lookup, so images
+    """Is p a transposition of its degree?  A table lookup, so images
     that are not a permutation, such as (2, 3, 3), read False."""
-    return 0 < len(p) <= MAX_DEGREE and tuple(p) in _transposition_set(len(p))
+    return 0 < len(p) <= MAX_DEGREE and tuple(p) in transposition_points(len(p))
+
+
+@lru_cache(maxsize=None)
+def transposition_points(d: int) -> dict[Perm, tuple[int, int]]:
+    """Each transposition of S_d mapped to its two points, the lesser
+    first."""
+    return {transposition(d, i, j): (i, j)
+            for i in range(1, d + 1) for j in range(i + 1, d + 1)}
+
+
+def point_pairs(ts: Sequence[Sequence[int]], d: int) -> list[tuple[int, int]] | None:
+    """The two points of each entry of ts, or None when an entry is not
+    a transposition of degree d.
+
+    >>> point_pairs([(2, 1, 3), (1, 3, 2)], 3)
+    [(1, 2), (2, 3)]
+    """
+    pairs = list(map(transposition_points(d).get, map(tuple, ts)))
+    return None if None in pairs else pairs
+
+
+def pair_product(pairs: Sequence[tuple[int, int]], d: int) -> Perm:
+    """The left-to-right product of the transpositions with these point
+    pairs, by swaps: t_1 t_2 ... t_k applies t_1 first, so its images
+    are those of t_2 ... t_k with the places of t_1's two points
+    swapped.
+
+    >>> pair_product([(1, 2), (2, 3)], 3) == product([(2, 1, 3), (1, 3, 2)], 3)
+    True
+    """
+    images = list(range(d + 1))
+    for a, b in reversed(pairs):
+        images[a], images[b] = images[b], images[a]
+    return tuple(images[1:])
 
 
 def cycles(p: Perm) -> list[tuple[int, ...]]:
@@ -162,13 +207,20 @@ def parse_perm(text: str) -> Perm:
     return check_perm(images)
 
 
-def format_perm(p: Perm) -> str:
-    return ",".join(str(i) for i in p)
+def format_perm(p: Sequence[int]) -> str:
+    """One-line text of the images, e.g. "2,1,3".  Memoized on tuple(p)
+    in a bounded cache, so a list formats too."""
+    return _format(tuple(p))
+
+
+@lru_cache(maxsize=1024)
+def _format(p: Perm) -> str:
+    return ",".join(map(str, p))
 
 
 def all_transpositions(d: int) -> list[Perm]:
     """All transpositions of S_d in lexicographic order of their points."""
-    return [transposition(d, i, j) for i in range(1, d + 1) for j in range(i + 1, d + 1)]
+    return list(transposition_points(d))
 
 
 def orbit_blocks(gens: Sequence[Perm], d: int) -> list[tuple[int, ...]]:
@@ -274,11 +326,6 @@ def group_order(gens: Sequence[Perm], d: int) -> int:
     return PermGroup(gens, d).order()
 
 
-@lru_cache(maxsize=None)
-def _transposition_set(d: int) -> frozenset[Perm]:
-    return frozenset(all_transpositions(d))
-
-
 def is_symmetric(gens: Sequence[Perm], d: int) -> bool:
     """Does <gens> equal the full S_d?
 
@@ -292,7 +339,7 @@ def is_symmetric(gens: Sequence[Perm], d: int) -> bool:
     """
     if d == 1:
         return True
-    linking = _transposition_set(d).intersection(gens)
+    linking = transposition_points(d).keys() & gens
     if linking:
         if len(orbit_blocks(linking, d)) == 1:
             return True

@@ -393,6 +393,24 @@ def test_class_flood_applies_b1_and_the_rotation_once_per_class(d, h, w, selecto
             assert steps[1](st) == reduce(lambda s, j: step_of["B%d" % j](s), range(1, w), st)
 
 
+@pytest.mark.parametrize("d,h,w,selector,built", [
+    (3, 1, 6, "full", ["B1", "Pa1", "Pb1"]), (4, 0, 6, "braid", ["B1"]),
+    (3, 1, 2, "full", ["B1", "Pa1", "Pb1"])])
+def test_by_count_census_builds_only_the_class_steps(monkeypatch, d, h, w, selector, built):
+    # the steps of every move, inverses included, are built only when a
+    # search expands; the class flood builds B1 and the forward pushes
+    # (the rotation reads the braids' programs, not their steps)
+    steps, real = [], _Kernel._step
+    monkeypatch.setattr(_Kernel, "_step", lambda self, move: steps.append(move.token())
+                        or real(self, move))
+    result = census(d, h, w, selector, is_full_monodromy, "full-monodromy")
+    assert len(result.orbits) == 1 and steps == built
+    kernel = _Kernel(d, h, w, compile_moves(d, h, w, selector))
+    steps.clear()
+    assert [token for token, _ in kernel.steps] == [mv.token for mv in compile_moves(
+        d, h, w, selector)] == steps
+
+
 @pytest.mark.parametrize("d,h,w", [(3, 0, 6), (3, 1, 4), (4, 0, 4), (3, 1, 6)])
 def test_the_rotation_conjugates_each_braid_to_the_one_before(d, h, w):
     # R(B_{i+1}(s)) == B_i(R(s)), so B_{i+1} = R^-1 B_i R: the class flood

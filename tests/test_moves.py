@@ -2,17 +2,22 @@
 and replayable certificates."""
 
 import random
+from collections import Counter
+from functools import reduce
+from itertools import product as tuples
 
 import pytest
 
 from hurwitz import catalog
 from hurwitz.catalog import catalog_hash, certified_braid_endo, certified_push_endo
 from hurwitz.moves import (Certificate, MoveError, apply_endo, apply_move,
-                           apply_word, braid, certificate, check_push_contract,
-                           evaluate_word, handle_push, monodromy_change,
-                           move_program, pair_retype, parse_move)
-from hurwitz.perms import (compose, conjugate, identity, inverse,
-                           transposition)
+                           apply_word, braid, certificate, check_block_rewrite,
+                           check_push_contract, evaluate_word, handle_push,
+                           monodromy_change, move_program, pair_retype,
+                           parse_move)
+from hurwitz.perms import (all_transpositions, compose, conjugate, from_cycles,
+                           identity, inverse, is_transposition, orbit_blocks,
+                           support, transposition)
 from hurwitz.systems import (HurwitzSystem, genus, is_full_monodromy,
                              monodromy, random_system, relator_product,
                              serialize, validate)
@@ -253,6 +258,142 @@ class TestMacros:
         hs = HurwitzSystem(3, (), (self.t12,) * 6)
         with pytest.raises(MoveError):
             pair_retype(hs, 1, self.t23)
+
+
+# ---------------------------------------------------------------------------
+# window rewrites: the point-pair checks against the product and orbit walk
+
+def reference_product(perms, d):
+    """A compose fold from the first factor, the identity when empty."""
+    perms = list(perms)
+    return reduce(compose, perms[1:], perms[0]) if perms else identity(d)
+
+
+def reference_check_block_rewrite(sys, lo, hi, target):
+    """check_block_rewrite as it read before the point-pair tables, on
+    product folds and orbit_blocks, kept as the oracle."""
+    src = sys.transpositions[lo - 1 : hi]
+    if reference_product(src, sys.d) != reference_product(target, sys.d):
+        raise MoveError("rewrite changes the window product")
+    for t in target:
+        if not is_transposition(t):
+            raise MoveError("rewrite target entry is not a transposition")
+    blocks = orbit_blocks(src, sys.d)
+    if blocks != orbit_blocks(target, sys.d):
+        raise MoveError("rewrite changes the window block partition")
+    if sum(len(b) > 1 for b in blocks) > 1:
+        block_of = {p: k for k, b in enumerate(blocks) for p in b}
+        if (sorted(block_of[p] for t in src for p in support(t))
+                != sorted(block_of[p] for t in target for p in support(t))):
+            raise MoveError("rewrite changes the number of entries in a block")
+
+
+VERDICTS = {"accepted", "rewrite changes the window product",
+            "rewrite target entry is not a transposition",
+            "rewrite changes the window block partition",
+            "rewrite changes the number of entries in a block"}
+
+
+def rewrite_verdict(check, d, pad, src, target):
+    """The check's verdict on rewriting src, placed after pad in a
+    system, to target: "accepted" or its message."""
+    sys = HurwitzSystem(d, (), tuple(pad) + tuple(src) + tuple(pad))
+    try:
+        check(sys, len(pad) + 1, len(pad) + len(src), tuple(target))
+    except MoveError as exc:
+        return str(exc)
+    return "accepted"
+
+
+def same_verdict(d, pad, src, target):
+    got = rewrite_verdict(check_block_rewrite, d, pad, src, target)
+    assert got == rewrite_verdict(reference_check_block_rewrite, d, pad, src, target), \
+        (d, pad, src, target)
+    return got
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_window_checks_match_the_oracle_on_every_small_window(d):
+    # every window of length <= 4 over the transpositions, the identity,
+    # a 3-cycle and a double transposition, each against partners of
+    # its own product (so the later checks are reached) and one other
+    pool = all_transpositions(d) + [identity(d)]
+    pool += [from_cycles(d, cycs) for cycs in ([(1, 2, 3)], [(1, 2), (3, 4)]) if max(cycs[-1]) <= d]
+    rng = random.Random("windows:%d" % d)
+    seen = Counter()
+    for k in range(1, 5):
+        windows = list(tuples(pool, repeat=k))
+        by_product = {}
+        for window in windows:
+            by_product.setdefault(reference_product(window, d), []).append(window)
+        for src in windows:
+            group = by_product[reference_product(src, d)]
+            partners = rng.sample(group, min(4, len(group))) + [rng.choice(windows)]
+            pad = [pool[0]] * rng.randrange(2)
+            for target in partners:
+                seen[same_verdict(d, pad, src, target)] += 1
+    assert set(seen) == (VERDICTS if d == 4 else VERDICTS - {
+        "rewrite changes the number of entries in a block"}), seen
+
+
+def braided(window, rng, steps=20):
+    """window after random braid moves (x, y) -> (y, y^-1 x y) and back."""
+    out = list(window)
+    for _ in range(steps):
+        j = rng.randrange(len(out) - 1)
+        x, y = out[j], out[j + 1]
+        out[j : j + 2] = (y, conjugate(x, y)) if rng.random() < 0.5 else (conjugate(y, inverse(x)), x)
+    return out
+
+
+@pytest.mark.parametrize("d", [5, 6, 7, 8])
+def test_window_checks_match_the_oracle_on_multi_block_windows(d):
+    # two or three blocks of two or more points, each spanned by a tree
+    # plus extra entries; block A also holds a doubled transposition
+    # (t, t), which the variants trade for one of each failure kind
+    rng = random.Random("multi-block:%d" % d)
+    ts = all_transpositions(d)
+    seen = Counter()
+    for _ in range(200):
+        points = list(range(1, d + 1))
+        rng.shuffle(points)
+        sizes = [rng.randrange(2, 4)]
+        while d - sum(sizes) >= 2 and len(sizes) < 3:
+            sizes.append(rng.randrange(2, min(4, d - sum(sizes)) + 1))
+        blocks, at = [], 0
+        for size in sizes:
+            blocks.append(points[at : at + size])
+            at += size
+        window = []
+        for block in blocks:
+            for k in range(1, len(block)):
+                window.append(transposition(d, block[k], block[rng.randrange(k)]))
+            for _ in range(rng.randrange(3)):
+                window.append(transposition(d, *rng.sample(block, 2)))
+        rng.shuffle(window)
+        a, b = blocks[0], blocks[1]
+        t = transposition(d, *rng.sample(a, 2))
+        src = window + [t, t]
+        pad = [rng.choice(ts) for _ in range(rng.randrange(3))]
+        s = transposition(d, *rng.sample(b, 2))
+        link = transposition(d, a[0], b[0])
+        swapped = list(src)
+        j = rng.randrange(len(src) - 1)
+        swapped[j], swapped[j + 1] = swapped[j + 1], swapped[j]
+        cycle = from_cycles(d, [tuple(a[:3])]) if len(a) >= 3 else identity(d)
+        variants = [
+            (src, braided(src, rng)),
+            (src, braided(window + [s, s], rng)),         # entries move between blocks
+            (src, braided(window + [link, link], rng)),   # the blocks merge
+            (src, braided(swapped, rng)),                 # the product, mostly
+            (src, window + [identity(d), identity(d)]),   # not a transposition
+            (src, window + [cycle, inverse(cycle)]),
+            (window + [cycle, inverse(cycle)], braided(src, rng)),  # a source that is not valid
+            (window + [identity(d)] * 2, braided(window + [s, s], rng)),
+        ]
+        for source, target in variants:
+            seen[same_verdict(d, pad, source, target)] += 1
+    assert set(seen) == VERDICTS, seen
 
 
 class TestMoveWords:

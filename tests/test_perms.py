@@ -1,6 +1,7 @@
 """Permutation layer: composition order, cycle bookkeeping, groups."""
 
 import random
+from functools import reduce
 from itertools import combinations, permutations
 from math import factorial, prod
 
@@ -10,8 +11,9 @@ from hurwitz.perms import (PermGroup, all_transpositions, check_perm, compose,
                            conjugate, cycle_type, cycles, from_cycles,
                            format_perm, group_order, identity, inverse,
                            is_symmetric, is_transposition, orbit_blocks,
-                           parse_perm, product, sign, support, transposition,
-                           transposition_blocks, weight)
+                           pair_product, parse_perm, point_pairs, product,
+                           sign, support, transposition, transposition_blocks,
+                           transposition_points, weight)
 
 
 def rand_perm(rng, d):
@@ -94,6 +96,77 @@ class TestComposeOracle:
             compose((2, 1), (1, 2, 3))
 
 
+def reference_product(perms, d):
+    """product as a compose fold from the first factor, kept as the
+    oracle of the gathering fold."""
+    perms = list(perms)
+    return reduce(compose, perms[1:], perms[0]) if perms else identity(d)
+
+
+def outcome(fn, *args):
+    """fn's result with its type, or the ValueError message it raised."""
+    try:
+        result = fn(*args)
+    except ValueError as exc:
+        return "raised", str(exc)
+    return type(result), result
+
+
+class TestProductOracle:
+    @pytest.mark.parametrize("d", range(1, 17))
+    def test_random_words(self, d):
+        rng = random.Random("product:%d" % d)
+        for k in range(8):
+            for _ in range(25):
+                factors = [rand_perm(rng, d) for _ in range(k)]
+                assert outcome(product, factors, d) == outcome(reference_product, factors, d)
+                # a generator is read once, as the list is
+                assert product((p for p in factors), d) == product(factors, d)
+
+    @pytest.mark.parametrize("d", range(1, 17))
+    def test_a_mismatch_at_every_position(self, d):
+        rng = random.Random("product-mismatch:%d" % d)
+        for k in range(1, 6):
+            for at in range(k):
+                for other in {max(d - 1, 1), d + 1} - {d}:
+                    factors = [rand_perm(rng, d) for _ in range(k)]
+                    factors[at] = rand_perm(rng, other)
+                    want = outcome(reference_product, factors, d)
+                    assert outcome(product, factors, d) == want
+                    assert outcome(product, iter(factors), d) == want
+                    if k > 1:
+                        assert want[0] == "raised"
+
+    def test_degree_one_is_a_tuple(self):
+        assert outcome(product, [(1,)] * 3, 1) == (tuple, (1,))
+        assert outcome(product, [(1,), [1]], 1) == (tuple, (1,))
+
+
+class TestTranspositionPoints:
+    @pytest.mark.parametrize("d", range(1, 17))
+    def test_table_names_every_transposition(self, d):
+        table = transposition_points(d)
+        assert list(table) == all_transpositions(d)
+        assert all(table[t] == support(t) for t in table)
+        assert len(table) == d * (d - 1) // 2
+
+    @pytest.mark.parametrize("d", range(2, 17))
+    def test_pair_product_is_the_product(self, d):
+        rng = random.Random("pairs:%d" % d)
+        ts = all_transpositions(d)
+        for k in range(10):
+            window = [rng.choice(ts) for _ in range(k)]
+            pairs = point_pairs(window, d)
+            assert pairs == [support(t) for t in window]
+            assert pair_product(pairs, d) == reference_product(window, d)
+
+    def test_point_pairs_reject_other_entries(self):
+        t = transposition(3, 1, 2)
+        assert point_pairs([t, [1, 3, 2]], 3) == [(1, 2), (2, 3)]
+        for other in (identity(3), (2, 3, 1), (2, 1), transposition(4, 1, 2), (2, 3, 3)):
+            assert point_pairs([t, other], 3) is None
+
+
 class TestCycles:
     def test_cycles_cover_fixed_points(self):
         p = parse_perm("2,1,3,5,4")
@@ -141,6 +214,8 @@ class TestCycles:
         for _ in range(50):
             p = rand_perm(rng, rng.randrange(1, 10))
             assert parse_perm(format_perm(p)) == p
+            # the memo is keyed on the images, so a list reads the same
+            assert format_perm(list(p)) == format_perm(p) == ",".join(map(str, p))
 
     @pytest.mark.parametrize("text", ["2,x,1", "1,1,2", ""])
     def test_malformed_text_raises_every_time(self, text):

@@ -53,6 +53,13 @@ class TestValidate:
         sys = make(3, [], [transposition(2, 1, 2)] * 2)
         assert not S.validate(sys).ok
 
+    def test_non_transposition_list_entry(self):
+        # a hand-built system may hold lists: the message names the
+        # entry as it names a tuple, with no TypeError from a memo
+        for entry in ((2, 3, 1), [2, 3, 1]):
+            rep = S.validate(make(3, [], [entry, (3, 1, 2)]))
+            assert rep.messages == ("t_1 is not a transposition: 2,3,1",)
+
 
 class TestGenus:
     def test_formula(self):
