@@ -108,7 +108,8 @@ def is_transposition(p: Sequence[int]) -> bool:
 @lru_cache(maxsize=None)
 def transposition_points(d: int) -> dict[Perm, tuple[int, int]]:
     """Each transposition of S_d mapped to its two points, the lesser
-    first."""
+    first, in the order of all_transpositions.  One shared table per
+    degree: read it, never change it."""
     return {transposition(d, i, j): (i, j)
             for i in range(1, d + 1) for j in range(i + 1, d + 1)}
 

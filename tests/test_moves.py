@@ -215,6 +215,16 @@ def test_compiled_moves_match_the_catalog_maps(d, h, w):
                 assert got == reference_apply(hs, f), (j, side, inverse_move)
 
 
+def test_moves_on_systems_that_are_not_valid():
+    # S_1 has no transpositions, so this system is not valid, but a braid
+    # still evaluates on it as a product fold does; entries of another
+    # degree are refused as a fold refuses them
+    hs = HurwitzSystem(1, (), ((1,), (1,)))
+    assert braid(hs, 1) == hs and type(braid(hs, 1).transpositions[0]) is tuple
+    with pytest.raises(ValueError, match="degree mismatch"):
+        braid(HurwitzSystem(3, (), ((2, 1, 3), (2, 1))), 1)
+
+
 def test_compiled_moves_follow_the_catalog(monkeypatch):
     # a program is compiled from the map the catalog certifies now: a
     # catalog whose braid is the inverse braid swaps B1 and B1', also
