@@ -12,7 +12,10 @@ also rewrite one handle entry.  The macros stand for braid words: a
 pair retype needs a full residual monodromy group, and a window
 rewrite must keep the braid invariants of its window, which
 check_block_rewrite reads off the two points of each transposition.
-Both are checked on application and again on replay.
+Both are checked on application and again on replay.  parse_move is
+memoized on the token text, in a bounded cache: parsing is a pure
+function of the text, while applying a move and its checks depend on
+the system, so apply_move runs in full for every token.
 
 Move words are strings of tokens separated by spaces:
 
@@ -289,7 +292,12 @@ def _move_index(text: str) -> int:
     return j
 
 
+@lru_cache(maxsize=1024)
 def parse_move(token: str) -> Move:
+    """The Move a token text names.  Memoized on the text in a bounded
+    cache, as parse_perm is, so a token parsed again costs one lookup; a
+    malformed text raises MoveError on every call.  apply_move still
+    checks every parsed value against the system it meets."""
     text = token.strip()
     if not text:
         raise MoveError("empty move token")
@@ -363,6 +371,12 @@ class Certificate:
     catalog: str  # schema file hash the moves were generated under
 
     def replay(self) -> HurwitzSystem:
+        """Re-execute the certificate: check the catalog hash, read and
+        validate the start, apply every token through apply_move (with
+        check_block_rewrite on each W token and the retype checks on
+        each R token) and compare the system reached with the end.  Only
+        the parse of a token text is memoized; no move, check or
+        verdict is."""
         if self.catalog != catalog_hash():
             raise MoveError("certificate was issued under a different move catalog")
         sys = deserialize(self.start)

@@ -18,16 +18,23 @@ macro tokens.  No search is involved and step counts are uniformly
 bounded, so canonicalization is linear time for fixed parameters.  The
 block rewrites are justified by braid-orbit transitivity on full
 blocks.  Every stage plays moves.Move values through _play, which
-applies and checks each token text as it is emitted.  Validate mode
-walks the finished word, replacing each macro by the elementary word
-orbits.connect finds from the system the macro acts on, which must land
-where the macro does.  A search that proves two orbits differ fails
-loudly; one that spends its budget raises BudgetError.
+applies and checks each token text as it is emitted.  The pure steps
+that repeat across systems are memoized in bounded caches: the split
+normal form on its arguments, which covers the staging target of every
+push round and of every repair, and the word V of each certified push.
+The moves, their checks and the value of V on a system are not.
+Validate mode walks the finished word, replacing each macro by the
+elementary word orbits.connect finds from the system the macro acts
+on, which must land where the macro does.  A search that proves two
+orbits differ fails loudly; one that spends its budget raises
+BudgetError.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import replace
+from functools import lru_cache
 
 from .catalog import certified_push_endo
 from .moves import Certificate, Move, apply_move, apply_word, certificate, evaluate_word, parse_move
@@ -35,7 +42,7 @@ from .orbits import connect
 from .perms import (Perm, conjugate, cycles, format_perm, identity, is_transposition, pair_product,
                     point_pairs, product, support, transposition, weight)
 from .systems import HurwitzSystem, branching_blocks, is_full_monodromy, serialize, validate
-from .words import conjugate_parts
+from .words import EndoMap, Word, conjugate_parts
 
 
 class NormalizeError(Exception):
@@ -83,8 +90,8 @@ def sort_standard_position(sys: HurwitzSystem) -> tuple[HurwitzSystem, list[str]
 # ---------------------------------------------------------------------------
 # split normal form of one block
 
-def prop_split_normal_form(points: tuple[int, ...], g: Perm, w_m: int,
-                           tau: Perm) -> tuple[Perm, ...]:
+def prop_split_normal_form(points: Sequence[int], g: Sequence[int], w_m: int,
+                           tau: Sequence[int]) -> tuple[Perm, ...]:
     """w_m transpositions supported on points, multiplying to g,
     generating the full symmetric group on points, ending in a run of
     tau with at least two copies.
@@ -93,8 +100,16 @@ def prop_split_normal_form(points: tuple[int, ...], g: Perm, w_m: int,
     (longest cycle first), joins consecutive cycles by doubled
     connector transpositions between their least elements, and pads
     with copies of tau.  The body length is #points + s - 2 where s
-    counts the cycles of g on points including fixed ones.
+    counts the cycles of g on points including fixed ones.  Memoized
+    on tuples of the arguments in a bounded cache, so a list call
+    returns the same tuple; a bad call raises on every repeat.
     """
+    return _split_normal_form(tuple(points), tuple(g), w_m, tuple(tau))
+
+
+@lru_cache(maxsize=1024)
+def _split_normal_form(points: tuple[int, ...], g: Perm, w_m: int,
+                       tau: Perm) -> tuple[Perm, ...]:
     d = len(g)
     pts = tuple(sorted(points))
     n = len(pts)
@@ -214,9 +229,17 @@ def _push_conjugator(sys: HurwitzSystem, i: int, side: str) -> Perm:
     V g_w^±1 V^-1.  Certification makes V a word in handle letters, so
     its value survives staging, which never touches the handles."""
     e = certified_push_endo(sys.h, sys.w, i, side)
+    return evaluate_word(_push_word(e, i, side), sys)
+
+
+@lru_cache(maxsize=256)
+def _push_word(e: EndoMap, i: int, side: str) -> Word:
+    """The word V of the push e along side of handle i: keyed by the
+    certified map itself, as moves._compile is, so it follows the
+    catalog; its value is evaluated on each system."""
     moved = e.ctx.b(i) if side == "a" else e.ctx.a(i)
     v, _ = conjugate_parts(e.image(moved)[1:])
-    return evaluate_word(v, sys)
+    return v
 
 
 def trivialize_handle(sys: HurwitzSystem, i: int) -> tuple[HurwitzSystem, list[str]]:
