@@ -39,7 +39,7 @@ from functools import lru_cache
 from .catalog import certified_push_endo
 from .moves import Certificate, Move, apply_move, apply_word, certificate, evaluate_word, parse_move
 from .orbits import connect
-from .perms import (Perm, conjugate, cycles, format_perm, identity, is_transposition, pair_product,
+from .perms import (Perm, conjugate, format_perm, identity, is_transposition, pair_product,
                     point_pairs, product, support, transposition, weight)
 from .systems import HurwitzSystem, branching_blocks, is_full_monodromy, serialize, validate
 from .words import EndoMap, Word, conjugate_parts
@@ -115,6 +115,8 @@ def _split_normal_form(points: tuple[int, ...], g: Perm, w_m: int,
     n = len(pts)
     if n < 2:
         raise NormalizeError("split normal form needs at least two points")
+    if pts[0] < 1 or pts[-1] > d:
+        raise NormalizeError("block points must lie in 1..%d" % d)
     pset = set(pts)
     if any(x not in pset for x in support(g)):
         raise NormalizeError("product %s moves points outside the block" % format_perm(g))
@@ -122,7 +124,20 @@ def _split_normal_form(points: tuple[int, ...], g: Perm, w_m: int,
         raise NormalizeError("tail entry must be a transposition inside the block")
     if w_m < 2 * n:
         raise NormalizeError("length %d is below 2#points = %d" % (w_m, 2 * n))
-    comps = [c for c in cycles(g) if c[0] in pset]
+    # the cycles of g through the block, each from its least point: g
+    # moves no point outside, so a walk from pts in order finds them all
+    comps: list[tuple[int, ...]] = []
+    seen: set[int] = set()
+    for start in pts:
+        if start in seen:
+            continue
+        cyc = [start]
+        nxt = g[start - 1]
+        while nxt != start:
+            cyc.append(nxt)
+            nxt = g[nxt - 1]
+        seen.update(cyc)
+        comps.append(tuple(cyc))
     comps.sort(key=lambda c: (-len(c), c[0]))
     s = len(comps)
     length = n + s - 2

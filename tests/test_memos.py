@@ -6,7 +6,9 @@ tuples of its arguments.  Both are compared here with the unmemoized
 body (``__wrapped__``) on real certificate tokens and on every small
 argument, errors included: lru_cache keeps no exception, so a bad call
 must raise on every repeat.  Replay stays a real re-application of each
-token, so a cached parse cannot let a forged certificate through.  The
+token, so a cached parse cannot let a forged certificate through.  No
+memo body calls a perms kernel that perfbench counts, so a pass with
+cold memos makes the same kernel calls as a warm one.  The
 static test reads every lru_cache in the package and requires a finite
 maxsize, apart from a short allow-list of tables keyed on a few small
 ints.
@@ -15,12 +17,14 @@ ints.
 import ast
 import pathlib
 import random
+import sys
+from collections import Counter
 from dataclasses import replace
 from itertools import combinations, permutations
 
 import pytest
 
-from hurwitz import moves, normalize
+from hurwitz import moves, normalize, perms
 from hurwitz.catalog import certified_push_endo
 from hurwitz.moves import MoveError, parse_move
 from hurwitz.normalize import NormalizeError, canonicalize, prop_split_normal_form
@@ -249,6 +253,8 @@ def test_split_normal_form_memo_matches_the_body_at_small_degree():
     (((1, 2, 3), identity(4), 6, transposition(4, 1, 4)), "inside the block"),
     (((1, 2, 3), identity(3), 6, identity(3)), "inside the block"),
     (((1,), identity(1), 2, identity(1)), "two points"),
+    (((0, 1, 2), identity(3), 6, transposition(3, 1, 2)), "lie in 1..3"),
+    (((1, 2, 4), identity(3), 6, transposition(3, 1, 2)), "lie in 1..3"),
 ])
 def test_each_rejection_raises_on_every_repeat(args, match):
     points, g, w_m, tau = args
@@ -276,3 +282,40 @@ def test_split_normal_form_reads_list_permutations_as_tuples():
     got = prop_split_normal_form([1, 2, 3, 4, 5], list(g), 11, list(tau))
     assert got == want
     assert all(type(t) is tuple for t in got)
+
+
+# ---------------------------------------------------------------------------
+# kernel work outside the memos
+
+# the perms kernels whose calls perfbench counts per layer
+COUNTED_KERNELS = ("compose", "inverse", "conjugate", "format_perm", "cycles", "orbit_blocks")
+
+
+def test_kernel_calls_do_not_depend_on_memo_warmth(monkeypatch):
+    # a memo body that called a counted kernel would count it on a miss
+    # only, so two passes over the same systems would read differently
+    calls: Counter = Counter()
+    for name in COUNTED_KERNELS:
+        fn = getattr(perms, name)
+
+        def counted(*args, _fn=fn, _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        for key, module in list(sys.modules.items()):
+            if key.startswith("hurwitz") and getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, counted)
+    rng = random.Random("memo:warmth")
+    systems = [random_system(d, h, w, rng, is_full_monodromy)
+               for d, h, w in [(4, 1, 8), (5, 2, 10), (6, 1, 12)] for _ in range(3)]
+
+    def one_pass() -> dict:
+        calls.clear()
+        for system in systems:
+            canonicalize(system, mode="fast")[1].replay()
+        return dict(calls)
+    one_pass()
+    for memo in (moves.parse_move, normalize._split_normal_form, normalize._push_word):
+        memo.cache_clear()
+    cold = one_pass()
+    assert cold["compose"] > 0
+    assert one_pass() == cold
