@@ -5,17 +5,21 @@ braids and point-pushes both apply their catalog schema through
 apply_endo.  move_program compiles each certified catalog map once,
 keyed by the map, into the images it changes as letters over the
 entries they read; apply_endo evaluates those under the current
-monodromy, padding each entry it reads once and folding each word by
-gathers, and the orbits kernel runs the same programs on ranks.
-Braid moves only shuffle the transposition tuple; handle point-pushes
-also rewrite one handle entry.  The macros stand for braid words: a
-pair retype needs a full residual monodromy group, and a window
-rewrite must keep the braid invariants of its window, which
-check_block_rewrite reads off the two points of each transposition.
-Both are checked on application and again on replay.  parse_move is
-memoized on the token text, in a bounded cache: parsing is a pure
-function of the text, while applying a move and its checks depend on
-the system, so apply_move runs in full for every token.
+monodromy, padding each entry it reads once, inverting only the
+entries that are not transpositions and folding each word by gathers,
+and the orbits kernel runs the same programs on ranks.  Braid moves
+only shuffle the transposition tuple; handle point-pushes also rewrite
+one handle entry.  The macros stand for braid words: a pair retype
+needs a full residual monodromy group, and a window rewrite must keep
+the braid invariants of its window, which check_block_rewrite reads
+off the two points of each transposition and compares by union-find
+block labels.  Both are checked on application and again on replay.
+Two pure steps are memoized, each in a bounded cache: parse_move on
+the token text, and the target side of a window check (its point
+pairs, product and block labels) on the target and degree, since the
+target is part of the token text.  Applying a move and the checks on
+the source window depend on the system, so apply_move runs in full
+for every token.
 
 Move words are strings of tokens separated by spaces:
 
@@ -44,6 +48,7 @@ from .perms import (
     point_pairs,
     product,
     support,
+    transposition_points,
 )
 from .systems import HurwitzSystem, deserialize, monodromy, serialize, validate
 from .words import EndoMap, Word
@@ -56,8 +61,9 @@ class MoveError(ValueError):
 class Program(NamedTuple):
     """A map's changed images as letters that index the entries at reads
     (the generators read, 0-based, ascending), then the inverses of
-    those at the places in negated, each inverted once per evaluation.
-    Word k is the new image of generator changed[k]."""
+    those at the places in negated, each taken at most once per
+    evaluation (a transposition is read as its own inverse).  Word k
+    is the new image of generator changed[k]."""
 
     changed: tuple[int, ...]
     reads: tuple[int, ...]
@@ -95,14 +101,18 @@ def evaluate_word(word: Word, sys: HurwitzSystem) -> Perm:
 
 def apply_endo(sys: HurwitzSystem, program: Program) -> HurwitzSystem:
     """The move of a compiled certified endomorphism: evaluate the
-    images of the generators it changes; every other entry stays.  Each
-    value read is padded once, as compose pads its right factor, and a
-    word is folded from its first letter by one gather per further
-    letter."""
+    images of the generators it changes; every other entry stays.  A
+    negated value that is a transposition of degree d (a tuple in
+    perms.transposition_points(d)) is its own inverse and is read as
+    it is; every other one is inverted.  Each value read is padded
+    once, as compose pads its right factor, and a word is folded from
+    its first letter by one gather per further letter."""
     d = sys.d
     entries = list(sys.handles + sys.transpositions)
     values = [entries[k] for k in program.reads]
-    values += [inverse(values[p]) for p in program.negated]
+    involutions = transposition_points(d)
+    values += [v if type(v) is tuple and v in involutions else inverse(v)
+               for v in map(values.__getitem__, program.negated)]
     for v in values:
         if len(v) != d:
             raise ValueError("degree mismatch: %d vs %d" % (d, len(v)))
@@ -203,27 +213,53 @@ def check_block_rewrite(sys: HurwitzSystem, lo: int, hi: int,
     such block the count is the window length, which the caller already
     matched.  The windows are read as the point pairs of their
     transpositions: the products by swaps (perms.pair_product), the
-    partitions as each point's least block-mate.  A source entry that is
-    not a transposition, which only a system that is not valid has,
-    links each point it moves to its image, as orbit_blocks reads it."""
+    partitions as each point's least block-mate.  The source window is
+    read on every call; the target's pairs, product and labels are a
+    pure function of the token text and come from _target_invariants,
+    read after the source product, so a source window that fails to
+    multiply raises first.  A source entry that is not a transposition, which only a
+    system that is not valid has, links each point it moves to its
+    image, as orbit_blocks reads it."""
     d = sys.d
     src = sys.transpositions[lo - 1 : hi]
-    src_pairs, target_pairs = point_pairs(src, d), point_pairs(target, d)
-    if _window_product(src, src_pairs, d) != _window_product(target, target_pairs, d):
-        raise MoveError("rewrite changes the window product")
-    if target_pairs is None:
+    src_pairs = point_pairs(src, d)
+    src_product = _window_product(src, src_pairs, d)
+    try:
+        invariants = _target_invariants(target, d)
+    except TypeError:  # list entries: key on tuples, as format_perm does
+        invariants = _target_invariants(tuple(map(tuple, target)), d)
+    if invariants is None:
+        if src_product != _window_product(target, None, d):
+            raise MoveError("rewrite changes the window product")
         raise MoveError("rewrite target entry is not a transposition")
+    target_pairs, target_product, target_label = invariants
+    if src_product != target_product:
+        raise MoveError("rewrite changes the window product")
     if src_pairs is None:
         # link and count every moved point on both sides, as orbit_blocks
-        # and support read a window
+        # and support read a window; the target's labels are unchanged
         src_pairs = [(p, t[p - 1]) for t in src for p in support(t)]
         target_pairs = [(p, t[p - 1]) for t in target for p in support(t)]
     label = _block_labels(src_pairs, d)
-    if label != _block_labels(target_pairs, d):
+    if label != target_label:
         raise MoveError("rewrite changes the window block partition")
     if len({k for p, k in enumerate(label) if k != p}) > 1 and (
             sorted(label[a] for a, _ in src_pairs) != sorted(label[a] for a, _ in target_pairs)):
         raise MoveError("rewrite changes the number of entries in a block")
+
+
+@lru_cache(maxsize=1024)
+def _target_invariants(target: tuple[Perm, ...], d: int
+                       ) -> tuple[list[tuple[int, int]], Perm, list[int]] | None:
+    """The point pairs, the product and the block labels of a rewrite
+    target, or None when an entry is not a transposition of degree d.
+    Memoized on (target, d) in a bounded cache, as format_perm is: the
+    target is part of the token text, so this never depends on the
+    system.  Shared results: read them, never change them."""
+    pairs = point_pairs(target, d)
+    if pairs is None:
+        return None
+    return pairs, pair_product(pairs, d), _block_labels(pairs, d)
 
 
 def _window_product(window: tuple[Perm, ...], pairs: list[tuple[int, int]] | None,
@@ -233,14 +269,23 @@ def _window_product(window: tuple[Perm, ...], pairs: list[tuple[int, int]] | Non
 
 def _block_labels(pairs: list[tuple[int, int]], d: int) -> list[int]:
     """label[p] is the least point of p's block, for p = 1..d, when each
-    pair (a, b) links a and b; label[0] is 0."""
+    pair (a, b) links a and b; label[0] is 0.  A union-find that always
+    links the larger root under the smaller, so every root is the least
+    point of its tree and every other point's parent is less than the
+    point; one pass in increasing point order then resolves each label
+    through its parent's."""
     label = list(range(d + 1))
     for a, b in pairs:
-        x, y = label[a], label[b]
-        if x != y:
-            if x > y:
-                x, y = y, x
-            label = [x if k == y else k for k in label]
+        while label[a] != a:
+            a = label[a]
+        while label[b] != b:
+            b = label[b]
+        if a < b:
+            label[b] = a
+        elif b < a:
+            label[a] = b
+    for p in range(1, d + 1):
+        label[p] = label[label[p]]
     return label
 
 

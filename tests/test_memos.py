@@ -1,12 +1,14 @@
 """The memos of pure steps: each is bounded, each answers as the function
 it wraps, and none skips a check.
 
-parse_move is memoized on the token text and prop_split_normal_form on
-tuples of its arguments.  Both are compared here with the unmemoized
-body (``__wrapped__``) on real certificate tokens and on every small
-argument, errors included: lru_cache keeps no exception, so a bad call
-must raise on every repeat.  Replay stays a real re-application of each
-token, so a cached parse cannot let a forged certificate through.  No
+parse_move is memoized on the token text, the target side of a window
+check (moves._target_invariants) on the target and degree, and
+prop_split_normal_form on tuples of its arguments.  Each is compared
+here with the unmemoized body (``__wrapped__``) on real certificate
+tokens and on every small argument, errors included: lru_cache keeps no
+exception, so a bad call must raise on every repeat.  Replay stays a
+real re-application of each token, so a cached parse or target cannot
+let a forged certificate through.  No
 memo body calls a perms kernel that perfbench counts, so a pass with
 cold memos makes the same kernel calls as a warm one.  The
 static test reads every lru_cache in the package and requires a finite
@@ -26,10 +28,11 @@ import pytest
 
 from hurwitz import moves, normalize, perms
 from hurwitz.catalog import certified_push_endo
-from hurwitz.moves import MoveError, parse_move
+from hurwitz.moves import MoveError, certificate, parse_move
 from hurwitz.normalize import NormalizeError, canonicalize, prop_split_normal_form
 from hurwitz.perms import all_transpositions, from_cycles, identity, support, transposition
-from hurwitz.systems import branching_blocks, is_full_monodromy, random_system
+from hurwitz.systems import (HurwitzSystem, branching_blocks, deserialize,
+                             is_full_monodromy, random_system, validate)
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "hurwitz"
 MODULES = sorted(path.stem for path in PACKAGE.glob("*.py"))
@@ -196,6 +199,87 @@ def test_a_forged_certificate_fails_after_its_tokens_are_cached():
         replace(first, end=first.start).replay()
 
 
+# ---------------------------------------------------------------------------
+# the target side of a window check
+
+def test_target_memo_matches_the_body_on_certificate_rewrites():
+    body = moves._target_invariants.__wrapped__
+    count = 0
+    for cert in certificates(41, 5):
+        d = deserialize(cert.start).d
+        for token in cert.moves.split():
+            if token.startswith("W"):
+                target = parse_move(token).perms
+                want = body(target, d)
+                assert want is not None and moves._target_invariants(target, d) == want, token
+                count += 1
+    assert count > 100
+
+
+def window_system(*ts):
+    return HurwitzSystem(len(ts[0]), (), ts)
+
+
+@pytest.mark.parametrize("target, error, match", [
+    ((identity(3), identity(3)), MoveError, "not a transposition"),
+    ((from_cycles(3, [(1, 2, 3)]), from_cycles(3, [(1, 3, 2)])), MoveError, "not a transposition"),
+    ((transposition(3, 1, 2), (2, 1)), ValueError, "degree mismatch: 3 vs 2"),
+    (((2, 1, 3, 4), (2, 1, 3, 4)), MoveError, "window product"),
+])
+def test_a_rejected_target_raises_on_every_repeat(target, error, match):
+    t = transposition(3, 1, 2)
+    for _ in range(3):
+        for entries in (target, [list(p) for p in target]):
+            with pytest.raises(error, match=match):
+                moves.check_block_rewrite(window_system(t, t), 1, 2, entries)
+
+
+def test_the_source_product_comes_before_the_target_side():
+    # a source window of mixed degree (a system that is not valid) fails
+    # its own product first: the target memo is not read, and a target
+    # of another degree does not name its own mismatch
+    source = window_system(transposition(3, 1, 2), (2, 1))
+    moves._target_invariants.cache_clear()
+    for target in ((transposition(3, 2, 3),) * 2, (transposition(3, 2, 3), (1, 2, 4, 3))):
+        with pytest.raises(ValueError, match="degree mismatch: 3 vs 2"):
+            moves.check_block_rewrite(source, 1, 2, target)
+    info = moves._target_invariants.cache_info()
+    assert (info.hits, info.misses) == (0, 0)
+
+
+def rewrite_certificate(start, token):
+    """A certificate of the rewrite token on the valid system (d, *ts),
+    ending where the target is spliced into the window 1..hi."""
+    sys = HurwitzSystem(start[0], (), tuple(start[1:]))
+    assert validate(sys).ok
+    move = parse_move(token)
+    return certificate(sys, token, HurwitzSystem(sys.d, (), move.perms + sys.transpositions[move.hi:]))
+
+
+@pytest.mark.parametrize("start, match", [
+    # t12 t13 t34 t34 t34 t34 multiplies to a 3-cycle, the target to the identity
+    ((4, (2, 1, 3, 4), (3, 2, 1, 4), (1, 2, 4, 3), (1, 2, 4, 3), (1, 2, 4, 3), (1, 2, 4, 3),
+      (3, 2, 1, 4), (2, 1, 3, 4)), "window product"),
+    # one block {1, 2, 3} against {1, 2}, {3, 4}
+    ((4, (2, 1, 3, 4), (2, 1, 3, 4), (1, 3, 2, 4), (1, 3, 2, 4), (2, 1, 3, 4), (2, 1, 3, 4),
+      (1, 2, 4, 3), (1, 2, 4, 3)), "window block partition"),
+    # two entries in {1, 2} and four in {3, 4}, against four and two
+    ((4, (2, 1, 3, 4), (2, 1, 3, 4), (1, 2, 4, 3), (1, 2, 4, 3), (1, 2, 4, 3), (1, 2, 4, 3),
+      (1, 3, 2, 4), (1, 3, 2, 4)), "number of entries in a block"),
+])
+def test_a_forged_rewrite_fails_with_its_target_cached(start, match):
+    t12, t34, t23 = (2, 1, 3, 4), (1, 2, 4, 3), (1, 3, 2, 4)
+    token = "W1-6:" + ";".join(map(perms.format_perm, (t34, t34, t12, t12, t12, t12)))
+    genuine = rewrite_certificate((4, t12, t12, t12, t12, t34, t34, t23, t23), token)
+    for _ in range(2):
+        genuine.replay()
+    cached = moves._target_invariants.cache_info().hits
+    for _ in range(2):
+        with pytest.raises(MoveError, match=match):
+            rewrite_certificate(start, token).replay()
+    assert moves._target_invariants.cache_info().hits > cached
+
+
 def test_push_word_memo_matches_the_catalog_map():
     for h in range(1, 4):
         for w in (2, 4, 8):
@@ -314,7 +398,8 @@ def test_kernel_calls_do_not_depend_on_memo_warmth(monkeypatch):
             canonicalize(system, mode="fast")[1].replay()
         return dict(calls)
     one_pass()
-    for memo in (moves.parse_move, normalize._split_normal_form, normalize._push_word):
+    for memo in (moves.parse_move, moves._target_invariants, normalize._split_normal_form,
+                 normalize._push_word):
         memo.cache_clear()
     cold = one_pass()
     assert cold["compose"] > 0

@@ -4,20 +4,20 @@ and replayable certificates."""
 import random
 from collections import Counter
 from functools import reduce
-from itertools import product as tuples
+from itertools import permutations, product as tuples
 
 import pytest
 
-from hurwitz import catalog
+from hurwitz import catalog, moves
 from hurwitz.catalog import catalog_hash, certified_braid_endo, certified_push_endo
 from hurwitz.moves import (Certificate, MoveError, apply_endo, apply_move,
                            apply_word, braid, certificate, check_block_rewrite,
                            check_push_contract, evaluate_word, handle_push,
                            monodromy_change, move_program, pair_retype,
                            parse_move)
-from hurwitz.perms import (all_transpositions, compose, conjugate, from_cycles,
-                           identity, inverse, is_transposition, orbit_blocks,
-                           support, transposition)
+from hurwitz.perms import (MAX_DEGREE, all_transpositions, compose, conjugate,
+                           from_cycles, identity, inverse, is_transposition,
+                           orbit_blocks, support, transposition)
 from hurwitz.systems import (HurwitzSystem, genus, is_full_monodromy,
                              monodromy, random_system, relator_product,
                              serialize, validate)
@@ -200,12 +200,17 @@ def reference_apply(hs, e):
     return HurwitzSystem(hs.d, tuple(entries[: 2 * hs.h]), tuple(entries[2 * hs.h :]))
 
 
+def catalog_maps(h, w):
+    """(j, side, map) for every braid and push the catalog certifies at (h, w)."""
+    maps = [(j, "", certified_braid_endo(h, w, j)) for j in range(1, w)]
+    return maps + [(i, side, certified_push_endo(h, w, i, side))
+                   for i in range(1, h + 1) for side in "ab"]
+
+
 @pytest.mark.parametrize("d,h,w", [(3, 1, 6), (4, 2, 8), (5, 0, 10), (2, 3, 4)])
 def test_compiled_moves_match_the_catalog_maps(d, h, w):
     rng = random.Random("compiled:%d:%d:%d" % (d, h, w))
-    catalog = [(j, "", certified_braid_endo(h, w, j)) for j in range(1, w)]
-    catalog += [(i, side, certified_push_endo(h, w, i, side))
-                for i in range(1, h + 1) for side in "ab"]
+    catalog = catalog_maps(h, w)
     for _ in range(20):
         hs = random_system(d, h, w, rng)
         assert validate(hs).ok
@@ -213,6 +218,38 @@ def test_compiled_moves_match_the_catalog_maps(d, h, w):
             for inverse_move, f in ((False, e), (True, e.inverse())):
                 got = apply_endo(hs, move_program(h, w, j, side, inverse_move))
                 assert got == reference_apply(hs, f), (j, side, inverse_move)
+
+
+def as_tuples(hs):
+    return HurwitzSystem(hs.d, tuple(map(tuple, hs.handles)), tuple(map(tuple, hs.transpositions)))
+
+
+@pytest.mark.parametrize("kind", ["transposition", "three-cycle", "any", "list"])
+def test_compiled_moves_invert_only_what_is_not_a_transposition(kind, monkeypatch):
+    # apply_endo reads a transposition as its own inverse and inverts
+    # every other entry, a list entry included; with handle entries of
+    # each kind it must give the catalog map's result
+    d, h, w = 4, 2, 4
+    rng = random.Random("involutions:" + kind)
+    ts = all_transpositions(d)
+    pool = {"transposition": ts,
+            "three-cycle": [from_cycles(d, [c]) for c in ((1, 2, 3), (2, 4, 3), (1, 4, 2))],
+            "any": list(permutations(range(1, d + 1)))}
+    pool["list"] = [list(p) for p in pool["any"]]
+    inversions = []
+    monkeypatch.setattr(moves, "inverse", lambda p: inversions.append(p) or inverse(p))
+    for _ in range(10):
+        handles = tuple(rng.choice(pool[kind]) for _ in range(2 * h))
+        entries = [rng.choice(ts) for _ in range(w)]
+        hs = HurwitzSystem(d, handles, tuple(map(list, entries)) if kind == "list" else tuple(entries))
+        for j, side, e in catalog_maps(h, w):
+            for inverse_move, f in ((False, e), (True, e.inverse())):
+                got = apply_endo(hs, move_program(h, w, j, side, inverse_move))
+                assert as_tuples(got) == as_tuples(reference_apply(hs, f)), (j, side, inverse_move)
+    if kind == "transposition":
+        assert inversions == []
+    else:
+        assert inversions and all(type(p) is list or not is_transposition(p) for p in inversions)
 
 
 def test_moves_on_systems_that_are_not_valid():
@@ -404,6 +441,53 @@ def test_window_checks_match_the_oracle_on_multi_block_windows(d):
         for source, target in variants:
             seen[same_verdict(d, pad, source, target)] += 1
     assert set(seen) == VERDICTS, seen
+
+
+def test_list_targets_read_as_tuples():
+    # the target side is memoized on tuples; a list target, or list
+    # entries, take the tuple's path to the same verdict
+    t12, t23 = transposition(3, 1, 2), transposition(3, 2, 3)
+    hs = HurwitzSystem(3, (), (t12, t12, t23, t23))
+    for target in ([[1, 3, 2], [1, 3, 2]], ([1, 3, 2], [1, 3, 2]), [t23, t23]):
+        with pytest.raises(MoveError, match="window block partition"):
+            check_block_rewrite(hs, 1, 2, target)
+    for target in ([list(t23), list(t23), list(t12), list(t12)], [t23, t23, t12, t12]):
+        assert check_block_rewrite(hs, 1, 4, target) is None
+    with pytest.raises(MoveError, match="not a transposition"):
+        check_block_rewrite(hs, 1, 2, [[1, 2, 3], [1, 2, 3]])
+
+
+def reference_block_labels(pairs, d):
+    """_block_labels as it read before the union-find, kept as the
+    oracle: the whole label list rebuilt on every merge."""
+    label = list(range(d + 1))
+    for a, b in pairs:
+        x, y = label[a], label[b]
+        if x != y:
+            if x > y:
+                x, y = y, x
+            label = [x if k == y else k for k in label]
+    return label
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_block_labels_match_the_oracle_on_every_short_list(d):
+    # every list of up to four links, both orientations, repeats included
+    links = [(a, b) for a in range(1, d + 1) for b in range(1, d + 1) if a != b]
+    for k in range(5):
+        for pairs in tuples(links, repeat=k):
+            assert moves._block_labels(pairs, d) == reference_block_labels(pairs, d), pairs
+
+
+def test_block_labels_match_the_oracle_up_to_the_largest_degree():
+    rng = random.Random("block-labels")
+    for d in range(2, MAX_DEGREE + 1):
+        for _ in range(100):
+            pairs = [tuple(rng.sample(range(1, d + 1), 2)) for _ in range(rng.randrange(2 * d))]
+            pairs += [(b, a) for a, b in pairs[: rng.randrange(len(pairs) + 1)]]
+            pairs += rng.sample(pairs, rng.randrange(len(pairs) + 1))
+            rng.shuffle(pairs)
+            assert moves._block_labels(pairs, d) == reference_block_labels(pairs, d), (d, pairs)
 
 
 class TestMoveWords:
