@@ -15,22 +15,24 @@ stabiliser is all of S_d.  It applies only the forward moves, and of
 the braids only B1 and one rotation, applied in one pass: each inverse
 move is a power of its forward move, and the rotation conjugates each
 braid into the one before.  A class key is found by narrowing the
-conjugators entry by entry, and the filter is decided once per set of
-entries among the keys, on the least key with that set.  The
-permutation tables and move images of the last degree used are kept
-between calls, so a census of a degree seen before reuses them.  All
-three searches run on one integer kernel: a state is a tuple of
-permutation ranks, numbered so that tuple order is system-line order,
-and every move, braid or push, is its certified catalog map evaluated
-through memoized products, as moves.py applies it.  The kernel grows
-every search the same way: expand applies each move to a frontier and
-links each new state to the state and token that reached it, and flood
-repeats that level by level.  census and orbit_bfs are floods, connect
-expands whichever of its two sides is smaller.  System lines are
-written only for what a search reports.  Everything here is
-deterministic by construction: frontiers are processed in sorted order
-and the first discovery wins.  Budgets make long runs interruptible: a
-partial result is flagged, never silently truncated.
+conjugators entry by entry, a step to a key that needs no conjugator
+takes no product, each distinct discrepancy is multiplied once, and
+the filter is decided once per set of entries among the keys, on the
+least key with that set.  The permutation tables and move images of
+the last degree used are kept between calls, so a census of a degree
+seen before reuses them.  All three searches run on one integer
+kernel: a state is a tuple of permutation ranks, numbered so that
+tuple order is system-line order, and every move, braid or push, is
+its certified catalog map evaluated through memoized products, as
+moves.py applies it.  The kernel grows every search the same way:
+expand applies each move to a frontier and links each new state to the
+state and token that reached it, and flood repeats that level by
+level.  census and orbit_bfs are floods, connect expands whichever of
+its two sides is smaller.  System lines are written only for what a
+search reports.  Everything here is deterministic by construction:
+frontiers are processed in sorted order and the first discovery wins.
+Budgets make long runs interruptible: a partial result is flagged,
+never silently truncated.
 """
 
 from __future__ import annotations
@@ -141,12 +143,14 @@ class _Ranks:
         # keyed x * n + y: the product x then y
         self.mul = _Memo(lambda key: rank[compose(perm[key // n], perm[key % n])])
         # row[y][x] = y^-1 x y, for conjugating a whole state by y
-        self.row = _Memo(lambda y: _Memo(lambda x: rank[conjugate(perm[x], perm[y])]))
+        self.row = row = _Memo(lambda y: _Memo(lambda x: rank[conjugate(perm[x], perm[y])]))
+        # column[x]: x^u for every u, in elements() order
+        self.column = _Memo(lambda x: tuple([row[u][x] for u in self.elements()]))
         # keyed x * n + y: the u making the pair (x^u, y^u) least, in
-        # elements() order
+        # elements() order; a bare rank when one u is left, else a tuple
         self.least = _Memo(self._least_conjugators)
-        # keyed (candidates, x): those candidates u making x^u least, in
-        # the same order
+        # keyed (candidates tuple, x): those candidates u making x^u
+        # least, in the same order, a bare rank when one is left
         self.narrow = _Memo(self._narrow)
         # keyed (pair?, negated, words): the images memo of one
         # moves.Program, shared by every step with that program
@@ -160,18 +164,18 @@ class _Ranks:
             self._elements = tuple(map(self.rank.__getitem__, permutations(range(1, self.d + 1))))
         return self._elements
 
-    def _least_conjugators(self, key: int) -> tuple[int, ...]:
+    def _least_conjugators(self, key: int) -> int | tuple[int, ...]:
         x, y = divmod(key, self.n)
         row = self.row
         pairs = [((row[u][x], row[u][y]), u) for u in self.elements()]
         least = min(pairs)[0]
-        return tuple(u for pair, u in pairs if pair == least)
+        return _settled(tuple(u for pair, u in pairs if pair == least))
 
-    def _narrow(self, key: tuple[tuple[int, ...], int]) -> tuple[int, ...]:
+    def _narrow(self, key: tuple[tuple[int, ...], int]) -> int | tuple[int, ...]:
         candidates, x = key
         images = [self.row[u][x] for u in candidates]
         least = min(images)
-        return tuple(u for u, image in zip(candidates, images) if image == least)
+        return _settled(tuple(u for u, image in zip(candidates, images) if image == least))
 
     def evaluator(self, pair: bool, negated: tuple[int, ...], words) -> Callable:
         """A moves.Program's word values at the ranks it reads (keyed x * n
@@ -202,6 +206,11 @@ class _Ranks:
         return r
 
 
+def _settled(us: tuple[int, ...]) -> int | tuple[int, ...]:
+    """The one conjugator left as a bare rank, or the tied ones."""
+    return us[0] if len(us) == 1 else us
+
+
 @lru_cache(maxsize=1)
 def _ranks(d: int) -> _Ranks:
     """The _Ranks of degree d, shared by every kernel of that degree.
@@ -219,21 +228,23 @@ def _canonical(ranks: _Ranks) -> Callable[[_State], tuple[_State, int]]:
     bound once: canonical(st) is the least conjugate of st (its class
     key) and a u taking st to it.  The conjugators that make the first
     two entries least are narrowed entry by entry, each entry keeping
-    those that make it least, until one is left or the entries run out;
-    ties that survive every entry all give the key, and u is the first
-    of them in ranks.elements() order.  Only that u maps st, and not
-    even it when it is the identity: then st is its own key and comes
-    back as it is."""
+    those that make it least, until one is left (the tables hold it as
+    a bare rank, a tie as a tuple) or the entries run out; ties that
+    survive every entry all give the key, and u is the first of them in
+    ranks.elements() order.  Only that u maps st, and not even it when
+    it is the identity: then st is its own key and comes back as it
+    is."""
     least, narrow, row, n, one = ranks.least, ranks.narrow, ranks.row, ranks.n, ranks.identity
 
     def canonical(st: _State) -> tuple[_State, int]:
-        us = least[st[0] * n + st[1]]
-        if len(us) > 1:
+        u = least[st[0] * n + st[1]]
+        if type(u) is tuple:
             for x in st[2:]:
-                us = narrow[us, x]
-                if len(us) == 1:
+                u = narrow[u, x]
+                if type(u) is not tuple:
                     break
-        u = us[0]
+            else:
+                u = u[0]
         if u == one:
             return st, u
         return tuple(map(row[u].__getitem__, st)), u
@@ -300,9 +311,11 @@ class _Kernel:
         return links, levels, True
 
     def conjugates(self, st: _State) -> set[_State]:
-        """Every simultaneous conjugate of st."""
-        row = self.ranks.row
-        return {tuple(map(row[u].__getitem__, st)) for u in self.ranks.elements()}
+        """Every simultaneous conjugate of st, read off the columns of
+        its entries."""
+        if not st:
+            return {()}
+        return set(zip(*map(self.ranks.column.__getitem__, st)))
 
     def class_steps(self) -> list[_Step]:
         """The steps flood_classes applies: the forward moves, with the
@@ -353,7 +366,10 @@ class _Kernel:
         acts freely, as on full-monodromy systems at d >= 3, every class
         meets the orbit in |H| systems, so the orbit has len(voltages) *
         |H| of them.  The flood is cut at the first level boundary past
-        limit classes.  States need at least two entries.
+        limit classes.  States need at least two entries.  A step whose
+        key needs no conjugator keeps u as its voltage, with no product,
+        and a discrepancy is kept as its pair of voltages (known * n +
+        x) and multiplied once per distinct pair on return.
 
         The steps are class_steps: forward moves only, and at w >= 4 two
         braid steps instead of w - 1, so each class is canonicalized once
@@ -364,30 +380,31 @@ class _Kernel:
         still examined once, from its forward end, and Schreier's lemma
         for a finite group needs no inverse generators: the
         discrepancies still generate H."""
-        n, inv, mul = self.ranks.n, self.ranks.inv, self.ranks.mul
+        n, inv, mul, one = self.ranks.n, self.ranks.inv, self.ranks.mul, self.ranks.identity
         steps, canonical = self.class_steps(), self.canonical
         key, v = canonical(start)
         voltages = {key: inv[v]}
-        discrepancies: set[int] = set()
-        level = [key]
+        pairs: set[int] = set()
+        level, cut = [key], False
         while level:
             if limit is not None and len(voltages) > limit:
-                return voltages, discrepancies, True
+                cut = True
+                break
             found = []
             for c in level:
                 u = voltages[c]
                 for step in steps:
                     # step(c)^u is in the orbit and step(c)^v = key
                     key, v = canonical(step(c))
-                    x = mul[inv[v] * n + u]
+                    x = u if v == one else mul[inv[v] * n + u]
                     known = voltages.get(key)
                     if known is None:
                         voltages[key] = x
                         found.append(key)
                     elif known != x:
-                        discrepancies.add(mul[inv[known] * n + x])
+                        pairs.add(known * n + x)
             level = found
-        return voltages, discrepancies, False
+        return voltages, {mul[inv[p // n] * n + p % n] for p in pairs}, cut
 
     def _step(self, move: Move) -> _Step:
         """The move as a step on states, from the same compiled program of

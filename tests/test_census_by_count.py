@@ -21,7 +21,8 @@ from hurwitz.frobenius import frobenius_count, full_monodromy_count, transitive_
 from hurwitz.moves import parse_move
 from hurwitz.orbits import _Kernel, census, compile_moves
 from hurwitz.perms import conjugate, group_order, orbit_blocks
-from hurwitz.systems import HurwitzSystem, enumerate_systems, is_full_monodromy
+from hurwitz.systems import (HurwitzSystem, enumerate_systems, full_monodromy_seed,
+                             is_full_monodromy)
 
 CASES = [(d, h, w) for d in (1, 2, 3, 4) for h in (0, 1, 2) for w in range(0, 9, 2)
          if frobenius_count(d, h, w) <= 10_000]
@@ -468,3 +469,51 @@ def test_forward_class_flood_matches_the_all_moves_flood(d, h, w, selector):
         assert (set(voltages), order) == all_moves_class_flood(kernel, start)
         for key in voltages:
             remaining -= kernel.conjugates(key)
+
+
+def reference_flood_classes(kernel, start, limit=None):
+    """_Kernel.flood_classes with every product taken on every edge: a
+    voltage even on an identity step, and a discrepancy on every edge
+    that meets one."""
+    n, inv, mul = kernel.ranks.n, kernel.ranks.inv, kernel.ranks.mul
+    steps, canonical = kernel.class_steps(), kernel.canonical
+    key, v = canonical(start)
+    voltages = {key: inv[v]}
+    discrepancies = set()
+    level = [key]
+    while level:
+        if limit is not None and len(voltages) > limit:
+            return voltages, discrepancies, True
+        found = []
+        for c in level:
+            u = voltages[c]
+            for step in steps:
+                key, v = canonical(step(c))
+                x = mul[inv[v] * n + u]
+                known = voltages.get(key)
+                if known is None:
+                    voltages[key] = x
+                    found.append(key)
+                elif known != x:
+                    discrepancies.add(mul[inv[known] * n + x])
+        level = found
+    return voltages, discrepancies, False
+
+
+@pytest.mark.parametrize("selector", ["braid", "full"])
+@pytest.mark.parametrize("d,h,w", [case for case in COUNTED if case[0] >= 3])
+def test_class_flood_matches_the_reference_flood(d, h, w, selector):
+    # the same voltages in the same insertion order, discrepancies and
+    # cut, from the least system and the constructed seed, run to the
+    # end and cut after one class or one level short of the count
+    kernel = _Kernel(d, h, w, compile_moves(d, h, w, selector))
+    starts = [kernel.state(sys) for sys in (next(enumerate_systems(d, h, w)),
+                                            full_monodromy_seed(d, h, w)) if sys is not None]
+    # a class flood needs states of two entries or more
+    for start in (st for st in starts if len(st) >= 2):
+        for limit in (None, 1, full_monodromy_count(d, h, w) // factorial(d) - 1):
+            voltages, discrepancies, cut = kernel.flood_classes(start, limit)
+            expected, expected_discrepancies, expected_cut = reference_flood_classes(
+                kernel, start, limit)
+            assert list(voltages.items()) == list(expected.items())
+            assert (discrepancies, cut) == (expected_discrepancies, expected_cut)

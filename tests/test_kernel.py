@@ -21,7 +21,7 @@ from hurwitz.moves import apply_move, parse_move
 from hurwitz.orbits import (_Kernel, _Ranks, _ranks, census, compile_moves, connect,
                             orbit_bfs, read_predecessor_log,
                             write_predecessor_log)
-from hurwitz.perms import format_perm, group_order, orbit_blocks
+from hurwitz.perms import conjugate, format_perm, group_order, orbit_blocks
 from hurwitz.systems import (count_systems, enumerate_systems,
                              is_full_monodromy, random_system)
 
@@ -189,6 +189,64 @@ def test_elements_are_built_once_in_permutations_order(d):
     elements = ranks.elements()
     assert elements == tuple(ranks.rank[p] for p in permutations(range(1, d + 1)))
     assert ranks.elements() is elements
+
+
+def least_conjugators(ranks, candidates, entries):
+    """Those candidates u (ranks, kept in order) making the conjugates
+    of entries (ranks) least in text order, by trying each: a bare rank
+    when one is left, else a tuple."""
+    images = [(tuple(format_perm(conjugate(ranks.perm[x], ranks.perm[u])) for x in entries), u)
+              for u in candidates]
+    least = min(images)[0]
+    us = tuple(u for image, u in images if image == least)
+    return us[0] if len(us) == 1 else us
+
+
+def drawn_ranks(ranks, rng, count):
+    points = list(range(1, ranks.d + 1))
+    return [ranks.rank[tuple(rng.sample(points, ranks.d))] for _ in range(count)]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+def test_a_settled_conjugator_is_a_bare_rank(d):
+    # least and narrow hold an int exactly when one conjugator is left,
+    # and a tuple of the tied ones, in elements() order, otherwise
+    ranks = _Ranks(d)
+    elements, one = ranks.elements(), ranks.identity
+    if d <= 4:
+        pairs = [(x, y) for x in elements for y in elements]
+        entries = elements
+    else:
+        rng = random.Random("settled:%d" % d)
+        drawn = drawn_ranks(ranks, rng, 40)
+        # a pair with itself or the identity keeps its centralizer tied
+        pairs = [(x, y) for x, other in zip(drawn[:20], drawn[20:]) for y in (other, x, one)]
+        entries = drawn[:10]
+    ties = set()
+    for x, y in pairs:
+        us = ranks.least[x * ranks.n + y]
+        assert us == least_conjugators(ranks, elements, (x, y))
+        if type(us) is tuple:
+            ties.add(us)
+    assert ties or d == 1
+    for us in ties:
+        for x in entries:
+            assert ranks.narrow[us, x] == least_conjugators(ranks, us, (x,))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+def test_conjugates_read_off_the_columns(d):
+    kernel = _Kernel(d, 0, 2, compile_moves(d, 0, 2, "braid"))
+    ranks = kernel.ranks
+    row, elements = ranks.row, ranks.elements()
+    rng = random.Random("columns:%d" % d)
+    for size in (1, 1, 2, 3, 4, 6):
+        st = tuple(drawn_ranks(ranks, rng, size))
+        assert kernel.conjugates(st) == {tuple(map(row[u].__getitem__, st)) for u in elements}
+        assert all(ranks.column[x] == tuple(row[u][x] for u in elements) for x in st)
+    # zip over no columns yields nothing: the empty state is its own
+    # one conjugate
+    assert kernel.conjugates(()) == {()}
 
 
 def test_ranks_refuse_a_non_permutation():
