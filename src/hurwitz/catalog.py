@@ -14,9 +14,9 @@ stamped into reports so two runs can be compared move-for-move.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
+from typing import NamedTuple
 
 from .words import (
     EndoMap,
@@ -67,8 +67,7 @@ def _parse_token_word(text: str, alphabet: tuple[str, ...]) -> TokenWord:
     return tuple(_parse_token(piece, alphabet) for piece in text.split())
 
 
-@dataclass(frozen=True)
-class Schemas:
+class Schemas(NamedTuple):
     """Parsed schema file: section -> entry letter -> token word."""
 
     sections: dict

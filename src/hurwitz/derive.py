@@ -47,8 +47,7 @@ e(f(x)) = x rather than by the relator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .words import Word, concat, invert_word, reduce_word, strip_conjugate
 
@@ -78,8 +77,7 @@ def words_by_length(alphabet: tuple[int, ...], max_len: int) -> Iterator[list[Wo
         yield level
 
 
-@dataclass(frozen=True)
-class PushSchema:
+class PushSchema(NamedTuple):
     """Token images of the two generators a push moves; rest are fixed."""
 
     side: str  # "a" or "b": the handle loop the puncture travels around

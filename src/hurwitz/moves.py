@@ -5,21 +5,20 @@ braids and point-pushes both apply their catalog schema through
 apply_endo.  move_program compiles each certified catalog map once,
 keyed by the map, into the images it changes as letters over the
 entries they read; apply_endo evaluates those under the current
-monodromy, padding each entry it reads once, inverting only the
-entries that are not transpositions and folding each word by gathers,
-and the orbits kernel runs the same programs on ranks.  Braid moves
-only shuffle the transposition tuple; handle point-pushes also rewrite
-one handle entry.  The macros stand for braid words: a pair retype
-needs a full residual monodromy group, and a window rewrite must keep
-the braid invariants of its window, which check_block_rewrite reads
-off the two points of each transposition and compares by union-find
-block labels.  Both are checked on application and again on replay.
-Two pure steps are memoized, each in a bounded cache: parse_move on
-the token text, and the target side of a window check (its point
-pairs, product and block labels) on the target and degree, since the
-target is part of the token text.  Applying a move and the checks on
-the source window depend on the system, so apply_move runs in full
-for every token.
+monodromy, padding each entry it reads once, inverting once each entry
+a word reads negated and folding each word by gathers, and the orbits
+kernel runs the same programs on ranks.  Braid moves only shuffle the
+transposition tuple; handle point-pushes also rewrite one handle entry.
+The macros stand for braid words: a pair retype needs a full residual
+monodromy group, and a window rewrite must keep the braid invariants of
+its window, which check_block_rewrite reads off the two points of each
+transposition and compares by union-find block labels.  Both are
+checked on application and again on replay.  Two pure steps are
+memoized, each in a bounded cache: parse_move on the token text, and
+the target side of a window check (its point pairs, product and block
+labels) on the target and degree, since the target is part of the
+token text.  Applying a move and the checks on the source window
+depend on the system, so apply_move runs in full for every token.
 
 Move words are strings of tokens separated by spaces:
 
@@ -31,7 +30,6 @@ Move words are strings of tokens separated by spaces:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
 from typing import NamedTuple
@@ -48,7 +46,6 @@ from .perms import (
     point_pairs,
     product,
     support,
-    transposition_points,
 )
 from .systems import HurwitzSystem, deserialize, monodromy, serialize, validate
 from .words import EndoMap, Word
@@ -62,8 +59,7 @@ class Program(NamedTuple):
     """A map's changed images as letters that index the entries at reads
     (the generators read, 0-based, ascending), then the inverses of
     those at the places in negated, each taken at most once per
-    evaluation (a transposition is read as its own inverse).  Word k
-    is the new image of generator changed[k]."""
+    evaluation.  Word k is the new image of generator changed[k]."""
 
     changed: tuple[int, ...]
     reads: tuple[int, ...]
@@ -101,18 +97,14 @@ def evaluate_word(word: Word, sys: HurwitzSystem) -> Perm:
 
 def apply_endo(sys: HurwitzSystem, program: Program) -> HurwitzSystem:
     """The move of a compiled certified endomorphism: evaluate the
-    images of the generators it changes; every other entry stays.  A
-    negated value that is a transposition of degree d (a tuple in
-    perms.transposition_points(d)) is its own inverse and is read as
-    it is; every other one is inverted.  Each value read is padded
-    once, as compose pads its right factor, and a word is folded from
-    its first letter by one gather per further letter."""
+    images of the generators it changes; every other entry stays.  Each
+    negated value is inverted once, each value read is padded once, as
+    compose pads its right factor, and a word is folded from its first
+    letter by one gather per further letter."""
     d = sys.d
     entries = list(sys.handles + sys.transpositions)
     values = [entries[k] for k in program.reads]
-    involutions = transposition_points(d)
-    values += [v if type(v) is tuple and v in involutions else inverse(v)
-               for v in map(values.__getitem__, program.negated)]
+    values += map(inverse, map(values.__getitem__, program.negated))
     for v in values:
         if len(v) != d:
             raise ValueError("degree mismatch: %d vs %d" % (d, len(v)))
@@ -308,8 +300,7 @@ def pair_retype(sys: HurwitzSystem, j: int, tau: Perm) -> HurwitzSystem:
 # ---------------------------------------------------------------------------
 # move words
 
-@dataclass(frozen=True)
-class Move:
+class Move(NamedTuple):
     """A parsed move token."""
 
     kind: str  # braid | push | retype | rewrite
@@ -406,8 +397,7 @@ def invert_tokens(tokens: list[str]) -> list[str]:
     return [token[:-1] if token.endswith("'") else token + "'" for token in reversed(tokens)]
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """A replayable witness that two systems are connected by moves."""
 
     start: str  # system line

@@ -33,7 +33,6 @@ BudgetError.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import replace
 from functools import lru_cache
 
 from .catalog import certified_push_endo
@@ -182,7 +181,7 @@ def realize_block_rewrite(sys: HurwitzSystem, lo: int, hi: int,
         raise OrbitMismatchError(
             "window %d..%d of %s cannot be braided to %s" %
             (lo, hi, serialize(sys), " ; ".join(format_perm(t) for t in target)))
-    return [replace(move, j=move.j + lo - 1).token()
+    return [move._replace(j=move.j + lo - 1).token()
             for move in map(parse_move, cert.moves.split())]
 
 

@@ -40,12 +40,11 @@ from __future__ import annotations
 import heapq
 import json
 import struct
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import permutations
 from math import factorial
 from operator import itemgetter
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .catalog import catalog_hash, certified_push_endo
 from .frobenius import full_monodromy_count
@@ -67,8 +66,7 @@ from .systems import (
 # ---------------------------------------------------------------------------
 # compiled move sets
 
-@dataclass(frozen=True)
-class CompiledMove:
+class CompiledMove(NamedTuple):
     token: str
     inverse_token: str
     apply: Callable[[HurwitzSystem], HurwitzSystem]
@@ -445,8 +443,7 @@ class _Kernel:
 # ---------------------------------------------------------------------------
 # breadth-first orbit flood
 
-@dataclass
-class OrbitResult:
+class OrbitResult(NamedTuple):
     seed: str
     predecessors: dict  # key -> (predecessor key, move token); seed maps to ("", "")
     partial: bool
@@ -567,8 +564,7 @@ def read_predecessor_log(path: str) -> OrbitResult:
 # ---------------------------------------------------------------------------
 # census
 
-@dataclass(frozen=True)
-class OrbitRecord:
+class OrbitRecord(NamedTuple):
     rep: str
     size: int
     full_monodromy: bool
@@ -576,8 +572,7 @@ class OrbitRecord:
     blocks: tuple[tuple[int, ...], ...]
 
 
-@dataclass
-class CensusResult:
+class CensusResult(NamedTuple):
     d: int
     h: int
     w: int

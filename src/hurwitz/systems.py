@@ -18,10 +18,9 @@ labeling is the rigidification that makes orbit enumeration exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .frobenius import MAX_COUNT_DEGREE, frobenius_count
 from .perms import (
@@ -49,8 +48,7 @@ class BudgetError(Exception):
     """A state or product budget ran out before the answer was decided."""
 
 
-@dataclass(frozen=True)
-class HurwitzSystem:
+class HurwitzSystem(NamedTuple):
     d: int
     handles: tuple[Perm, ...]  # a_1, b_1, a_2, b_2, ...
     transpositions: tuple[Perm, ...]
@@ -68,8 +66,7 @@ class HurwitzSystem:
         return self.handles[2 * i - 2], self.handles[2 * i - 1]
 
 
-@dataclass(frozen=True)
-class SystemReport:
+class SystemReport(NamedTuple):
     ok: bool
     messages: tuple[str, ...]
 

@@ -20,23 +20,28 @@ every elementary move must pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 Word = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class FreeContext:
-    """Generator bookkeeping for fixed (h, w)."""
-
+# typing.NamedTuple refuses a __new__ in its class body, so the records
+# that check their arguments do it in a subclass of their fields
+class _FreeContextFields(NamedTuple):
     h: int
     w: int
 
-    def __post_init__(self):
-        if self.h < 0 or self.w < 0:
+
+class FreeContext(_FreeContextFields):
+    """Generator bookkeeping for fixed (h, w)."""
+
+    __slots__ = ()
+
+    def __new__(cls, h: int, w: int):
+        if h < 0 or w < 0:
             raise ValueError("h and w must be nonnegative")
+        return super().__new__(cls, h, w)
 
     @property
     def rank(self) -> int:
@@ -144,26 +149,30 @@ def relator(ctx: FreeContext) -> Word:
     return concat(*parts)
 
 
-@dataclass(frozen=True)
-class EndoMap:
-    """Endomorphism of the free group, given by generator images.
-
-    ``images[k-1]`` is the image word of generator k.  ``inverse_images``
-    are the images under the stored inverse map; peripheral validation
-    refuses to certify a map without one.
-    """
-
+class _EndoMapFields(NamedTuple):
     ctx: FreeContext
     images: tuple[Word, ...]
     inverse_images: tuple[Word, ...] | None = None
 
-    def __post_init__(self):
-        if len(self.images) != self.ctx.rank:
-            raise ValueError("need %d generator images, got %d" % (self.ctx.rank, len(self.images)))
+
+class EndoMap(_EndoMapFields):
+    """Endomorphism of the free group, given by generator images.
+
+    ``images[k-1]`` is the image word of generator k.  ``inverse_images``
+    are the images under the stored inverse map; peripheral validation
+    refuses to certify a map without one.  No __slots__: the cached
+    hash lives in the instance __dict__.
+    """
+
+    def __new__(cls, ctx: FreeContext, images: tuple[Word, ...],
+                inverse_images: tuple[Word, ...] | None = None):
+        if len(images) != ctx.rank:
+            raise ValueError("need %d generator images, got %d" % (ctx.rank, len(images)))
+        return super().__new__(cls, ctx, images, inverse_images)
 
     @cached_property
     def _hash(self) -> int:
-        return hash((self.ctx, self.images, self.inverse_images))
+        return tuple.__hash__(self)
 
     def __hash__(self) -> int:
         # computed once: moves._compile keys its cache on the map, and a
@@ -193,8 +202,7 @@ def identity_endo(ctx: FreeContext) -> EndoMap:
     return EndoMap(ctx, images, images)
 
 
-@dataclass(frozen=True)
-class PeripheralReport:
+class PeripheralReport(NamedTuple):
     ok: bool
     messages: tuple[str, ...]
     puncture_map: tuple[int, ...] | None = None

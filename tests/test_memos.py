@@ -21,7 +21,6 @@ import pathlib
 import random
 import sys
 from collections import Counter
-from dataclasses import replace
 from itertools import combinations, permutations
 
 import pytest
@@ -194,9 +193,9 @@ def test_a_forged_certificate_fails_after_its_tokens_are_cached():
     first.replay()
     second.replay()
     with pytest.raises(MoveError):
-        replace(first, start=second.start).replay()
+        first._replace(start=second.start).replay()
     with pytest.raises(MoveError, match="replay reached"):
-        replace(first, end=first.start).replay()
+        first._replace(end=first.start).replay()
 
 
 # ---------------------------------------------------------------------------

@@ -207,7 +207,7 @@ def test_invalid_start_fails_replay(start, message):
 
 @pytest.mark.parametrize("start,message", INVALID_STARTS, ids=["relator", "three-cycles"])
 def test_invalid_start_fails_in_the_cli(tmp_path, capsys, start, message):
-    cert = invalid_start_certificate(start).__dict__
+    cert = invalid_start_certificate(start)._asdict()
     assert replay(tmp_path, json.dumps(cert).encode()) == 1
     out = capsys.readouterr().out
     assert out.startswith("replay: FAIL") and message in out
