@@ -326,6 +326,9 @@ def canonicalize(sys: HurwitzSystem,
     report = validate(sys)
     if not report.ok:
         raise NormalizeError("not a valid system: %s" % report.messages[0])
+    # list entries read as tuples, so the end compares equal to the star
+    sys = HurwitzSystem(sys.d, tuple(map(tuple, sys.handles)),
+                        tuple(map(tuple, sys.transpositions)))
     if sys.d < 2:
         raise NormalizeError("canonicalization needs d >= 2")
     if sys.w < 2 * sys.d:

@@ -53,7 +53,18 @@ def compose(p: Perm, q: Perm) -> Perm:
     return image if len(p) > 1 else (image,)  # one index gathers a bare int
 
 
-def inverse(p: Perm) -> Perm:
+def inverse(p: Sequence[int]) -> Perm:
+    """The inverse permutation.  Memoized on tuple(p) in a bounded
+    cache, so a list inverts too.
+
+    >>> inverse((2, 3, 1))
+    (3, 1, 2)
+    """
+    return _inverse(tuple(p))
+
+
+@lru_cache(maxsize=1024)
+def _inverse(p: Perm) -> Perm:
     inv = [0] * len(p)
     for i, j in enumerate(p, start=1):
         inv[j - 1] = i
@@ -327,8 +338,9 @@ def group_order(gens: Sequence[Perm], d: int) -> int:
     return PermGroup(gens, d).order()
 
 
-def is_symmetric(gens: Sequence[Perm], d: int) -> bool:
-    """Does <gens> equal the full S_d?
+def is_symmetric(gens: Sequence[Sequence[int]], d: int) -> bool:
+    """Does <gens> equal the full S_d?  Entries are read as tuples, so
+    lists are fine.
 
     Shortcut: transpositions whose supports link all d points generate
     S_d, so when the degree-d transpositions among gens form one orbit
@@ -336,16 +348,41 @@ def is_symmetric(gens: Sequence[Perm], d: int) -> bool:
     checked on every transposition set of degree at most 5 by
     tests/test_perms.py::test_transpositions_generate_the_block_product.
     When gens are all transpositions, their orbits decide alone.
-    Otherwise <gens> must be transitive and have order d!.
+
+    Otherwise, if gens hold a transposition, close the point pairs of
+    those transpositions under every generator, {a, b} -> {g(a), g(b)},
+    and ask whether the closed pairs link all d points.  This is exact:
+    the closed set is the union of the G-conjugacy classes of those
+    transpositions, so it generates a normal subgroup N of G = <gens>,
+    and N is the product of the symmetric groups on the components of
+    the pairs.  One component makes N = S_d, so G = S_d; and if
+    G = S_d, the closed set is every transposition, one component.
+    With no transposition among gens, <gens> must be transitive and
+    have order d!, by a stabilizer chain.
     """
     if d == 1:
         return True
-    linking = transposition_points(d).keys() & gens
+    table = transposition_points(d)
+    try:
+        linking = table.keys() & gens
+    except TypeError:  # list entries
+        gens = [tuple(g) for g in gens]
+        linking = table.keys() & gens
     if linking:
         if len(orbit_blocks(linking, d)) == 1:
             return True
         if linking.issuperset(gens):
             return False
+        pairs = {table[t] for t in linking}
+        todo = list(pairs)
+        for a, b in todo:  # the walk appends to the list it reads
+            for g in gens:
+                x, y = g[a - 1], g[b - 1]
+                pair = (x, y) if x < y else (y, x)
+                if pair not in pairs:
+                    pairs.add(pair)
+                    todo.append(pair)
+        return len(orbit_blocks([transposition(d, a, b) for a, b in pairs], d)) == 1
     if len(orbit_blocks(gens, d)) != 1:
         return False
     return group_order(gens, d) == math.factorial(d)

@@ -39,6 +39,7 @@ from .perms import (
     product,
     transposition,
     transposition_blocks,
+    transposition_points,
 )
 
 ENUMERATION_GUARD = 10**9
@@ -89,8 +90,19 @@ def validate(sys: HurwitzSystem) -> SystemReport:
         msgs.append("degree must be at least 1, got %d" % sys.d)
     if not msgs and len(sys.handles) % 2 != 0:
         msgs.append("handles must come in (a_i, b_i) pairs, got %d entries" % len(sys.handles))
+    # every t_j a tuple key of the transposition table is a permutation
+    # of degree d and a transposition, so only the handles need the checks
+    known = False
+    if not msgs and sys.d <= MAX_DEGREE:
+        try:
+            known = transposition_points(sys.d).keys() >= set(sys.transpositions)
+        except TypeError:  # a list entry
+            pass
     if not msgs:
-        for name, p in [("handle", p) for p in sys.handles] + [("transposition", p) for p in sys.transpositions]:
+        entries = [("handle", p) for p in sys.handles]
+        if not known:
+            entries += [("transposition", p) for p in sys.transpositions]
+        for name, p in entries:
             try:
                 check_perm(p)
             except ValueError as exc:
@@ -99,7 +111,7 @@ def validate(sys: HurwitzSystem) -> SystemReport:
             if len(p) != sys.d:
                 msgs.append("%s entry has degree %d, system has d=%d" % (name, len(p), sys.d))
                 break
-    if not msgs:
+    if not msgs and not known:
         for j, t in enumerate(sys.transpositions, start=1):
             if not is_transposition(t):
                 msgs.append("t_%d is not a transposition: %s" % (j, format_perm(t)))

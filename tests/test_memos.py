@@ -2,8 +2,9 @@
 it wraps, and none skips a check.
 
 parse_move is memoized on the token text, the target side of a window
-check (moves._target_invariants) on the target and degree, and
-prop_split_normal_form on tuples of its arguments.  Each is compared
+check (moves._target_invariants) on the target and degree,
+prop_split_normal_form on tuples of its arguments, and perms.inverse on
+tuple(p).  Each is compared
 here with the unmemoized body (``__wrapped__``) on real certificate
 tokens and on every small argument, errors included: lru_cache keeps no
 exception, so a bad call must raise on every repeat.  Replay stays a
@@ -291,6 +292,19 @@ def test_push_word_memo_matches_the_catalog_map():
 
 
 # ---------------------------------------------------------------------------
+# perms.inverse
+
+def test_inverse_memo_matches_the_body_at_small_degree():
+    perms._inverse.cache_clear()
+    for d in range(1, 6):
+        for p in permutations(range(1, d + 1)):
+            want = perms._inverse.__wrapped__(p)
+            assert perms.inverse(p) == perms._inverse(p) == want
+            assert perms.inverse(list(p)) == want and type(perms.inverse(list(p))) is tuple
+            assert perms.compose(p, want) == identity(d)
+
+
+# ---------------------------------------------------------------------------
 # prop_split_normal_form
 
 def outcome(f, *args):
@@ -398,7 +412,7 @@ def test_kernel_calls_do_not_depend_on_memo_warmth(monkeypatch):
         return dict(calls)
     one_pass()
     for memo in (moves.parse_move, moves._target_invariants, normalize._split_normal_form,
-                 normalize._push_word):
+                 normalize._push_word, perms._inverse):
         memo.cache_clear()
     cold = one_pass()
     assert cold["compose"] > 0

@@ -225,7 +225,7 @@ def as_tuples(hs):
 
 
 @pytest.mark.parametrize("kind", ["transposition", "three-cycle", "any", "list"])
-def test_compiled_moves_invert_only_what_is_not_a_transposition(kind):
+def test_compiled_moves_invert_every_negated_entry(kind):
     # apply_endo inverts every negated entry, a transposition and a list
     # entry included; with handle entries of each kind it must give the
     # catalog map's result

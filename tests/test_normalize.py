@@ -293,6 +293,20 @@ class TestCanonical:
                 assert serialize(cert.replay()) == serialize(star)
                 done += 1
 
+    @pytest.mark.parametrize("mode", ["fast", "validate"])
+    def test_list_entries_canonicalize_as_their_tuple_twin(self, mode):
+        # validate passes a system built with lists; the full-monodromy
+        # check and the final comparison with the star read it as tuples
+        rng = random.Random("list-twin:" + mode)
+        for d, h, w in ((3, 1, 6), (4, 1, 8), (3, 0, 6)):
+            hs = random_system(d, h, w, rng, is_full_monodromy)
+            twin = HurwitzSystem(d, [list(p) for p in hs.handles],
+                                 [list(t) for t in hs.transpositions])
+            assert canonicalize(twin, mode) == canonicalize(hs, mode)
+        hs = HurwitzSystem(3, (), ([2, 1, 3], [2, 1, 3], [1, 3, 2], [1, 3, 2],
+                                   [3, 2, 1], [3, 2, 1]))
+        assert canonicalize(hs)[0] == canonical_star(3, 0, 6)
+
     def test_each_token_is_applied_once(self, monkeypatch):
         # fast mode plays each token once and runs no replay: one
         # apply_endo per B/P token, one check_block_rewrite per W token

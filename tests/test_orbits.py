@@ -68,7 +68,7 @@ class TestBfs:
         for key in sorted(res.predecessors)[::5]:
             assert serialize(apply_word(seed, res.word_to(key))) == key
 
-    def test_thread_determinism(self):
+    def test_reruns_are_identical(self):
         seed = sphere_seed()
         base = orbit_bfs(seed, compile_moves(3, 0, 4, "braid"))
         for _ in range(3):
@@ -116,7 +116,7 @@ class TestCensus:
         res = census(3, 1, 4, "full")
         assert sum(rec.size for rec in res.orbits) == res.total == 972
 
-    def test_jsonl_thread_determinism(self):
+    def test_jsonl_reruns_are_byte_identical(self):
         texts = {census(3, 0, 4, "braid").to_jsonl() for _ in range(3)}
         assert len(texts) == 1
 

@@ -332,3 +332,125 @@ class TestGroups:
                     assert group_order(gens, d) == prod(factorial(len(b)) for b in blocks)
                     sets += 1
         assert sets == 1099
+
+
+# ---------------------------------------------------------------------------
+# is_symmetric by transposition closure, against the stabilizer chain
+
+def full_by_chain(gens, d):
+    return PermGroup(gens, d).order() == factorial(d)
+
+
+def relabel(gens, s):
+    """gens conjugated by s, so a block system of consecutive points
+    lands on a scattered one."""
+    return [conjugate(g, s) for g in gens]
+
+
+def block_preserving(rng, b, k):
+    """A random permutation of b * k points that maps each block
+    {(i-1)b+1 .. ib} onto a block."""
+    images = []
+    for target in rng.sample(range(k), k):
+        inner = rng.sample(range(1, b + 1), b)
+        images += [target * b + x for x in inner]
+    return tuple(images)
+
+
+def imprimitive_families(rng):
+    """(name, gens, d) for seeded imprimitive generator sets up to d = 8:
+    wreath products S_b wr S_k, the dihedral group D4 on a square, and
+    transpositions inside blocks with block-preserving permutations."""
+    for b, k in ((2, 2), (2, 3), (3, 2), (2, 4), (4, 2)):
+        d = b * k
+        s = rand_perm(rng, d)
+        base = [transposition(d, 1, 2), from_cycles(d, [range(1, b + 1)]),
+                tuple((x + b - 1) % d + 1 for x in range(1, d + 1)),
+                tuple(x + b if x <= b else x - b if x <= 2 * b else x for x in range(1, d + 1))]
+        yield "wreath", relabel(base, s), d
+        for _ in range(8):
+            ts = [transposition(d, i * b + x, i * b + y)
+                  for i in rng.sample(range(k), rng.randrange(1, k + 1))
+                  for x, y in [rng.sample(range(1, b + 1), 2)]]
+            moves = [block_preserving(rng, b, k) for _ in range(rng.randrange(1, 3))]
+            yield "blocks", relabel(ts + moves, s), d
+    for _ in range(4):
+        s = rand_perm(rng, 4)
+        yield "D4", relabel([(2, 3, 4, 1), transposition(4, 1, 3)], s), 4
+
+
+class TestSymmetricByClosure:
+    def test_one_transposition_and_two_permutations_at_degree_4(self):
+        elements = list(permutations(range(1, 5)))
+        triples = 0
+        for t in all_transpositions(4):
+            for x in elements:
+                for y in elements:
+                    assert is_symmetric([x, t, y], 4) == full_by_chain([x, t, y], 4), (x, t, y)
+                    triples += 1
+        assert triples == 3456
+
+    def test_imprimitive_generators_up_to_degree_8(self):
+        rng = random.Random("closure:imprimitive")
+        seen = set()
+        for name, gens, d in imprimitive_families(rng):
+            assert not full_by_chain(gens, d)
+            assert not is_symmetric(gens, d), (name, gens)
+            seen.add(name)
+            # one more transposition between two blocks makes the group
+            # S_d or keeps it imprimitive; the chain decides which
+            more = gens + [transposition(d, *rng.sample(range(1, d + 1), 2))]
+            assert is_symmetric(more, d) == full_by_chain(more, d), (name, more)
+        assert seen == {"wreath", "blocks", "D4"}
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_random_generators_with_a_transposition(self, d):
+        rng = random.Random("closure:random:%d" % d)
+        for _ in range(25):
+            gens = [transposition(d, *rng.sample(range(1, d + 1), 2))]
+            gens += [rand_perm(rng, d) if rng.random() < 0.3
+                     else from_cycles(d, [rng.sample(range(1, d + 1), rng.randrange(2, d + 1))])
+                     for _ in range(rng.randrange(1, 3))]
+            assert is_symmetric(gens, d) == full_by_chain(gens, d), gens
+
+    def test_generators_without_a_transposition_take_the_chain(self):
+        rng = random.Random("closure:no-transposition")
+        for d in range(2, 8):
+            for _ in range(20):
+                gens = [g for g in (rand_perm(rng, d) for _ in range(rng.randrange(1, 4)))
+                        if not is_transposition(g)]
+                assert is_symmetric(gens, d) == (bool(gens) and full_by_chain(gens, d)), gens
+
+    def test_list_entries_read_as_tuples(self):
+        rng = random.Random("closure:lists")
+        for _ in range(100):
+            d = rng.randrange(2, 7)
+            gens = [rand_perm(rng, d) for _ in range(rng.randrange(0, 3))]
+            gens += [transposition(d, *rng.sample(range(1, d + 1), 2))
+                     for _ in range(rng.randrange(0, 3))]
+            assert is_symmetric([list(g) for g in gens], d) == is_symmetric(gens, d)
+
+    def test_no_chain_when_a_transposition_is_among_the_generators(self, monkeypatch):
+        import hurwitz.perms as perms_module
+
+        def refuse(gens, d):
+            raise AssertionError("built a stabilizer chain")
+        rng = random.Random("closure:no-chain")
+        cases = [gens for _, gens, _ in imprimitive_families(rng)
+                 if any(map(is_transposition, gens))]
+        cases += [[transposition(d, 1, 2), rand_perm(rng, d), rand_perm(rng, d)]
+                  for d in range(2, 9) for _ in range(5)]
+        answers = [full_by_chain(gens, len(gens[0])) for gens in cases]
+        assert True in answers and False in answers
+        monkeypatch.setattr(perms_module, "PermGroup", refuse)
+        assert [is_symmetric(gens, len(gens[0])) for gens in cases] == answers
+        # up to the largest degree: (1 2) with a d-cycle is S_d; so is
+        # (1 2) with the shift by two at odd d, while at even d the shift
+        # preserves the blocks {2i-1, 2i}
+        for d in range(9, 17):
+            cycle = tuple(range(2, d + 1)) + (1,)
+            assert is_symmetric([transposition(d, 1, 2), cycle], d)
+            shift = tuple((x + 1) % d + 1 for x in range(1, d + 1))
+            assert is_symmetric([transposition(d, 1, 2), shift], d) == bool(d % 2)
+        with pytest.raises(AssertionError, match="stabilizer chain"):
+            is_symmetric([(2, 3, 1)], 3)

@@ -8,7 +8,9 @@ import pytest
 from hurwitz import systems as S
 from hurwitz.frobenius import frobenius_count
 from hurwitz.orbits import _Ranks
-from hurwitz.perms import MAX_DEGREE, identity, orbit_blocks, transposition
+from hurwitz.perms import (MAX_DEGREE, all_transpositions, check_perm, format_perm,
+                           from_cycles, identity, is_transposition, orbit_blocks,
+                           transposition)
 
 
 def make(d, handles, ts):
@@ -59,6 +61,89 @@ class TestValidate:
         for entry in ((2, 3, 1), [2, 3, 1]):
             rep = S.validate(make(3, [], [entry, (3, 1, 2)]))
             assert rep.messages == ("t_1 is not a transposition: 2,3,1",)
+
+
+def validate_oracle(sys):
+    """validate with the per-entry checks of every t_j, as it was before
+    table transpositions skipped them."""
+    msgs = []
+    if sys.d < 1:
+        msgs.append("degree must be at least 1, got %d" % sys.d)
+    if not msgs and len(sys.handles) % 2 != 0:
+        msgs.append("handles must come in (a_i, b_i) pairs, got %d entries" % len(sys.handles))
+    if not msgs:
+        entries = ([("handle", p) for p in sys.handles]
+                   + [("transposition", p) for p in sys.transpositions])
+        for name, p in entries:
+            try:
+                check_perm(p)
+            except ValueError as exc:
+                msgs.append("bad %s entry: %s" % (name, exc))
+                break
+            if len(p) != sys.d:
+                msgs.append("%s entry has degree %d, system has d=%d" % (name, len(p), sys.d))
+                break
+    if not msgs:
+        for j, t in enumerate(sys.transpositions, start=1):
+            if not is_transposition(t):
+                msgs.append("t_%d is not a transposition: %s" % (j, format_perm(t)))
+                break
+    if not msgs and sys.w % 2 != 0:
+        msgs.append("w must be even, got %d" % sys.w)
+    if not msgs and S.relator_product(sys) != identity(sys.d):
+        msgs.append("relator product is not the identity")
+    return S.SystemReport(not msgs, tuple(msgs))
+
+
+def malformed(rng, sys):
+    """Broken copies of a valid system, one fault (or two) each."""
+    d, hs, ts = sys.d, list(sys.handles), list(sys.transpositions)
+    j = rng.randrange(len(ts))
+    three = tuple(from_cycles(d, [(1, 2, 3)])) if d >= 3 else None
+    yield make(d, hs, ts)
+    yield make(d, [list(p) for p in hs], [list(t) for t in ts])
+    yield make(d, hs, ts[:j] + [list(ts[j])] + ts[j + 1:])
+    yield make(d, hs, ts[:j] + [ts[j] + (d + 1,)] + ts[j + 1:])  # wrong degree
+    yield make(d, hs, ts[:j] + [(1,) * d] + ts[j + 1:])  # not a permutation
+    if hs:
+        yield make(d, [hs[0] + (d + 1,)] + hs[1:], ts)
+        yield make(d, [(2,) * d] + hs[1:], ts[:j] + [(1,) * d] + ts[j + 1:])
+        yield make(d, hs[:-1], ts)  # handles not in pairs
+    if three:
+        yield make(d, hs, ts[:j] + [three] + ts[j + 1:])
+        yield make(d, hs, ts[:j] + [list(three)] + ts[j + 1:])
+    yield make(d, hs, ts[:-1])  # odd w
+    other = [t for t in all_transpositions(d) if t != ts[j]]
+    if other:  # another t_j changes the product
+        yield make(d, hs, ts[:j] + [rng.choice(other)] + ts[j + 1:])
+    yield make(d, hs, ts + ["2,1" + ",3" * (d > 2)] * 2)  # text entries
+    yield make(0, hs, ts)
+    yield make(17, hs, ts)
+    yield make(d + 1, hs, ts)
+    big = transposition(17, 1, 2)
+    yield make(17, [], [big, big])
+
+
+class TestValidateOracle:
+    @pytest.mark.parametrize("d,h,w", [(2, 0, 4), (3, 1, 6), (4, 1, 8), (5, 2, 10), (8, 1, 4)])
+    def test_validate_matches_the_oracle_on_broken_systems(self, d, h, w):
+        rng = random.Random("validate:%d:%d:%d" % (d, h, w))
+        messages = set()
+        for _ in range(10):
+            for sys in malformed(rng, S.random_system(d, h, w, rng)):
+                got = S.validate(sys)
+                assert got == validate_oracle(sys), sys
+                messages.add(got.messages[:1])
+        if d > 2:
+            assert ("relator product is not the identity",) in messages
+        assert () in messages and len(messages) > 8
+
+    def test_degree_zero_and_over_the_cap(self):
+        t = transposition(2, 1, 2)
+        for sys in (make(0, [], []), make(0, [], [t, t]), make(17, [], []),
+                    make(17, [], [t, t]), make(-1, [], [t, t])):
+            assert S.validate(sys) == validate_oracle(sys)
+        assert S.validate(make(17, [], [])).ok  # no entry to check, as before
 
 
 class TestGenus:
