@@ -13,12 +13,14 @@ The macros stand for braid words: a pair retype needs a full residual
 monodromy group, and a window rewrite must keep the braid invariants of
 its window, which check_block_rewrite reads off the two points of each
 transposition and compares by union-find block labels.  Both are
-checked on application and again on replay.  Two pure steps are
-memoized, each in a bounded cache: parse_move on the token text, and
-the target side of a window check (its point pairs, product and block
+checked on application and again on replay.  Three pure steps are
+memoized, each in a bounded cache: parse_move on the token text, the
+target side of a window check (its point pairs, product and block
 labels) on the target and degree, since the target is part of the
-token text.  Applying a move and the checks on the source window
-depend on the system, so apply_move runs in full for every token.
+token text, and the text of a W token's body on its perms, so a
+rewrite staged again is spelled by one lookup.  Applying a move and
+the checks on the source window depend on the system, so apply_move
+runs in full for every token.
 
 Move words are strings of tokens separated by spaces:
 
@@ -37,6 +39,7 @@ from typing import NamedTuple
 from .catalog import catalog_hash, certified_braid_endo, certified_push_endo
 from .perms import (
     Perm,
+    _format,
     format_perm,
     inverse,
     is_symmetric,
@@ -318,7 +321,17 @@ class Move(NamedTuple):
             return "P%s%d%s" % (self.side, self.j, prime)
         if self.kind == "retype":
             return "R%d:%s" % (self.j, format_perm(self.perms[0]))
-        return "W%d-%d:%s" % (self.j, self.hi, ";".join(map(format_perm, self.perms)))
+        try:
+            body = _rewrite_text(self.perms)
+        except TypeError:  # list entries: key on tuples, as check_block_rewrite does
+            body = _rewrite_text(tuple(map(tuple, self.perms)))
+        return "W%d-%d:%s" % (self.j, self.hi, body)
+
+
+@lru_cache(maxsize=1024)
+def _rewrite_text(perms: tuple[Perm, ...]) -> str:
+    # perms._format, not the counted format_perm: a memo body calls no counted kernel
+    return ";".join(map(_format, perms))
 
 
 def _move_index(text: str) -> int:

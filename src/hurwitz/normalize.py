@@ -21,8 +21,13 @@ blocks.  Every stage plays moves.Move values through _play, which
 applies and checks each token text as it is emitted.  The pure steps
 that repeat across systems are memoized in bounded caches: the split
 normal form on its arguments, which covers the staging target of every
-push round and of every repair, and the word V of each certified push.
-The moves, their checks and the value of V on a system are not.
+push round and of every repair, the word V of each certified push, the
+weight of a handle entry (perms.weight) and the text of each staged
+rewrite token (in moves).  The moves, their checks and the value of V
+on a system are not.  A push round carries the product of the whole
+tuple from the round before: staging keeps it and the push changes
+only t_w, so two factors update it, and the next W token's check
+compares it with the window it rewrites.
 Validate mode walks the finished word, replacing each macro by the
 elementary word orbits.connect finds from the system the macro acts
 on, which must land where the macro does.  A search that proves two
@@ -38,7 +43,7 @@ from functools import lru_cache
 from .catalog import certified_push_endo
 from .moves import Certificate, Move, apply_move, apply_word, certificate, evaluate_word, parse_move
 from .orbits import connect
-from .perms import (Perm, conjugate, format_perm, identity, is_transposition, pair_product,
+from .perms import (Perm, format_perm, identity, is_transposition, pair_product,
                     point_pairs, product, support, transposition, weight)
 from .systems import HurwitzSystem, branching_blocks, is_full_monodromy, serialize, validate
 from .words import EndoMap, Word, conjugate_parts
@@ -268,8 +273,13 @@ def trivialize_handle(sys: HurwitzSystem, i: int) -> tuple[HurwitzSystem, list[s
     chosen so the push multiplies the rewritten handle entry by a
     cycle-splitting transposition: the total handle weight, at most
     2(d-1), drops by exactly one per push or the stage raises, so at
-    most 2(d-1) pushes happen."""
+    most 2(d-1) pushes happen.  The tuple's product g is taken once:
+    the staged tuple multiplies to g and ends in tau, and the push
+    changes only t_w, so g becomes g tau t_w; a wrong g would fail the
+    next W token's product check."""
     sys, tokens = repair_branching_monodromy(sys)
+    d, points = sys.d, tuple(range(1, sys.d + 1))
+    g = pair_product(point_pairs(sys.transpositions, d), d)
     lam, mu = sys.handle_pair(i)
     lam_weight, mu_weight = weight(lam), weight(mu)
     while lam_weight + mu_weight:
@@ -278,14 +288,14 @@ def trivialize_handle(sys: HurwitzSystem, i: int) -> tuple[HurwitzSystem, list[s
         side = "a" if mu_weight > 0 else "b"
         moved_img = mu if side == "a" else lam
         x = support(moved_img)[0]
-        splitter = transposition(sys.d, x, moved_img[x - 1])
         v = _push_conjugator(sys, i, side)
-        # the push multiplies the handle entry by v t_w v^-1
-        tau = conjugate(splitter, v)
-        g = pair_product(point_pairs(sys.transpositions, sys.d), sys.d)
-        staged = prop_split_normal_form(tuple(range(1, sys.d + 1)), g, sys.w, tau)
+        # the push multiplies the handle entry by v t_w v^-1; for it to
+        # split the cycle of x, t_w is v^-1 (x x') v = (v(x) v(x'))
+        tau = transposition(d, v[x - 1], v[moved_img[x - 1] - 1])
+        staged = prop_split_normal_form(points, g, sys.w, tau)
         sys = _apply_rewrite(sys, 1, sys.w, staged, tokens)
         sys = _play(sys, Move("push", i, side=side), tokens)
+        g = product((g, tau, sys.transpositions[-1]), d)
         lam, mu = sys.handle_pair(i)
         lam_weight, mu_weight = weight(lam), weight(mu)
         if lam_weight + mu_weight != total - 1:

@@ -183,12 +183,32 @@ def cycle_type(p: Perm) -> tuple[int, ...]:
     return tuple(sorted((len(c) for c in cycles(p)), reverse=True))
 
 
-def weight(p: Perm) -> int:
+def weight(p: Sequence[int]) -> int:
     """Minimal number of transpositions with product p: d minus the
     number of cycles.  Drops by exactly one under a well-chosen
     transposition multiplier; the induction metric of the handle
-    trivialization."""
-    return len(p) - len(cycles(p))
+    trivialization.  Memoized on tuple(p) in a bounded cache, so a list
+    weighs too.
+
+    >>> weight((2, 3, 1, 4))
+    2
+    """
+    return _weight(tuple(p))
+
+
+@lru_cache(maxsize=1024)
+def _weight(p: Perm) -> int:
+    # counts the cycles itself: a memo body calls no counted kernel
+    seen = [False] * (len(p) + 1)
+    n = len(p)
+    for start in range(1, len(p) + 1):
+        if not seen[start]:
+            n -= 1
+            x = start
+            while not seen[x]:
+                seen[x] = True
+                x = p[x - 1]
+    return n
 
 
 def sign(p: Perm) -> int:
@@ -291,16 +311,23 @@ class PermGroup:
                 if img not in transversal:
                     transversal[img] = compose(transversal[pt], g)
                     frontier.append(img)
-        stab_gens: list[Perm] = []
-        seen: set[Perm] = set()
+        # Sims filter: one kept generator per (first moved point, image);
+        # a Schreier generator that meets one is divided by it, which
+        # fixes that point, until it is kept or is the identity
+        kept: dict[tuple[int, int], Perm] = {}
         for pt, rep in transversal.items():
             for g in gens:
                 schreier = compose(compose(rep, g), inverse(transversal[g[pt - 1]]))
-                if schreier not in seen:
-                    seen.add(schreier)
-                    stab_gens.append(schreier)
+                for x in range(1, self.d + 1):
+                    y = schreier[x - 1]
+                    if y == x:
+                        continue
+                    if (x, y) not in kept:
+                        kept[x, y] = schreier
+                        break
+                    schreier = compose(schreier, inverse(kept[x, y]))
         self._chain.append((base, transversal, gens))
-        self._build(stab_gens, [c for c in candidates if c != base])
+        self._build(list(kept.values()), [c for c in candidates if c != base])
 
     def order(self) -> int:
         n = 1

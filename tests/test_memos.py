@@ -3,21 +3,24 @@ it wraps, and none skips a check.
 
 parse_move is memoized on the token text, the target side of a window
 check (moves._target_invariants) on the target and degree,
-prop_split_normal_form on tuples of its arguments, and perms.inverse on
-tuple(p).  Each is compared
+prop_split_normal_form on tuples of its arguments, perms.inverse and
+perms.weight on tuple(p), and the text of a W token's body
+(moves._rewrite_text) on its perms.  Each is compared
 here with the unmemoized body (``__wrapped__``) on real certificate
 tokens and on every small argument, errors included: lru_cache keeps no
 exception, so a bad call must raise on every repeat.  Replay stays a
 real re-application of each token, so a cached parse or target cannot
 let a forged certificate through.  No
 memo body calls a perms kernel that perfbench counts, so a pass with
-cold memos makes the same kernel calls as a warm one.  The
+cold memos makes the same kernel calls as a warm one; the test of that
+empties every memo of the package it finds, not a list.  The
 static test reads every lru_cache in the package and requires a finite
 maxsize, apart from a short allow-list of tables keyed on a few small
 ints.
 """
 
 import ast
+import importlib
 import pathlib
 import random
 import sys
@@ -305,6 +308,61 @@ def test_inverse_memo_matches_the_body_at_small_degree():
 
 
 # ---------------------------------------------------------------------------
+# perms.weight
+
+def test_weight_memo_matches_the_cycle_count():
+    perms._weight.cache_clear()
+    for d in range(1, 7):
+        for p in permutations(range(1, d + 1)):
+            want = d - len(perms.cycles(p))
+            assert perms.weight(p) == perms._weight.__wrapped__(p) == want
+            assert perms.weight(list(p)) == want
+    rng = random.Random("memo:weight")
+    for d in range(7, 17):
+        for _ in range(50):
+            p = list(range(1, d + 1))
+            rng.shuffle(p)
+            want = d - len(perms.cycles(tuple(p)))
+            for _ in range(2):
+                assert perms.weight(p) == perms.weight(tuple(p)) == want
+
+
+# ---------------------------------------------------------------------------
+# the text of a rewrite token
+
+def old_rewrite_token(move) -> str:
+    """Move.token of a W token as it was before its text was memoized."""
+    return "W%d-%d:%s" % (move.j, move.hi, ";".join(map(perms.format_perm, move.perms)))
+
+
+def test_rewrite_text_memo_matches_the_join_on_certificate_rewrites():
+    moves._rewrite_text.cache_clear()
+    count = 0
+    for cert in certificates(43, 3):
+        for token in cert.moves.split():
+            if token.startswith("W"):
+                move = parse_move(token)
+                listed = move._replace(perms=[list(p) for p in move.perms])
+                for _ in range(2):
+                    assert move.token() == old_rewrite_token(move) == token
+                    assert listed.token() == old_rewrite_token(listed) == token
+                    assert move._replace(perms=list(move.perms)).token() == token
+                count += 1
+    assert count > 50
+
+
+def test_rewrite_text_of_every_small_window():
+    for d in range(2, 5):
+        ts = all_transpositions(d)
+        for n in (1, 2, 3):
+            for window in permutations(ts * 2, n):
+                move = moves.Move("rewrite", 2, perms=window, hi=n + 1)
+                assert move.token() == old_rewrite_token(move)
+                body = old_rewrite_token(move).partition(":")[2]
+                assert moves._rewrite_text.__wrapped__(window) == body
+
+
+# ---------------------------------------------------------------------------
 # prop_split_normal_form
 
 def outcome(f, *args):
@@ -411,9 +469,43 @@ def test_kernel_calls_do_not_depend_on_memo_warmth(monkeypatch):
             canonicalize(system, mode="fast")[1].replay()
         return dict(calls)
     one_pass()
-    for memo in (moves.parse_move, moves._target_invariants, normalize._split_normal_form,
-                 normalize._push_word, perms._inverse):
+    found = package_memos()
+    assert {moves.parse_move, moves._target_invariants, moves._rewrite_text,
+            normalize._split_normal_form, normalize._push_word, perms._inverse,
+            perms._weight}.issubset(found)
+    for memo in found:
         memo.cache_clear()
     cold = one_pass()
     assert cold["compose"] > 0
     assert one_pass() == cold
+
+
+def package_memos() -> list:
+    """Every functools memo that a hurwitz module holds at its top level
+    or in one of its classes: each object with cache_clear, once.  Every
+    module but __main__ (which runs the CLI) is imported first."""
+    found = {}
+    for name in MODULES:
+        if name == "__main__":
+            continue
+        module = importlib.import_module("hurwitz" if name == "__init__" else "hurwitz." + name)
+        holders = [vars(module)] + [vars(v) for v in vars(module).values()
+                                    if isinstance(v, type) and v.__module__ == module.__name__]
+        for holder in holders:
+            for value in holder.values():
+                if callable(getattr(value, "cache_clear", None)):
+                    found[id(value)] = value
+    return list(found.values())
+
+
+def test_package_memos_finds_every_memo_the_static_test_reads():
+    names = {"%s.%s" % (memo.__module__.split(".")[-1], memo.__name__)
+             for memo in package_memos()}
+    decorated = {"%s.%s" % (module, node.name)
+                 for module in MODULES
+                 for node in ast.walk(ast.parse((PACKAGE / (module + ".py")).read_text(
+                     encoding="utf-8")))
+                 if isinstance(node, ast.FunctionDef)
+                 and any(_is_memo(dec.func if isinstance(dec, ast.Call) else dec, name)
+                         for dec in node.decorator_list for name in ("lru_cache", "cache"))}
+    assert decorated and names == decorated

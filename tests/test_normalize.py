@@ -16,8 +16,8 @@ from hurwitz.normalize import (NormalizeError, OrbitMismatchError, canonical_sta
                                sort_standard_position, trivialize_handle)
 from hurwitz.orbits import BudgetError
 from hurwitz.perms import (all_transpositions, cycles, from_cycles, identity,
-                           compose, inverse, is_symmetric, product, support,
-                           transposition)
+                           compose, conjugate, inverse, is_symmetric, pair_product,
+                           point_pairs, product, support, transposition)
 from hurwitz.systems import (HurwitzSystem, branching_blocks, commutator,
                              is_full_monodromy, random_system, serialize,
                              validate)
@@ -265,6 +265,48 @@ class TestTrivializeHandle:
             replay = apply_word(hs, " ".join(tokens)) if tokens else hs
             assert replay == out
             assert validate(out).ok
+
+
+class TestRoundBookkeeping:
+    """Each round of trivialize_handle stages a transposition tau read
+    off V by two lookups and carries the tuple's product g from the
+    round before; both are compared here, at every round, with what
+    they replace: the splitter conjugated by V, and the product of the
+    tuple taken anew."""
+
+    @pytest.mark.parametrize("size", [(3, 1, 6), (4, 1, 8), (5, 2, 10), (6, 2, 12)])
+    def test_every_round_stages_the_old_tau_and_product(self, monkeypatch, size):
+        rounds = []
+        pushed = []
+        real_conjugator = normalize._push_conjugator
+        real_form = normalize.prop_split_normal_form
+
+        def conjugator(hs, i, side):
+            v = real_conjugator(hs, i, side)
+            pushed.append((hs, i, side, v))
+            return v
+
+        def form(points, g, w_m, tau):
+            if pushed:  # a staging round: repairs call this with no push pending
+                hs, i, side, v = pushed.pop()
+                lam, mu = hs.handle_pair(i)
+                moved = mu if side == "a" else lam
+                x = support(moved)[0]
+                splitter = transposition(hs.d, x, moved[x - 1])
+                assert tau == conjugate(splitter, v)
+                assert g == pair_product(point_pairs(hs.transpositions, hs.d), hs.d)
+                rounds.append(tau)
+            return real_form(points, g, w_m, tau)
+        monkeypatch.setattr(normalize, "_push_conjugator", conjugator)
+        monkeypatch.setattr(normalize, "prop_split_normal_form", form)
+        rng = random.Random("rounds:%d:%d:%d" % size)
+        for _ in range(8):
+            hs = random_system(*size, rng, is_full_monodromy)
+            for i in range(hs.h, 0, -1):
+                hs, tokens = trivialize_handle(hs, i)
+                assert hs.handle_pair(i) == (identity(hs.d), identity(hs.d))
+            assert not pushed
+        assert len(rounds) > 8
 
 
 class TestCanonical:

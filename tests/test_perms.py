@@ -1,6 +1,7 @@
 """Permutation layer: composition order, cycle bookkeeping, groups."""
 
 import random
+import time
 from functools import reduce
 from itertools import combinations, permutations
 from math import factorial, prod
@@ -20,6 +21,35 @@ def rand_perm(rng, d):
     pts = list(range(1, d + 1))
     rng.shuffle(pts)
     return tuple(pts)
+
+
+class UnfilteredGroup(PermGroup):
+    """PermGroup as it was before its Sims filter: every distinct
+    Schreier generator is kept.  The oracle of orders and membership."""
+
+    def _build(self, gens, candidates):
+        gens = [g for g in gens if g != identity(self.d)]
+        if not gens:
+            return
+        base = next(b for b in candidates if any(g[b - 1] != b for g in gens))
+        transversal = {base: identity(self.d)}
+        frontier = [base]
+        while frontier:
+            pt = frontier.pop(0)
+            for g in gens:
+                img = g[pt - 1]
+                if img not in transversal:
+                    transversal[img] = compose(transversal[pt], g)
+                    frontier.append(img)
+        stab_gens, seen = [], set()
+        for pt, rep in transversal.items():
+            for g in gens:
+                schreier = compose(compose(rep, g), inverse(transversal[g[pt - 1]]))
+                if schreier not in seen:
+                    seen.add(schreier)
+                    stab_gens.append(schreier)
+        self._chain.append((base, transversal, gens))
+        self._build(stab_gens, [c for c in candidates if c != base])
 
 
 class TestComposition:
@@ -245,6 +275,35 @@ class TestGroups:
             for x in sample:
                 for y in sample:
                     assert compose(x, y) in grp
+
+    @pytest.mark.parametrize("d", range(2, 11))
+    def test_sims_filter_keeps_orders_and_membership(self, d):
+        rng = random.Random("sims:%d" % d)
+        for k in range(6):
+            gens = [rand_perm(rng, d) for _ in range(1 + k % 3)]
+            if k % 2:  # a proper subgroup: the generators fix the first point
+                gens = [(1,) + tuple(x + 1 for x in rand_perm(rng, d - 1))
+                        for _ in range(2)] if d > 2 else [identity(d)]
+            if k == 4:
+                gens.append(transposition(d, 1, 2))
+            grp, oracle = PermGroup(gens, d), UnfilteredGroup(gens, d)
+            assert grp.order() == oracle.order()
+            words = [product([rng.choice(gens) for _ in range(5)], d) for _ in range(20)]
+            for p in words + [rand_perm(rng, d) for _ in range(20)]:
+                assert (p in grp) == (p in oracle), (gens, p)
+            assert all(p in grp for p in words)
+
+    def test_sims_filter_keeps_chains_small_to_degree_16(self):
+        # unfiltered, these chains took seconds at d = 14 and over a
+        # minute at d = 16
+        for d in range(9, 17):
+            rng = random.Random(3)
+            gens = [transposition(d, 1, 2), rand_perm(rng, d), rand_perm(rng, d)]
+            start = time.process_time()
+            order = PermGroup(gens, d).order()
+            assert time.process_time() - start < 1.0, d
+            assert (order == factorial(d)) == is_symmetric(gens, d)
+            assert order % 2 == 0 and factorial(d) % order == 0
 
     def test_membership(self):
         grp = PermGroup([parse_perm("2,3,1,4")], 4)
