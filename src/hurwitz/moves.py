@@ -4,11 +4,13 @@ Every move is the permutation shadow of a certified mapping class:
 braids and point-pushes both apply their catalog schema through
 apply_endo.  move_program compiles each certified catalog map once,
 keyed by the map, into the images it changes as letters over the
-entries they read; apply_endo evaluates those under the current
+entries they read; evaluate_program evaluates those under the current
 monodromy, padding each entry it reads once, inverting once each entry
-a word reads negated and folding each word by gathers, and the orbits
-kernel runs the same programs on ranks.  Braid moves only shuffle the
-transposition tuple; handle point-pushes also rewrite one handle entry.
+a word reads negated and folding each word by gathers.  It is the one
+evaluator of the programs: apply_endo runs it on a system's entries,
+and the orbits kernel on the permutations of its ranks, ranking each
+image once.  Braid moves only shuffle the transposition tuple; handle
+point-pushes also rewrite one handle entry.
 The macros stand for braid words: a pair retype needs a full residual
 monodromy group, and a window rewrite must keep the braid invariants of
 its window, which check_block_rewrite reads off the two points of each
@@ -98,31 +100,43 @@ def evaluate_word(word: Word, sys: HurwitzSystem) -> Perm:
     return product((entries[x - 1] if x > 0 else inverse(entries[-x - 1]) for x in word), sys.d)
 
 
-def apply_endo(sys: HurwitzSystem, program: Program) -> HurwitzSystem:
-    """The move of a compiled certified endomorphism: evaluate the
-    images of the generators it changes; every other entry stays.  Each
-    negated value is inverted once, each value read is padded once, as
-    compose pads its right factor, and a word is folded from its first
-    letter by one gather per further letter."""
-    d = sys.d
-    entries = list(sys.handles + sys.transpositions)
-    values = [entries[k] for k in program.reads]
-    values += map(inverse, map(values.__getitem__, program.negated))
+def evaluate_program(negated: tuple[int, ...], words: tuple[tuple[int, ...], ...],
+                     values: list[Perm], d: int) -> list[Perm]:
+    """The values of a program's words, given the values of the entries
+    it reads, in order; values is extended in place.  Each negated value
+    is inverted once, each value is padded once, as compose pads its
+    right factor, and a word is folded from its first letter by one
+    gather per further letter.  The one evaluator of compiled moves:
+    apply_endo runs it on entries, the orbits kernel on the
+    permutations of its ranks."""
+    values += map(inverse, map(values.__getitem__, negated))
     for v in values:
         if len(v) != d:
             raise ValueError("degree mismatch: %d vs %d" % (d, len(v)))
     if d == 1:  # one index gathers a bare int
-        for k, word in zip(program.changed, program.words):
-            entries[k] = product(map(values.__getitem__, word), d)
-    else:
-        padded = [(0, *v) for v in values]
-        for k, word in zip(program.changed, program.words):
-            letters = iter(word)
-            acc = values[next(letters)]
-            for x in letters:
-                acc = itemgetter(*acc)(padded[x])
-            entries[k] = acc
-    return HurwitzSystem(d, tuple(entries[: 2 * sys.h]), tuple(entries[2 * sys.h :]))
+        return [product(map(values.__getitem__, word), d) for word in words]
+    padded = [(0, *v) for v in values]
+    out = []
+    for word in words:
+        letters = iter(word)
+        acc = values[next(letters)]
+        for x in letters:
+            acc = itemgetter(*acc)(padded[x])
+        out.append(acc)
+    return out
+
+
+def apply_endo(sys: HurwitzSystem, program: Program) -> HurwitzSystem:
+    """The move of a compiled certified endomorphism: the images of the
+    generators it changes, by evaluate_program; every other entry
+    stays."""
+    entries = list(sys.handles + sys.transpositions)
+    images = evaluate_program(program.negated, program.words,
+                              [entries[k] for k in program.reads], sys.d)
+    for k, image in zip(program.changed, images):
+        entries[k] = image
+    h = len(sys.handles)
+    return HurwitzSystem(sys.d, tuple(entries[:h]), tuple(entries[h:]))
 
 
 # ---------------------------------------------------------------------------
@@ -142,13 +156,14 @@ def handle_push(sys: HurwitzSystem, i: int, side: str,
     relator still holds, t_w stays a transposition and only the opposite
     loop of handle i moves, by a conjugate of t_w; check_push_contract
     confirms the contract directly."""
-    if sys.w < 1:
+    h, w = sys.h, sys.w
+    if w < 1:
         raise MoveError("point-push needs at least one puncture")
-    if not 1 <= i <= sys.h:
-        raise MoveError("handle index %d out of range 1..%d" % (i, sys.h))
+    if not 1 <= i <= h:
+        raise MoveError("handle index %d out of range 1..%d" % (i, h))
     if side not in ("a", "b"):
         raise MoveError("push side must be 'a' or 'b', got %r" % side)
-    return apply_endo(sys, move_program(sys.h, sys.w, i, side, inverse_move))
+    return apply_endo(sys, move_program(h, w, i, side, inverse_move))
 
 
 def check_push_contract(sys: HurwitzSystem, i: int, side: str) -> HurwitzSystem:
@@ -336,6 +351,8 @@ def _rewrite_text(perms: tuple[Perm, ...]) -> str:
 
 def _move_index(text: str) -> int:
     j = int(text)
+    if str(j) != text:  # int() also reads signs, spaces, "_", leading zeros and other digits
+        raise ValueError(text)
     if j < 1:
         raise MoveError("move positions are 1-based, got %d" % j)
     return j
@@ -345,9 +362,12 @@ def _move_index(text: str) -> int:
 def parse_move(token: str) -> Move:
     """The Move a token text names.  Memoized on the text in a bounded
     cache, as parse_perm is, so a token parsed again costs one lookup; a
-    malformed text raises MoveError on every call.  apply_move still
-    checks every parsed value against the system it meets."""
-    text = token.strip()
+    malformed text raises MoveError on every call, and so does a text
+    that is not the token's one spelling: space around it, or a number
+    with a sign, a space, "_", a leading zero or other digits.
+    apply_move still checks every parsed value against the system it
+    meets."""
+    text = token
     if not text:
         raise MoveError("empty move token")
     inverse_move = text.endswith("'")
@@ -367,9 +387,10 @@ def parse_move(token: str) -> Move:
             span, _, body = text[1:].partition(":")
             lo, _, hi = span.partition("-")
             perms = tuple(parse_perm(p) for p in body.split(";"))
-            if int(hi) < int(lo):
+            j, hi = _move_index(lo), _move_index(hi)
+            if hi < j:
                 raise MoveError("empty rewrite window %s" % token)
-            return Move("rewrite", _move_index(lo), perms=perms, hi=int(hi))
+            return Move("rewrite", j, perms=perms, hi=hi)
     except MoveError:
         raise
     except ValueError:

@@ -43,7 +43,7 @@ from functools import lru_cache
 from .catalog import certified_push_endo
 from .moves import Certificate, Move, apply_move, apply_word, certificate, evaluate_word, parse_move
 from .orbits import connect
-from .perms import (Perm, format_perm, identity, is_transposition, pair_product,
+from .perms import (Perm, _cycles, format_perm, identity, is_transposition, pair_product,
                     point_pairs, product, support, transposition, weight)
 from .systems import HurwitzSystem, branching_blocks, is_full_monodromy, serialize, validate
 from .words import EndoMap, Word, conjugate_parts
@@ -128,20 +128,9 @@ def _split_normal_form(points: tuple[int, ...], g: Perm, w_m: int,
         raise NormalizeError("tail entry must be a transposition inside the block")
     if w_m < 2 * n:
         raise NormalizeError("length %d is below 2#points = %d" % (w_m, 2 * n))
-    # the cycles of g through the block, each from its least point: g
-    # moves no point outside, so a walk from pts in order finds them all
-    comps: list[tuple[int, ...]] = []
-    seen: set[int] = set()
-    for start in pts:
-        if start in seen:
-            continue
-        cyc = [start]
-        nxt = g[start - 1]
-        while nxt != start:
-            cyc.append(nxt)
-            nxt = g[nxt - 1]
-        seen.update(cyc)
-        comps.append(tuple(cyc))
+    # the cycles of g through the block: g moves no point outside, so
+    # they are the cycles whose least point is in the block
+    comps = [c for c in _cycles(g) if c[0] in pset]
     comps.sort(key=lambda c: (-len(c), c[0]))
     s = len(comps)
     length = n + s - 2
@@ -278,7 +267,7 @@ def trivialize_handle(sys: HurwitzSystem, i: int) -> tuple[HurwitzSystem, list[s
     changes only t_w, so g becomes g tau t_w; a wrong g would fail the
     next W token's product check."""
     sys, tokens = repair_branching_monodromy(sys)
-    d, points = sys.d, tuple(range(1, sys.d + 1))
+    d, w, points = sys.d, sys.w, tuple(range(1, sys.d + 1))
     g = pair_product(point_pairs(sys.transpositions, d), d)
     lam, mu = sys.handle_pair(i)
     lam_weight, mu_weight = weight(lam), weight(mu)
@@ -292,8 +281,8 @@ def trivialize_handle(sys: HurwitzSystem, i: int) -> tuple[HurwitzSystem, list[s
         # the push multiplies the handle entry by v t_w v^-1; for it to
         # split the cycle of x, t_w is v^-1 (x x') v = (v(x) v(x'))
         tau = transposition(d, v[x - 1], v[moved_img[x - 1] - 1])
-        staged = prop_split_normal_form(points, g, sys.w, tau)
-        sys = _apply_rewrite(sys, 1, sys.w, staged, tokens)
+        staged = prop_split_normal_form(points, g, w, tau)
+        sys = _apply_rewrite(sys, 1, w, staged, tokens)
         sys = _play(sys, Move("push", i, side=side), tokens)
         g = product((g, tau, sys.transpositions[-1]), d)
         lam, mu = sys.handle_pair(i)

@@ -23,8 +23,9 @@ the last degree used are kept between calls, so a census of a degree
 seen before reuses them.  All three searches run on one integer
 kernel: a state is a tuple of permutation ranks, numbered so that
 tuple order is system-line order, and every move, braid or push, is
-its certified catalog map evaluated through memoized products, as
-moves.py applies it.  The kernel grows every search the same way:
+its certified catalog map evaluated by moves.evaluate_program, the
+evaluator moves.py applies it with, and ranked once per memoized
+image.  The kernel grows every search the same way:
 expand applies each move to a frontier and links each new state to the
 state and token that reached it, and flood repeats that level by
 level.  census and orbit_bfs are floods, connect expands whichever of
@@ -48,8 +49,8 @@ from typing import Callable, NamedTuple
 
 from .catalog import catalog_hash, certified_push_endo
 from .frobenius import full_monodromy_count
-from .moves import (Certificate, Move, apply_move, certificate, invert_tokens, move_program,
-                    parse_move)
+from .moves import (Certificate, Move, apply_move, certificate, evaluate_program, invert_tokens,
+                    move_program, parse_move)
 from .perms import Perm, check_perm, compose, conjugate, identity, inverse, is_symmetric
 from .systems import (
     BudgetError,
@@ -123,9 +124,9 @@ class _Ranks:
     Text order is lexicographic order of the images with each point
     read as the string "%d," (no permutation's text is a proper prefix
     of another's), so the rank is the Lehmer code of the images
-    relabeled by their place in that string order.  Ranks and the
-    products between them are computed on first use; nothing of size
-    d! is built up front.
+    relabeled by their place in that string order.  Ranks, and the
+    products and conjugates between them, are computed on first use;
+    nothing of size d! is built up front.
     """
 
     def __init__(self, d: int):
@@ -151,7 +152,9 @@ class _Ranks:
         # least, in the same order, a bare rank when one is left
         self.narrow = _Memo(self._narrow)
         # keyed (pair?, negated, words): the images memo of one
-        # moves.Program, shared by every step with that program
+        # moves.Program, shared by every step with that program; its
+        # images come from moves.evaluate_program, so mul and inv serve
+        # only flood_classes' voltages and discrepancies
         self.images = _Memo(lambda key: _Memo(self.evaluator(*key)))
         self._elements: tuple[int, ...] | None = None
 
@@ -177,19 +180,14 @@ class _Ranks:
 
     def evaluator(self, pair: bool, negated: tuple[int, ...], words) -> Callable:
         """A moves.Program's word values at the ranks it reads (keyed x * n
-        + y if pair), its letters indexing those ranks, then inverses."""
-        mul, inv, n, one = self.mul, self.inv, self.n, self.identity
+        + y if pair): moves.evaluate_program on their permutations, each
+        image ranked once."""
+        perm, rank, n, d = self.perm, self.rank, self.n, self.d
 
         def evaluate(values):
             values = divmod(values, n) if pair else values
-            values = (*values, *(inv[values[p]] for p in negated))
-            out = []
-            for word in words:
-                acc = one
-                for x in word:
-                    acc = mul[acc * n + values[x]]
-                out.append(acc)
-            return tuple(out)
+            images = evaluate_program(negated, words, [perm[x] for x in values], d)
+            return tuple([rank[p] for p in images])
         return evaluate
 
     def _lehmer(self, p: Perm) -> int:

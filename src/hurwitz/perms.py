@@ -81,9 +81,8 @@ def conjugate(t: Perm, s: Perm) -> Perm:
 
 
 def product(perms: Iterable[Perm], d: int) -> Perm:
-    """Left-to-right product from the first factor; the identity of
-    degree d when there is none.  Each further factor is one gather, as
-    in compose, with compose's degree check.
+    """Left-to-right product from the first factor, one compose per
+    further factor; the identity of degree d when there is none.
 
     >>> product([(2, 1, 3), (1, 3, 2), (2, 1, 3)], 3)
     (3, 2, 1)
@@ -92,14 +91,7 @@ def product(perms: Iterable[Perm], d: int) -> Perm:
     acc = next(perms, None)
     if acc is None:
         return identity(d)
-    n = len(acc)
-    if n == 1:  # one index gathers a bare int
-        return reduce(compose, perms, acc)
-    for p in perms:
-        if len(p) != n:
-            raise ValueError("degree mismatch: %d vs %d" % (n, len(p)))
-        acc = itemgetter(*acc)((0, *p))
-    return acc
+    return reduce(compose, perms, acc)
 
 
 @lru_cache(maxsize=None)
@@ -158,6 +150,11 @@ def cycles(p: Perm) -> list[tuple[int, ...]]:
     >>> cycles((2, 3, 1, 4))
     [(1, 2, 3), (4,)]
     """
+    return _cycles(p)
+
+
+def _cycles(p: Perm) -> list[tuple[int, ...]]:
+    # the walk of cycles, uncounted: the memo bodies that read cycles call this
     seen = [False] * len(p)
     out = []
     for start in range(1, len(p) + 1):
@@ -185,10 +182,10 @@ def cycle_type(p: Perm) -> tuple[int, ...]:
 
 def weight(p: Sequence[int]) -> int:
     """Minimal number of transpositions with product p: d minus the
-    number of cycles.  Drops by exactly one under a well-chosen
-    transposition multiplier; the induction metric of the handle
-    trivialization.  Memoized on tuple(p) in a bounded cache, so a list
-    weighs too.
+    number of cycles, as cycles walks them.  Drops by exactly one under
+    a well-chosen transposition multiplier; the induction metric of the
+    handle trivialization.  Memoized on tuple(p) in a bounded cache, so
+    a list weighs too.
 
     >>> weight((2, 3, 1, 4))
     2
@@ -198,17 +195,7 @@ def weight(p: Sequence[int]) -> int:
 
 @lru_cache(maxsize=1024)
 def _weight(p: Perm) -> int:
-    # counts the cycles itself: a memo body calls no counted kernel
-    seen = [False] * (len(p) + 1)
-    n = len(p)
-    for start in range(1, len(p) + 1):
-        if not seen[start]:
-            n -= 1
-            x = start
-            while not seen[x]:
-                seen[x] = True
-                x = p[x - 1]
-    return n
+    return len(p) - len(_cycles(p))
 
 
 def sign(p: Perm) -> int:
@@ -229,11 +216,14 @@ def from_cycles(d: int, cycs: Iterable[Sequence[int]]) -> Perm:
 
 @lru_cache(maxsize=256)
 def parse_perm(text: str) -> Perm:
-    """Parse one-line comma-separated images, e.g. "2,1,3".  Memoized on
-    the text in a bounded cache; a malformed text raises every time."""
-    parts = text.strip().split(",")
+    """Parse one-line comma-separated images, e.g. "2,1,3", in the one
+    spelling format_perm writes.  Memoized on the text in a bounded
+    cache; a malformed text raises every time."""
     try:
-        images = [int(s) for s in parts]
+        images = [int(s) for s in text.split(",")]
+        # int() also reads signs, spaces, "_", leading zeros and other digits
+        if ",".join(map(str, images)) != text:
+            raise ValueError(text)
     except ValueError:
         raise ValueError("bad permutation text: %r" % text) from None
     return check_perm(images)

@@ -187,6 +187,8 @@ class _Cursor:
             self.pos += 1
         if self.pos == start:
             raise KeyParseError("expected an integer", start)
+        if self.text[start] == "0" and self.pos - start > 1:
+            raise KeyParseError("integer with a leading zero", start)
         try:
             return int(self.text[start : self.pos])
         except ValueError:  # more digits than int() converts
@@ -198,7 +200,7 @@ def _parse_perm_field(field: str, start: int, sep: str, d: int) -> list[Perm]:
     offset = 0
     for piece in field.split(sep):
         try:
-            p = parse_perm(piece.strip())
+            p = parse_perm(piece)
         except ValueError as exc:
             raise KeyParseError(str(exc), start + offset) from None
         if len(p) != d:
@@ -210,9 +212,10 @@ def _parse_perm_field(field: str, start: int, sep: str, d: int) -> list[Perm]:
 
 def deserialize(key: str) -> HurwitzSystem:
     """Inverse of serialize; raises KeyParseError with a byte offset on
-    malformed input or a degree over perms.MAX_DEGREE.  Structure only:
-    run validate on the result to check the relator and transposition
-    shape."""
+    malformed input, on a number serialize would spell otherwise (a
+    sign, a space, "_", a leading zero or other digits) and on a degree
+    over perms.MAX_DEGREE.  Structure only: run validate on the result
+    to check the relator and transposition shape."""
     cur = _Cursor(key)
     cur.expect("d=")
     d = cur.take_int()

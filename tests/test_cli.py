@@ -241,9 +241,21 @@ class TestConnectReplay:
         main(["connect", src, dst, "--out", str(cert_path)])
         capsys.readouterr()
         data = json.loads(cert_path.read_text())
-        data["end"] = data["start"]
-        cert_path.write_text(json.dumps(data))
-        assert main(["replay", str(cert_path)]) == 1
+        # a start or token spelled otherwise than the package writes it
+        # names the same system or move to int(), but only one spelling
+        # is read
+        start = data["start"]
+        assert "ab: 1,2 ," in start
+        forged = [dict(data, end=start)] + [
+            dict(data, start=start.replace("ab: 1,2 ,", "ab: %s ," % spelled))
+            for spelled in ("\uff11,2", "1, 2", "0_1,2", "+1,2", "01,2")] + [
+            dict(data, moves=data["moves"] + " " + tokens)
+            for tokens in ("B01 B1'", "B+1 B1'", "B\uff11 B1'", "W1-\uff102:2,1;2,1")]
+        for cert in forged:
+            cert_path.write_text(json.dumps(cert))
+            assert main(["replay", str(cert_path)]) == 1
+            out = capsys.readouterr().out
+            assert len(out.splitlines()) == 1 and out.startswith("replay: FAIL"), cert
 
     def test_unreadable_certificate(self, tmp_path):
         p = tmp_path / "junk.json"

@@ -15,9 +15,9 @@ from math import factorial
 
 import pytest
 
-from hurwitz import catalog
+from hurwitz import catalog, orbits
 from hurwitz.cli import main
-from hurwitz.moves import apply_move, parse_move
+from hurwitz.moves import apply_move, apply_word, parse_move
 from hurwitz.orbits import (_Kernel, _Ranks, _ranks, census, compile_moves, connect,
                             orbit_bfs, read_predecessor_log,
                             write_predecessor_log)
@@ -70,6 +70,30 @@ def test_kernel_follows_the_catalog(monkeypatch):
                 assert kernel.system(step(state)) == apply_move(sys, parse_move(token)), token
     finally:
         catalog.certified_braid_endo.cache_clear()
+
+
+@pytest.mark.parametrize("d", [5, 6, 7, 8])
+def test_kernel_moves_take_no_rank_product(monkeypatch, d):
+    # past the degrees the censuses reach: every step, the rotation
+    # included, is the reference move on seeded systems, and a fresh
+    # table's move images come from moves.evaluate_program, never from
+    # its products or inverses
+    monkeypatch.setattr(orbits, "_ranks", _Ranks)
+    rng = random.Random("evaluator:%d" % d)
+    for h, w in [(0, 6), (1, 2), (1, 4), (2, 2), (2, 6)]:
+        kernel = _Kernel(d, h, w, compile_moves(d, h, w, "full"))
+        ranks = kernel.ranks
+        steps = list(kernel.steps)
+        if w >= 4:
+            steps.append(("rotation", kernel.class_steps()[1]))
+        for _ in range(4):
+            sys = random_system(d, h, w, rng)
+            state = kernel.state(sys)
+            for token, step in steps:
+                want = (apply_word(sys, " ".join("B%d" % j for j in range(1, w)))
+                        if token == "rotation" else apply_move(sys, parse_move(token)))
+                assert kernel.system(step(state)) == want, (h, w, token)
+        assert len(ranks.mul) == len(ranks.inv) == 0
 
 
 # ---------------------------------------------------------------------------

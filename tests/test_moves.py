@@ -489,6 +489,12 @@ class TestMoveWords:
         for token in ("B3", "B11'", "Pa1", "Pb2'", "R4:2,1,3",
                       "W2-5:2,1,3;1,3,2;1,3,2;2,1,3"):
             assert parse_move(token).token() == token
+        # int() reads the numbers in these, but a token has one spelling
+        for token in ("B\uff11", "B01", "B+1", "B 1", " B1", "B1_1", "Pa 1", "Pb+2'", "R04:2,1,3",
+                      "R4:2, 1,3", "R4:+2,1,3", "W2-\uff15:2,1,3;1,3,2;1,3,2;2,1,3",
+                      "W2-05:2,1,3;1,3,2;1,3,2;2,1,3", "W2-5:2,1,3; 1,3,2;1,3,2;2,1,3"):
+            with pytest.raises(MoveError, match="unreadable move token"):
+                parse_move(token)
 
     def test_parse_rejects(self):
         for bad in ("", "B0", "Bx", "Q1", "R4", "W2:1,2", "Pa", "Pc1"):

@@ -127,8 +127,8 @@ class TestComposeOracle:
 
 
 def reference_product(perms, d):
-    """product as a compose fold from the first factor, kept as the
-    oracle of the gathering fold."""
+    """product as a compose fold from the first factor, over a list:
+    the oracle of product, which folds any iterable."""
     perms = list(perms)
     return reduce(compose, perms[1:], perms[0]) if perms else identity(d)
 

@@ -209,7 +209,20 @@ class TestSerialization:
         rng = random.Random(11)
         for _ in range(100):
             sys = S.random_system(4, 1, 6, rng)
-            assert S.deserialize(S.serialize(sys)) == sys
+            line = S.serialize(sys)
+            assert S.deserialize(line) == sys
+            # one spelling per system: int() reads each of these first
+            # images as the line's own, but the parser does not
+            first = line.index("t: ") + 3
+            head, x, tail = line[:first], line[first], line[first + 1 :]
+            assert tail.startswith(",")
+            for spelled in (chr(0xFF10 + int(x)), " " + x, "0_" + x, "+" + x, "0" + x):
+                with pytest.raises(S.KeyParseError):
+                    S.deserialize(head + spelled + tail)
+            for forged in (head + x + ", " + tail[1:], line.replace(" ; ", " ;  ", 1),
+                           line.replace("d=4", "d=04", 1), line.replace("w=6", "w=06", 1)):
+                with pytest.raises(S.KeyParseError):
+                    S.deserialize(forged)
 
     def test_parse_error_offsets(self):
         with pytest.raises(S.KeyParseError) as ei:
