@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 from functools import lru_cache
 from importlib import resources
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .words import (
     EndoMap,
@@ -25,7 +25,6 @@ from .words import (
     commutator_word,
     concat,
     conjugate_parts,
-    identity_endo,
     invert_word,
     validate_peripheral,
 )
@@ -142,24 +141,27 @@ def handle_block_word(ctx: FreeContext, i: int) -> Word:
     return concat(*parts)
 
 
-def _endo_from_images(ctx: FreeContext, fwd: dict[int, Word], inv: dict[int, Word]) -> EndoMap:
-    base = identity_endo(ctx)
-    images = tuple(fwd.get(k, base.images[k - 1]) for k in range(1, ctx.rank + 1))
-    inverse = tuple(inv.get(k, base.images[k - 1]) for k in range(1, ctx.rank + 1))
-    return EndoMap(ctx, images, inverse)
+def _instance(ctx: FreeContext, section: str, mapping: dict[str, Word],
+              schemas: Schemas | None) -> EndoMap:
+    """The map a section's schemas make under mapping: each letter of
+    _ENTRIES[section] names a one-generator word in mapping, and that
+    generator's image and stored inverse image are the section's word
+    and the ^-1 section's word; every other generator is fixed."""
+    s = schemas or get_schemas()
+    images = [(k,) for k in range(1, ctx.rank + 1)]
+    inverse = list(images)
+    for letter in _ENTRIES[section]:
+        (k,) = mapping[letter]
+        images[k - 1] = _substitute(s.entry(section, letter), mapping)
+        inverse[k - 1] = _substitute(s.entry(section + "^-1", letter), mapping)
+    return EndoMap(ctx, tuple(images), tuple(inverse))
 
 
 def braid_endo(ctx: FreeContext, j: int, schemas: Schemas | None = None) -> EndoMap:
     """The braid move at punctures j, j+1 as a free group map."""
     if not 1 <= j <= ctx.w - 1:
         raise ValueError("braid position %d out of range 1..%d" % (j, ctx.w - 1))
-    s = schemas or get_schemas()
-    mapping = {"x": (ctx.g(j),), "y": (ctx.g(j + 1),)}
-    fwd = {ctx.g(j): _substitute(s.entry("braid", "x"), mapping),
-           ctx.g(j + 1): _substitute(s.entry("braid", "y"), mapping)}
-    inv = {ctx.g(j): _substitute(s.entry("braid^-1", "x"), mapping),
-           ctx.g(j + 1): _substitute(s.entry("braid^-1", "y"), mapping)}
-    return _endo_from_images(ctx, fwd, inv)
+    return _instance(ctx, "braid", {"x": (ctx.g(j),), "y": (ctx.g(j + 1),)}, schemas)
 
 
 def push_endo(ctx: FreeContext, i: int, side: str, schemas: Schemas | None = None) -> EndoMap:
@@ -175,30 +177,30 @@ def push_endo(ctx: FreeContext, i: int, side: str, schemas: Schemas | None = Non
         raise ValueError("point-push needs at least one puncture")
     if side not in ("a", "b"):
         raise ValueError("side must be 'a' or 'b', got %r" % side)
-    s = schemas or get_schemas()
-    section = "push_" + side
-    moved = ctx.b(i) if side == "a" else ctx.a(i)
-    moved_name = "b" if side == "a" else "a"
     mapping = {"a": (ctx.a(i),), "b": (ctx.b(i),), "g": (ctx.g(ctx.w),),
                "K": handle_block_word(ctx, i)}
-    fwd = {ctx.g(ctx.w): _substitute(s.entry(section, "g"), mapping),
-           moved: _substitute(s.entry(section, moved_name), mapping)}
-    inv = {ctx.g(ctx.w): _substitute(s.entry(section + "^-1", "g"), mapping),
-           moved: _substitute(s.entry(section + "^-1", moved_name), mapping)}
-    return _endo_from_images(ctx, fwd, inv)
+    return _instance(ctx, "push_" + side, mapping, schemas)
 
 
 # ---------------------------------------------------------------------------
 # certified, cached instances
 
+def _certified(e: EndoMap, kind: str, where: str,
+               shape: Callable[[EndoMap], str | None] | None = None) -> EndoMap:
+    """e, once validate_peripheral certifies it and shape, if given,
+    names no fault of it; else the CatalogError of a failed
+    certification at (h, w, where)."""
+    report = validate_peripheral(e)
+    fault = report.messages[0] if not report.ok else shape and shape(e)
+    if fault:
+        raise CatalogError("%s schema failed certification at (h=%d, w=%d, %s): %s"
+                           % (kind, e.ctx.h, e.ctx.w, where, fault))
+    return e
+
+
 @lru_cache(maxsize=4096)
 def certified_braid_endo(h: int, w: int, j: int) -> EndoMap:
-    e = braid_endo(FreeContext(h, w), j)
-    report = validate_peripheral(e)
-    if not report.ok:
-        raise CatalogError("braid schema failed certification at (h=%d, w=%d, j=%d): %s"
-                           % (h, w, j, report.messages[0]))
-    return e
+    return _certified(braid_endo(FreeContext(h, w), j), "braid", "j=%d" % j)
 
 
 def _push_shape_fault(e: EndoMap, i: int, side: str) -> str | None:
@@ -222,13 +224,8 @@ def _push_shape_fault(e: EndoMap, i: int, side: str) -> str | None:
 def certify_push(ctx: FreeContext, i: int, side: str,
                  schemas: Schemas | None = None) -> EndoMap:
     """push_endo, certified as a peripheral automorphism of push shape."""
-    e = push_endo(ctx, i, side, schemas)
-    report = validate_peripheral(e)
-    fault = _push_shape_fault(e, i, side) if report.ok else report.messages[0]
-    if fault:
-        raise CatalogError("push schema failed certification at (h=%d, w=%d, i=%d, side=%s): %s"
-                           % (ctx.h, ctx.w, i, side, fault))
-    return e
+    return _certified(push_endo(ctx, i, side, schemas), "push", "i=%d, side=%s" % (i, side),
+                      lambda e: _push_shape_fault(e, i, side))
 
 
 @lru_cache(maxsize=4096)

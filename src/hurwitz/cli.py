@@ -139,16 +139,14 @@ def _parse_filter(text: str, d: int):
     if text == "full-monodromy":
         return text, is_full_monodromy
     if text.startswith("group="):
-        body = text[len("group="):]
-        sizes = []
-        for chunk in body.replace("×", "x").replace("*", "x").replace("+", "x").split("x"):
-            chunk = chunk.strip().lstrip("Ss").lstrip("_")
-            try:
-                sizes.append(int(chunk))
-            except ValueError:
-                raise UsageError("bad group filter %r" % text)
-        sizes.sort(reverse=True)
-        if sizes[-1] < 1:
+        # one spelling: plain decimal sizes, largest first, joined by x
+        parts = text[len("group="):].split("x")
+        try:
+            sizes = [int(part) for part in parts]
+        except ValueError:
+            raise UsageError("bad group filter %r" % text) from None
+        if (list(map(str, sizes)) != parts or sizes != sorted(sizes, reverse=True)
+                or sizes[-1] < 1):
             raise UsageError("bad group filter %r" % text)
         if sum(sizes) != d:
             raise UsageError("group filter %r does not partition %d points" % (text, d))
@@ -273,6 +271,8 @@ def _verify_row(args, d: int, h: int, w: int) -> tuple:
                 return ("sample", len(forms), "-", "FAIL",
                         "canonicalization failed on %s: %s" % (serialize(hs), exc))
         k = len(forms)
+        if not k:
+            return "sample", 0, "-", "INCONCLUSIVE", "no systems sampled"
         return ("sample", args.samples, k, "PASS" if k == 1 else "FAIL",
                 "" if k == 1 else "%d distinct canonical forms" % k)
     if n is not None and n > args.budget:

@@ -443,11 +443,14 @@ class Certificate(NamedTuple):
         """Re-execute the certificate: check the catalog hash, read and
         validate the start, apply every token through apply_move (with
         check_block_rewrite on each W token and the retype checks on
-        each R token) and compare the system reached with the end.  Only
+        each R token) and compare the system reached with the end.  The
+        word takes one spelling, its tokens joined by single spaces.  Only
         the parse of a token text is memoized; no move, check or
         verdict is."""
         if self.catalog != catalog_hash():
             raise MoveError("certificate was issued under a different move catalog")
+        if self.moves != " ".join(self.moves.split()):
+            raise MoveError("certificate moves are not tokens joined by single spaces")
         sys = deserialize(self.start)
         report = validate(sys)
         if not report.ok:

@@ -85,42 +85,40 @@ def relator_product(sys: HurwitzSystem) -> Perm:
 
 def validate(sys: HurwitzSystem) -> SystemReport:
     """Check every type invariant; report the first violation found."""
-    msgs = []
     if sys.d < 1:
-        msgs.append("degree must be at least 1, got %d" % sys.d)
-    if not msgs and len(sys.handles) % 2 != 0:
-        msgs.append("handles must come in (a_i, b_i) pairs, got %d entries" % len(sys.handles))
+        return SystemReport(False, ("degree must be at least 1, got %d" % sys.d,))
+    if len(sys.handles) % 2 != 0:
+        return SystemReport(False, ("handles must come in (a_i, b_i) pairs, got %d entries"
+                                    % len(sys.handles),))
     # every t_j a tuple key of the transposition table is a permutation
     # of degree d and a transposition, so only the handles need the checks
     known = False
-    if not msgs and sys.d <= MAX_DEGREE:
+    if sys.d <= MAX_DEGREE:
         try:
             known = transposition_points(sys.d).keys() >= set(sys.transpositions)
         except TypeError:  # a list entry
             pass
-    if not msgs:
-        entries = [("handle", p) for p in sys.handles]
-        if not known:
-            entries += [("transposition", p) for p in sys.transpositions]
-        for name, p in entries:
-            try:
-                check_perm(p)
-            except ValueError as exc:
-                msgs.append("bad %s entry: %s" % (name, exc))
-                break
-            if len(p) != sys.d:
-                msgs.append("%s entry has degree %d, system has d=%d" % (name, len(p), sys.d))
-                break
-    if not msgs and not known:
+    entries = [("handle", p) for p in sys.handles]
+    if not known:
+        entries += [("transposition", p) for p in sys.transpositions]
+    for name, p in entries:
+        try:
+            check_perm(p)
+        except ValueError as exc:
+            return SystemReport(False, ("bad %s entry: %s" % (name, exc),))
+        if len(p) != sys.d:
+            return SystemReport(False, ("%s entry has degree %d, system has d=%d"
+                                        % (name, len(p), sys.d),))
+    if not known:
         for j, t in enumerate(sys.transpositions, start=1):
             if not is_transposition(t):
-                msgs.append("t_%d is not a transposition: %s" % (j, format_perm(t)))
-                break
-    if not msgs and sys.w % 2 != 0:
-        msgs.append("w must be even, got %d" % sys.w)
-    if not msgs and relator_product(sys) != identity(sys.d):
-        msgs.append("relator product is not the identity")
-    return SystemReport(not msgs, tuple(msgs))
+                return SystemReport(False, ("t_%d is not a transposition: %s"
+                                            % (j, format_perm(t)),))
+    if sys.w % 2 != 0:
+        return SystemReport(False, ("w must be even, got %d" % sys.w,))
+    if relator_product(sys) != identity(sys.d):
+        return SystemReport(False, ("relator product is not the identity",))
+    return SystemReport(True, ())
 
 
 def genus(sys: HurwitzSystem) -> int:

@@ -225,37 +225,31 @@ def validate_peripheral(e: EndoMap) -> PeripheralReport:
     if e.inverse_images is None:
         raise ValueError("endomorphism carries no stored inverse")
     f = e.inverse()
-    msgs: list[str] = []
     for k in range(1, ctx.rank + 1):
         if e.images[k - 1] == f.images[k - 1] == (k,):
             continue
         if e.apply(f.image(k)) != (k,):
-            msgs.append("e(e^-1(%s)) != %s" % (ctx.name(k), ctx.name(k)))
-            break
+            return PeripheralReport(False, ("e(e^-1(%s)) != %s" % (ctx.name(k), ctx.name(k)),))
         if f.apply(e.image(k)) != (k,):
-            msgs.append("e^-1(e(%s)) != %s" % (ctx.name(k), ctx.name(k)))
-            break
+            return PeripheralReport(False, ("e^-1(e(%s)) != %s" % (ctx.name(k), ctx.name(k)),))
     pi: list[int] = []
-    if not msgs:
-        for j in range(1, ctx.w + 1):
-            k = ctx.g(j)
-            if e.images[k - 1] == (k,):
-                pi.append(j)
-                continue
-            core = cyclic_reduce(e.image(k))
-            if len(core) != 1 or core[0] <= 2 * ctx.h:
-                msgs.append("image of g%d is not a conjugate of a puncture generator" % j)
-                break
-            pi.append(core[0] - 2 * ctx.h)
-        if not msgs and sorted(pi) != list(range(1, ctx.w + 1)):
-            msgs.append("puncture assignment %r is not a bijection" % (pi,))
-    if not msgs:
-        r = relator(ctx)
-        if not is_conjugate(e.apply(r), r):
-            if is_conjugate(e.apply(r), invert_word(r)):
-                msgs.append("relator maps to a conjugate of its inverse (orientation reversed)")
-            else:
-                msgs.append("relator image is not conjugate to the relator")
-    if msgs:
-        return PeripheralReport(False, tuple(msgs), None)
+    for j in range(1, ctx.w + 1):
+        k = ctx.g(j)
+        if e.images[k - 1] == (k,):
+            pi.append(j)
+            continue
+        core = cyclic_reduce(e.image(k))
+        if len(core) != 1 or core[0] <= 2 * ctx.h:
+            return PeripheralReport(
+                False, ("image of g%d is not a conjugate of a puncture generator" % j,))
+        pi.append(core[0] - 2 * ctx.h)
+    if sorted(pi) != list(range(1, ctx.w + 1)):
+        return PeripheralReport(False, ("puncture assignment %r is not a bijection" % (pi,),))
+    r = relator(ctx)
+    image = e.apply(r)
+    if not is_conjugate(image, r):
+        if is_conjugate(image, invert_word(r)):
+            return PeripheralReport(
+                False, ("relator maps to a conjugate of its inverse (orientation reversed)",))
+        return PeripheralReport(False, ("relator image is not conjugate to the relator",))
     return PeripheralReport(True, (), tuple(pi))

@@ -3,6 +3,7 @@ agreement of the frozen file with a fresh bounded search."""
 
 import pytest
 
+from hurwitz import catalog
 from hurwitz.catalog import (CatalogError, Schemas, braid_endo, catalog_bytes,
                              catalog_hash, certified_braid_endo,
                              certified_push_endo, certify_push, get_schemas,
@@ -130,6 +131,33 @@ class TestTampering:
         bad = self.tampered("braid", "x", (("x", 1),))
         e = braid_endo(FreeContext(0, 3), 1, bad)
         assert not validate_peripheral(e).ok
+
+    def test_failed_braid_certification_text(self, monkeypatch):
+        # the catalog swapped under the cached certifier
+        bad = self.tampered("braid", "x", (("x", 1),))
+        monkeypatch.setattr(catalog, "get_schemas", lambda: bad)
+        certified_braid_endo.cache_clear()
+        try:
+            with pytest.raises(CatalogError) as info:
+                certified_braid_endo(0, 3, 1)
+        finally:
+            certified_braid_endo.cache_clear()
+        assert str(info.value) == (
+            "braid schema failed certification at (h=0, w=3, j=1): e(e^-1(g1)) != g1")
+
+    def test_failed_push_certification_texts(self):
+        s = get_schemas()
+        bad = self.tampered("push_a", "g", s.entry("push_a", "g")[:-1])
+        with pytest.raises(CatalogError) as info:
+            certify_push(FreeContext(2, 2), 2, "a", bad)
+        assert str(info.value) == ("push schema failed certification at "
+                                   "(h=2, w=2, i=2, side=a): e(e^-1(b2)) != b2")
+        bad = self.tampered("push_a", "b", s.entry("push_a", "b") + (("a", 1),))
+        bad.sections["push_a^-1"]["b"] = s.entry("push_a^-1", "b")[:-1] + (("b", 1), ("a", -1))
+        with pytest.raises(CatalogError) as info:
+            certify_push(FreeContext(1, 2), 1, "a", bad)
+        assert str(info.value) == ("push schema failed certification at "
+                                   "(h=1, w=2, i=1, side=a): the schema is not of push shape")
 
 
 class TestRederivation:

@@ -77,6 +77,14 @@ class TestVerify:
         out = capsys.readouterr().out
         assert " SKIP " in out and out.endswith("\nverify: INCONCLUSIVE\n")
 
+    def test_no_samples_is_inconclusive(self, capsys):
+        # no draw was made, so nothing is decided and nothing failed
+        assert main(["verify", "--case", "3,0,6", "--method", "sample", "--samples", "0"]) == 3
+        out = capsys.readouterr().out
+        row = [line for line in out.splitlines() if line.startswith("3    0    6")]
+        assert row == ["3    0    6    sample   0          -        INCONCLUSIVE no systems sampled"]
+        assert out.endswith("\nverify: INCONCLUSIVE\n")
+
     def test_budget_equal_to_population_passes(self, capsys):
         # the census floods all 4 systems into one orbit: nothing is left undecided
         assert main(["verify", "--case", "2,1,4", "--budget", "4"]) == 0
@@ -251,6 +259,14 @@ class TestConnectReplay:
             for spelled in ("\uff11,2", "1, 2", "0_1,2", "+1,2", "01,2")] + [
             dict(data, moves=data["moves"] + " " + tokens)
             for tokens in ("B01 B1'", "B+1 B1'", "B\uff11 B1'", "W1-\uff102:2,1;2,1")]
+        # the separators take one spelling too: single spaces, none at
+        # either end
+        word = data["moves"] + " B1 B1'"
+        cert_path.write_text(json.dumps(dict(data, moves=word)))
+        assert main(["replay", str(cert_path)]) == 0
+        capsys.readouterr()
+        forged += [dict(data, moves=spelled) for spelled in
+                   (word.replace(" ", "  "), word.replace(" ", "\t"), " " + word, word + "\n")]
         for cert in forged:
             cert_path.write_text(json.dumps(cert))
             assert main(["replay", str(cert_path)]) == 1

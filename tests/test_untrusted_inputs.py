@@ -292,6 +292,9 @@ def test_system_file_not_utf8_is_a_usage_error(tmp_path, capsys):
     ["verify", "--case", "5,1,10", "--method", "census", "--budget", "10000000000000"],
     ["explore", "--d", "3", "--h", "0", "--w", "2", "--filter", "group=-1x4"],
     ["explore", "--d", "3", "--h", "0", "--w", "2", "--filter", "group=0x3"],
+    # group=2x1 in any other spelling
+    *(["explore", "--d", "3", "--h", "0", "--w", "2", "--filter", "group=" + sizes]
+      for sizes in ("S2xS1", "S_2\u00d7S_1", "2*1", "2+1", " 2x1", "+2x1", "02x1", "1x2")),
     # refused before the range is expanded, which would exhaust memory
     ["count", "--d", "2", "--h", "0", "--w", "0..100000000000"],
     ["verify", "--d", "2", "--h", "0", "--w", "4..100000000000"],

@@ -4,8 +4,9 @@ import random
 
 import pytest
 
-from hurwitz.words import (EndoMap, FreeContext, commutator_word, concat,
-                           conjugate_parts, cyclic_reduce, identity_endo,
+from hurwitz.catalog import Schemas, braid_endo, get_schemas, push_endo
+from hurwitz.words import (EndoMap, FreeContext, PeripheralReport, commutator_word,
+                           concat, conjugate_parts, cyclic_reduce, identity_endo,
                            invert_word, is_conjugate, reduce_word, relator,
                            validate_peripheral)
 
@@ -195,3 +196,173 @@ class TestCertifyingMovedGenerators:
                 per_braid.add(len(calls))
         # two moved generators, each checked both ways, and the relator
         assert per_braid == {5}
+
+
+def validate_peripheral_oracle(e):
+    """validate_peripheral as it was when it collected its fault in a
+    message list behind guards instead of returning at the first one."""
+    ctx = e.ctx
+    if e.inverse_images is None:
+        raise ValueError("endomorphism carries no stored inverse")
+    f = e.inverse()
+    msgs = []
+    for k in range(1, ctx.rank + 1):
+        if e.images[k - 1] == f.images[k - 1] == (k,):
+            continue
+        if e.apply(f.image(k)) != (k,):
+            msgs.append("e(e^-1(%s)) != %s" % (ctx.name(k), ctx.name(k)))
+            break
+        if f.apply(e.image(k)) != (k,):
+            msgs.append("e^-1(e(%s)) != %s" % (ctx.name(k), ctx.name(k)))
+            break
+    pi = []
+    if not msgs:
+        for j in range(1, ctx.w + 1):
+            k = ctx.g(j)
+            if e.images[k - 1] == (k,):
+                pi.append(j)
+                continue
+            core = cyclic_reduce(e.image(k))
+            if len(core) != 1 or core[0] <= 2 * ctx.h:
+                msgs.append("image of g%d is not a conjugate of a puncture generator" % j)
+                break
+            pi.append(core[0] - 2 * ctx.h)
+        if not msgs and sorted(pi) != list(range(1, ctx.w + 1)):
+            msgs.append("puncture assignment %r is not a bijection" % (pi,))
+    if not msgs:
+        r = relator(ctx)
+        if not is_conjugate(e.apply(r), r):
+            if is_conjugate(e.apply(r), invert_word(r)):
+                msgs.append("relator maps to a conjugate of its inverse (orientation reversed)")
+            else:
+                msgs.append("relator image is not conjugate to the relator")
+    if msgs:
+        return PeripheralReport(False, tuple(msgs), None)
+    return PeripheralReport(True, (), tuple(pi))
+
+
+def catalog_instances(h_max, w_max):
+    """Every braid and push the catalog makes at h <= h_max, w <= w_max."""
+    for h in range(h_max + 1):
+        for w in range(w_max + 1):
+            ctx = FreeContext(h, w)
+            yield from (braid_endo(ctx, j) for j in range(1, w))
+            if w:
+                yield from (push_endo(ctx, i, side)
+                            for i in range(1, h + 1) for side in ("a", "b"))
+
+
+def tampered(section, letter, word):
+    sections = {name: dict(entries) for name, entries in get_schemas().sections.items()}
+    sections[section][letter] = word
+    return Schemas(sections)
+
+
+def tampered_maps():
+    """The catalog tampering tests' maps: each breaks one schema word."""
+    s = get_schemas()
+    yield push_endo(FreeContext(2, 2), 2, "a",
+                    tampered("push_a", "g", s.entry("push_a", "g")[:-1]))
+    yield push_endo(FreeContext(1, 2), 1, "b",
+                    tampered("push_b^-1", "a", s.entry("push_b^-1", "a")[:-1]))
+    transvection = tampered("push_a", "b", s.entry("push_a", "b") + (("a", 1),))
+    transvection.sections["push_a^-1"]["b"] = (s.entry("push_a^-1", "b")[:-1]
+                                               + (("b", 1), ("a", -1)))
+    for h, w in [(1, 2), (2, 4)]:
+        yield push_endo(FreeContext(h, w), 1, "a", transvection)
+    yield braid_endo(FreeContext(0, 3), 1, tampered("braid", "x", (("x", 1),)))
+
+
+def with_images(e, changes, inverse_changes):
+    """e with the given generator -> word images replaced."""
+    images, inverse = list(e.images), list(e.inverse_images)
+    for k, word in changes.items():
+        images[k - 1] = word
+    for k, word in inverse_changes.items():
+        inverse[k - 1] = word
+    return EndoMap(e.ctx, tuple(images), tuple(inverse))
+
+
+def faulty_maps(rng):
+    """(check, map) pairs: seeded maps, each failing the named check of
+    validate_peripheral.  The bijection check has no family: once the
+    inverse check passes, the map is an automorphism, whose action on
+    the abelianization is invertible, so no two punctures go to
+    conjugates of one puncture."""
+    h, w = rng.randrange(3), rng.randrange(2, 7)
+    ctx = FreeContext(h, w)
+    # a stored inverse wrong at the first generator the braid moves
+    j = rng.randrange(1, w)
+    e = braid_endo(ctx, j)
+    k = ctx.g(j)
+    word = e.inverse_images[k - 1]
+    while word == e.inverse_images[k - 1]:
+        word = reduce_word(rand_word(rng, ctx.rank, rng.randrange(1, 5)))
+    yield "e(e^-1(", with_images(e, {}, {k: word})
+    # a stored inverse that is only a right inverse: e kills m, and the
+    # inverse sends k < m to k m^+-1
+    k, m = sorted(rng.sample(range(1, ctx.rank + 1), 2))
+    m = rng.choice((m, -m))
+    yield "e^-1(e(", with_images(identity_endo(ctx), {abs(m): ()},
+                                 {k: rng.choice(((k, m), (m, k)))})
+    # an automorphism moving a puncture off the punctures
+    g = ctx.g(rng.randrange(1, w + 1))
+    x = rng.choice([y for y in range(1, ctx.rank + 1) if y != g])
+    x = rng.choice((x, -x))
+    yield "image of g", with_images(identity_endo(ctx), {g: (g, x)}, {g: (g, -x)})
+    yield "image of g", with_images(identity_endo(ctx), {g: (-g,)}, {g: (-g,)})
+    # a puncture swap that is no rotation of the relator
+    if w >= 3:
+        j = rng.randrange(1, w)
+        x, y = ctx.g(j), ctx.g(j + 1)
+        swap = {x: (y,), y: (x,)}
+        yield "relator image", with_images(identity_endo(ctx), swap, swap)
+    # a handle transvection by another handle's loop or a puncture
+    if h:
+        i = rng.randrange(1, h + 1)
+        a = ctx.a(i)
+        x = rng.choice([y for y in range(1, ctx.rank + 1) if y not in (a, ctx.b(i))])
+        x = rng.choice((x, -x))
+        yield "relator image", with_images(identity_endo(ctx), {a: (a, x)}, {a: (a, -x)})
+    # at w = 0 the handles reversed and each pair swapped: R -> R^-1
+    hh = rng.randrange(1, 4)
+    bare = FreeContext(hh, 0)
+    flip = {bare.a(i): (bare.b(hh + 1 - i),) for i in range(1, hh + 1)}
+    flip.update({bare.b(i): (bare.a(hh + 1 - i),) for i in range(1, hh + 1)})
+    yield "relator maps to a conjugate of its inverse", with_images(
+        identity_endo(bare), flip, {v[0]: (k,) for k, v in flip.items()})
+
+
+class TestValidatePeripheralOracle:
+    """validate_peripheral returns at its first fault; its reports equal
+    those of the message-list version it replaced."""
+
+    def test_catalog_instances_both_directions(self):
+        count = 0
+        for e in catalog_instances(2, 6):
+            for f in (e, e.inverse()):
+                got = validate_peripheral(f)
+                assert got == validate_peripheral_oracle(f), f
+                assert got.ok
+                count += 1
+        assert count == 2 * (3 * 15 + 2 * 6 + 4 * 6)
+
+    def test_tampered_maps(self):
+        reports = []
+        for e in tampered_maps():
+            got = validate_peripheral(e)
+            assert got == validate_peripheral_oracle(e), e
+            reports.append(got)
+        # the transvections are peripheral; catalog certification stops them
+        assert [r.ok for r in reports] == [False, False, True, True, False]
+
+    def test_seeded_faults_each_fail_their_check(self):
+        rng = random.Random("validate_peripheral")
+        checks = set()
+        for _ in range(40):
+            for check, e in faulty_maps(rng):
+                got = validate_peripheral(e)
+                assert got == validate_peripheral_oracle(e), e
+                assert not got.ok and got.messages[0].startswith(check), (check, got)
+                checks.add(check)
+        assert len(checks) == 5
