@@ -22,9 +22,9 @@ from .words import (
     EndoMap,
     FreeContext,
     Word,
-    commutator_word,
     concat,
     conjugate_parts,
+    handle_block_word,
     invert_word,
     validate_peripheral,
 )
@@ -132,12 +132,6 @@ def _substitute(tokens: TokenWord, mapping: dict[str, Word]) -> Word:
     for name, sign in tokens:
         word = mapping[name]
         parts.append(word if sign > 0 else invert_word(word))
-    return concat(*parts)
-
-
-def handle_block_word(ctx: FreeContext, i: int) -> Word:
-    """[a_1,b_1] ... [a_{i-1},b_{i-1}], the K token for handle i."""
-    parts = [commutator_word((ctx.a(k),), (ctx.b(k),)) for k in range(1, i)]
     return concat(*parts)
 
 

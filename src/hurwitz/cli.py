@@ -382,14 +382,16 @@ def cmd_connect(args) -> int:
         print("inconclusive: %s" % exc)
         return EXIT_BUDGET
     if cert is None:
-        # both components exhausted without meeting; report each orbit
+        # one component exhausted without meeting the other; report each
+        # orbit, flooded within the budget
         moves = compile_moves(source.d, source.h, source.w, args.moves)
         lines = _header(args, "moves %s" % args.moves)
         lines.append("disconnected under the %s move set" % args.moves)
         for label, hs in (("source", source), ("target", target)):
-            flood = orbit_bfs(hs, moves)
-            lines.append("%s orbit: size %d, representative %s"
-                         % (label, flood.size, flood.representative()))
+            flood = orbit_bfs(hs, moves, args.budget)
+            cut = " or more (cut by the budget)" if flood.partial else ""
+            lines.append("%s orbit: size %d%s, representative %s"
+                         % (label, flood.size, cut, flood.representative()))
         print("\n".join(lines))
         return EXIT_FAIL
     cert.replay()
@@ -405,7 +407,7 @@ def _replay_certificate(path: str) -> int:
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except ValueError as exc:  # bad JSON or bad UTF-8
+    except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8 or nested too deep
         raise UsageError("%s: not a certificate: %s" % (path, exc))
     if not isinstance(data, dict):
         raise UsageError("%s: a certificate is a JSON object" % path)
@@ -728,7 +730,8 @@ def _resolve_defaults(args) -> None:
         try:
             with open(args.config, encoding="utf-8") as fh:
                 config = json.load(fh)
-        except (OSError, ValueError) as exc:  # unreadable, bad UTF-8 or bad JSON
+        except (OSError, ValueError, RecursionError) as exc:
+            # unreadable, bad UTF-8, bad JSON or nested too deep
             raise UsageError("bad config file %s: %s" % (args.config, exc))
         if not isinstance(config, dict):
             raise UsageError("config file must hold a JSON object")

@@ -41,17 +41,21 @@ a linear scan over C. Side b is symmetric with [e(a), b].
 
 Inverse maps are found the same way: the inverse of a push is a push
 along the reversed loop, so it has the same shape but its conjugators
-may involve g, and it is pinned down by e(f(g)) = g and
-e(f(x)) = x rather than by the relator.
+may involve g, and it is pinned down by words.inverse_fault, the
+check the catalog's certification runs, rather than by the relator.
+A schema is a words.EndoMap of the token group, a FreeContext(0, 6)
+whose six generators are the tokens in the order below.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
-from .words import Word, concat, invert_word, reduce_word, strip_conjugate
+from .words import (EndoMap, FreeContext, Word, concat, identity_endo, inverse_fault,
+                    invert_word, reduce_word, strip_conjugate)
 
 A, B, G, K, Q, T = 1, 2, 3, 4, 5, 6
+TOKEN_GROUP = FreeContext(0, 6)
 TOKEN_NAMES = {A: "a", B: "b", G: "g", K: "K", Q: "Q", T: "T"}
 
 RELATOR_TOKENS: Word = (Q, G, K, A, B, -A, -B, T)
@@ -77,31 +81,22 @@ def words_by_length(alphabet: tuple[int, ...], max_len: int) -> Iterator[list[Wo
         yield level
 
 
-class PushSchema(NamedTuple):
-    """Token images of the two generators a push moves; rest are fixed."""
+class PushSchema(EndoMap):
+    """A push as a map of the token group: g and the moved loop, the one
+    crossing the push path (b for side "a", a for side "b"), change and
+    the rest are fixed."""
 
-    side: str  # "a" or "b": the handle loop the puncture travels around
-    g_image: Word
-    moved: int  # B for side "a", A for side "b": the loop crossing the push path
-    moved_image: Word
+    @property
+    def moved(self) -> int:
+        return B if self.images[A - 1] == (A,) else A
 
-    def images(self) -> dict[int, Word]:
-        imgs = {k: (k,) for k in (A, B, G, K, Q, T)}
-        imgs[G] = self.g_image
-        imgs[self.moved] = self.moved_image
-        return imgs
+    @property
+    def g_image(self) -> Word:
+        return self.images[G - 1]
 
-
-def apply_token_images(images: dict[int, Word], word: Word) -> Word:
-    parts = []
-    for x in word:
-        img = images[abs(x)]
-        parts.append(img if x > 0 else invert_word(img))
-    return concat(*parts)
-
-
-def schema_relator_image(s: PushSchema) -> Word:
-    return apply_token_images(s.images(), RELATOR_TOKENS)
+    @property
+    def moved_image(self) -> Word:
+        return self.images[self.moved - 1]
 
 
 def push_pair_from_conjugate(side: str, g_image: Word) -> Word | None:
@@ -137,9 +132,11 @@ def search_push_family(side: str, max_len: int = 8) -> Iterator[PushSchema]:
     """Nontrivial ansatz solutions of e(R) = R, conjugators shortest
     first; the scan order is deterministic, so so is the yield order.
     An inverse push is a push along the reversed loop, so inverses
-    appear in this same family, with g in their conjugators."""
+    appear in this same family, with g in their conjugators.  No
+    solution repeats: e(g) = C g^e C^-1 is reduced as written, so it
+    gives back its C and e, and e(moved) is a function of e(g)."""
     moved = B if side == "a" else A
-    seen: set[tuple[Word, Word]] = set()
+    base = identity_endo(TOKEN_GROUP).images
     for level in words_by_length(CONJUGATOR_TOKENS, max_len):
         for c in level:
             if c and abs(c[-1]) == G:
@@ -151,23 +148,11 @@ def search_push_family(side: str, max_len: int = 8) -> Iterator[PushSchema]:
                 y = push_pair_from_conjugate(side, g_image)
                 if y is None or y == (moved,):
                     continue
-                key = (g_image, y)
-                if key in seen:
-                    continue
-                seen.add(key)
-                s = PushSchema(side, g_image, moved, y)
-                assert schema_relator_image(s) == reduce_word(RELATOR_TOKENS)
+                images = list(base)
+                images[G - 1], images[moved - 1] = g_image, y
+                s = PushSchema(TOKEN_GROUP, tuple(images))
+                assert s.apply(RELATOR_TOKENS) == RELATOR_TOKENS
                 yield s
-
-
-def compose_is_identity(e: PushSchema, f: PushSchema) -> bool:
-    ei, fi = e.images(), f.images()
-    for k in (A, B, G, K, Q, T):
-        if apply_token_images(ei, fi[k]) != (k,):
-            return False
-        if apply_token_images(fi, ei[k]) != (k,):
-            return False
-    return True
 
 
 def solve_push_schemas(max_len: int = 8) -> dict[str, tuple[PushSchema, PushSchema]]:
@@ -175,12 +160,11 @@ def solve_push_schemas(max_len: int = 8) -> dict[str, tuple[PushSchema, PushSche
     with the first later member that composes with it to the identity."""
     out: dict[str, tuple[PushSchema, PushSchema]] = {}
     for side in ("a", "b"):
-        fwd = None
-        inverse = None
+        fwd = inverse = None
         for s in search_push_family(side, max_len):
             if fwd is None:
                 fwd = s
-            elif compose_is_identity(fwd, s):
+            elif inverse_fault(EndoMap(TOKEN_GROUP, fwd.images, s.images)) is None:
                 inverse = s
                 break
         if fwd is None:

@@ -672,9 +672,18 @@ def _census_by_count(kernel: _Kernel, budget: int | None) -> list[OrbitRecord] |
     system that has all frobenius.full_monodromy_count of them is the
     whole population, so it is the one orbit; that system is
     systems.full_monodromy_seed, built, not drawn.  None when no count is
-    known, the budget is below the count, no seed is constructed, or the
-    orbit is smaller (several orbits); the enumerating census decides
-    those.  An empty list when the count is 0.
+    known, the budget is below the count, or the orbit is smaller
+    (several orbits); the enumerating census decides those.  An empty
+    list when the count is 0.
+
+    A nonzero count always has a seed.  full_monodromy_count is None at
+    w = 0 with h >= 1 (d >= 3 is neither at most 2 nor h = 0, and a
+    prime d needs w > 0), and a system has even w, since t_1 ... t_w is
+    a product of commutators and so even.  So at h >= 1 a nonzero count
+    has even w >= 2; at h = 0 a full-monodromy system is a connected
+    cover of the sphere, whose genus 1 - d + w/2 (Riemann-Hurwitz) is
+    at least 0, so w >= 2(d - 1).  Those are the parameters
+    full_monodromy_seed builds a seed for.
 
     The orbit is flooded modulo simultaneous conjugation
     (_Kernel.flood_classes), from d!-fold fewer states: S_d acts freely
@@ -696,8 +705,6 @@ def _census_by_count(kernel: _Kernel, budget: int | None) -> list[OrbitRecord] |
     if not count:
         return []
     seed = full_monodromy_seed(d, h, w)
-    if seed is None:
-        return None
     # flood one level past count // d! classes, so a count that is too
     # small shows
     n = kernel.ranks.n

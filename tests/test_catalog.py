@@ -1,6 +1,8 @@
 """Schema catalog: parsing, certification, tamper rejection, and
 agreement of the frozen file with a fresh bounded search."""
 
+import os
+
 import pytest
 
 from hurwitz import catalog
@@ -8,8 +10,9 @@ from hurwitz.catalog import (CatalogError, Schemas, braid_endo, catalog_bytes,
                              catalog_hash, certified_braid_endo,
                              certified_push_endo, certify_push, get_schemas,
                              handle_block_word, parse_schemas, push_endo)
-from hurwitz.derive import format_token_word, search_push_family
-from hurwitz.words import FreeContext, validate_peripheral
+from hurwitz.derive import (A, B, G, K, TOKEN_GROUP, PushSchema, catalog_text,
+                            format_token_word, search_push_family)
+from hurwitz.words import EndoMap, FreeContext, identity_endo, inverse_fault, validate_peripheral
 
 # the shipped file is frozen; the moves and every certificate hash it
 FROZEN_HASH = "61ed0bf42abadccddf4e40c49bc3e7ffe629624e0d730386348f2e4861ea7d6f"
@@ -56,6 +59,31 @@ class TestParsing:
     def test_parse_rejects_stray_line(self):
         with pytest.raises(CatalogError, match="line 1"):
             parse_schemas("x: y\n")
+
+    @pytest.mark.parametrize("text,message", [
+        ("[braid2]\n", "line 1: unknown section [braid2]"),
+        ("[braid]\nz: y\n", "line 2: unexpected entry 'z' in [braid]"),
+        ("[push_a]\ng: g\na: g\n", "line 3: unexpected entry 'a' in [push_a]"),
+        ("[braid]\nx: y\nx: y\n", "line 3: duplicate entry 'x'"),
+    ])
+    def test_parse_rejects_bad_lines(self, text, message):
+        with pytest.raises(CatalogError) as info:
+            parse_schemas(text)
+        assert str(info.value) == message
+
+    def test_parse_rejects_missing_entry(self):
+        text = catalog_bytes().decode().replace("[braid^-1]\nx: x y x^-1\ny: x\n",
+                                                "[braid^-1]\nx: x y x^-1\n")
+        with pytest.raises(CatalogError) as info:
+            parse_schemas(text)
+        assert str(info.value) == "section [braid^-1] is missing entry 'y'"
+
+    def test_parse_reads_one_as_the_empty_word(self):
+        text = catalog_bytes().decode()
+        for word in ("1", " 1 ", ""):
+            s = parse_schemas(text.replace("[braid]\nx: y\n", "[braid]\nx:%s\n" % word))
+            assert s.entry("braid", "x") == ()
+            assert s.entry("braid", "y") == get_schemas().entry("braid", "y")
 
 
 class TestCertification:
@@ -172,3 +200,28 @@ class TestRederivation:
             assert format_token_word(found.g_image) == fmt(s.entry("push_" + side, "g"))
             assert format_token_word(found.moved_image) == fmt(
                 s.entry("push_" + side, moved))
+
+    def test_frozen_schemas_pair_by_the_inverse_check(self):
+        # solve_push_schemas pairs a schema with the first later member
+        # of its family that words.inverse_fault passes: the frozen pairs
+        # pass it in the token group, and no schema is its own inverse
+        tokens = {"a": A, "b": B, "g": G, "K": K}
+        s = get_schemas()
+
+        def schema(section, moved):
+            images = list(identity_endo(TOKEN_GROUP).images)
+            for letter in ("g", moved):
+                images[tokens[letter] - 1] = tuple(
+                    sign * tokens[name] for name, sign in s.entry(section, letter))
+            return PushSchema(TOKEN_GROUP, tuple(images))
+        for side, moved in (("a", "b"), ("b", "a")):
+            fwd, inv = schema("push_" + side, moved), schema("push_%s^-1" % side, moved)
+            assert fwd.moved == inv.moved == tokens[moved]
+            assert inverse_fault(EndoMap(TOKEN_GROUP, fwd.images, inv.images)) is None
+            assert inverse_fault(EndoMap(TOKEN_GROUP, fwd.images, fwd.images)) is not None
+
+    @pytest.mark.skipif(not os.environ.get("HURWITZ_REGENERATE_CATALOG"),
+                        reason="about 75 s of CPU; set HURWITZ_REGENERATE_CATALOG=1 to run")
+    def test_writer_reproduces_the_catalog_file(self):
+        # the whole writer, inverse schemas at bound 8 included
+        assert catalog_text().encode("utf-8") == catalog_bytes()

@@ -228,6 +228,25 @@ class TestConnectReplay:
         out = capsys.readouterr().out
         assert "disconnected" in out and "source orbit" in out
 
+    def test_disconnection_report_keeps_the_budget(self, tmp_path, capsys):
+        # the source's braid orbit is itself; the target's holds 19,680
+        # systems, which a budget of 100 cuts at a level boundary
+        t12, t23, e = transposition(3, 1, 2), transposition(3, 2, 3), identity(3)
+        src = write_system(tmp_path, "src.txt", HurwitzSystem(3, (e, e), (t12,) * 10))
+        dst = write_system(tmp_path, "dst.txt",
+                           HurwitzSystem(3, (e, e), (t12, t12, t23, t23) + (t12,) * 6))
+        assert main(["connect", src, dst, "--moves", "braid"]) == 1
+        *_, source, target = capsys.readouterr().out.splitlines()
+        assert source.startswith("source orbit: size 1, representative d=3 ")
+        assert target.startswith("target orbit: size 19680, representative d=3 ")
+        assert main(["connect", src, dst, "--moves", "braid", "--budget", "100"]) == 1
+        *_, cut_source, cut_target = capsys.readouterr().out.splitlines()
+        assert cut_source == source
+        words = cut_target.split()
+        assert words[:3] == ["target", "orbit:", "size"]
+        assert 100 <= int(words[3]) < 19680
+        assert " or more (cut by the budget), representative d=3 " in cut_target
+
     def test_mixed_degrees_usage_error(self, tmp_path, capsys):
         t12, t23 = transposition(3, 1, 2), transposition(3, 2, 3)
         src = write_system(tmp_path, "src.txt", torus())

@@ -277,6 +277,58 @@ def test_compiled_moves_follow_the_catalog(monkeypatch):
     assert (braid(hs, 1), braid(hs, 1, inverse_move=True)) == (forward, backward)
 
 
+class TestPushContractFaults:
+    """check_push_contract's raises, each reached through a handle_push
+    that returns a chosen system forward and another backward."""
+
+    def setup_method(self):
+        t12, t23, e = transposition(3, 1, 2), transposition(3, 2, 3), identity(3)
+        self.hs = HurwitzSystem(3, (e, e), (t12, t12, t23, t23))
+        self.narrow = HurwitzSystem(3, (e, e), (t12,) * 4)  # monodromy of order 2
+        self.invalid = HurwitzSystem(3, (e, e), (t12, t12, t23, t12))
+
+    def fault(self, monkeypatch, forward, backward) -> str:
+        monkeypatch.setattr(moves, "handle_push", lambda sys, i, side, inverse_move=False:
+                            backward if inverse_move else forward)
+        with pytest.raises(MoveError) as info:
+            check_push_contract(self.hs, 1, "a")
+        return str(info.value)
+
+    def test_unpatched_contract_holds(self):
+        assert validate(self.hs).ok and validate(self.narrow).ok
+        assert check_push_contract(self.hs, 1, "a") == handle_push(self.hs, 1, "a")
+
+    def test_invalid_result(self, monkeypatch):
+        message = self.fault(monkeypatch, self.invalid, self.hs)
+        assert message == "push left the Hurwitz space: " + validate(self.invalid).messages[0]
+
+    def test_inverse_that_does_not_restore(self, monkeypatch):
+        message = self.fault(monkeypatch, self.hs, self.narrow)
+        assert message == "inverse push failed to restore the system"
+
+    def test_changed_monodromy(self, monkeypatch):
+        message = self.fault(monkeypatch, self.narrow, self.hs)
+        assert message == "push changed the monodromy group order"
+
+
+class TestMoveFaults:
+    def test_push_needs_a_puncture(self):
+        e = identity(2)
+        with pytest.raises(MoveError, match="point-push needs at least one puncture"):
+            handle_push(HurwitzSystem(2, (e, e), ()), 1, "a")
+
+    def test_retype_target_is_a_transposition(self):
+        t12 = transposition(3, 1, 2)
+        hs = HurwitzSystem(3, (), (t12, t12, t12, t12))
+        with pytest.raises(MoveError, match="retype target is not a transposition"):
+            pair_retype(hs, 1, (2, 3, 1))
+
+    def test_unknown_move_kind(self):
+        t12 = transposition(2, 1, 2)
+        with pytest.raises(MoveError, match="unknown move kind 'swap'"):
+            apply_move(HurwitzSystem(2, (), (t12, t12)), moves.Move("swap", 1))
+
+
 class TestMacros:
     def setup_method(self):
         t12 = transposition(3, 1, 2)

@@ -3,7 +3,7 @@ window rewrites, monodromy repair, handle trivialization, and the
 canonical form."""
 
 import random
-from itertools import permutations
+from itertools import islice, permutations
 
 import pytest
 
@@ -428,6 +428,24 @@ class TestCanonical:
                 assert token[0] in ("B", "P"), token
             assert serialize(cert.replay()) == serialize(form)
             done += 1
+
+    @pytest.mark.parametrize("d,h,w", [(3, 1, 6), (4, 1, 8)])
+    def test_validate_mode_justifies_retypes(self, d, h, w):
+        # draws with two or more branching blocks are rare (about 1 in
+        # 300 at (3,1,6), 7 in 300 at (4,1,8)), and only they make the
+        # repair retype, so only they reach validate mode's connect
+        rng = random.Random("multi-block:%d:%d:%d" % (d, h, w))
+        draws = (random_system(d, h, w, rng, is_full_monodromy) for _ in range(1000))
+        multi = list(islice((hs for hs in draws if len(branching_blocks(hs)) > 1), 2))
+        assert len(multi) == 2
+        for hs in multi:
+            _, fast = canonicalize(hs)
+            assert any(token[0] == "R" for token in fast.moves.split())
+            form, cert = canonicalize(hs, mode="validate")
+            assert form == canonical_star(d, h, w)
+            for token in cert.moves.split():
+                assert token[0] in ("B", "P"), token
+            assert cert.replay() == form
 
     def test_preconditions(self):
         rng = random.Random(27)

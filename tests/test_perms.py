@@ -377,6 +377,16 @@ class TestGroups:
         ts = [transposition(4, 1, 2), transposition(4, 3, 4)]
         assert transposition_blocks(ts, 4) == [(1, 2), (3, 4)]
 
+    def test_transposition_blocks_refuses_other_permutations(self):
+        with pytest.raises(ValueError, match="not a transposition"):
+            transposition_blocks([transposition(4, 1, 2), (2, 3, 1, 4)], 4)
+        with pytest.raises(ValueError, match="not a transposition"):
+            transposition_blocks([identity(4)], 4)
+
+    def test_group_generators_share_the_degree(self):
+        with pytest.raises(ValueError, match="generator degree 3 does not match d=4"):
+            PermGroup([transposition(4, 1, 2), transposition(3, 1, 2)], 4)
+
     def test_transpositions_generate_the_block_product(self):
         # transposition_blocks relies on this without checking it: a set of
         # transpositions generates the product of the symmetric groups on

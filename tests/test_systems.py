@@ -267,6 +267,10 @@ class TestCounts:
         (3, 2, 6): 314928,
     }
 
+    def test_count_systems_stops_past_degree_six(self):
+        with pytest.raises(ValueError, match="limited to d <= 6"):
+            S.count_systems(7, 0, 2)
+
     def test_count_systems_oracles(self):
         for (d, h, w), n in self.CASES.items():
             assert S.count_systems(d, h, w) == n, (d, h, w)
@@ -356,6 +360,11 @@ def test_no_seed_is_constructed_at_degree_one():
 
 
 class TestRandom:
+    @pytest.mark.parametrize("w", [0, 3])
+    def test_needs_even_positive_w(self, w):
+        with pytest.raises(ValueError, match="need even w >= 2 to sample"):
+            S.random_system(3, 1, w, random.Random(1))
+
     def test_valid_and_seed_stable(self):
         a = S.random_system(4, 1, 8, random.Random(3))
         b = S.random_system(4, 1, 8, random.Random(3))

@@ -236,6 +236,22 @@ def test_malformed_certificate_is_a_usage_error(tmp_path, capsys, data, message)
     assert message in one_error_line(capsys)
 
 
+# nested past the JSON decoder's recursion limit
+DEEP_JSON = b"[" * 100000 + b"]" * 100000
+
+
+def test_deeply_nested_certificate_is_a_usage_error(tmp_path, capsys):
+    assert replay(tmp_path, DEEP_JSON) == 2
+    assert "not a certificate" in one_error_line(capsys)
+
+
+def test_deeply_nested_config_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(DEEP_JSON)
+    assert main(["verify", "--case", "2,1,4", "--config", str(path)]) == 2
+    assert "bad config file" in one_error_line(capsys)
+
+
 @pytest.mark.parametrize("config,message", [
     ({"budget": "abc"}, "config budget must be int"),
     ({"samples": True}, "config samples must be int"),
