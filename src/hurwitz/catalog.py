@@ -4,11 +4,14 @@ Elementary moves are stored as words over schema tokens in a data file
 (``data/catalog.txt``) rather than as code: braid moves over the pair
 x, y of adjacent puncture generators, handle point-pushes over the
 tokens a, b (the pushed handle's loops), g (the last puncture) and K
-(the commutator block of all earlier handles).  This module parses the
-file, substitutes concrete generators per (h, w, position), and
-certifies every instance against the peripheral contract, pushes
-also against their shape, before release.  The file's SHA-256 is
-stamped into reports so two runs can be compared move-for-move.
+(the commutator block of all earlier handles); a section's word holds
+its k-th token as letter k.  This module is the one reader and writer
+of that text: it parses the file, spells it back (schema_text, which
+derive's search writes the file with), substitutes concrete
+generators per (h, w, position) by words.substitute, and certifies
+every instance against the peripheral contract, pushes also against
+their shape, before release.  The file's SHA-256 is stamped into
+reports so two runs can be compared move-for-move.
 """
 
 from __future__ import annotations
@@ -22,57 +25,63 @@ from .words import (
     EndoMap,
     FreeContext,
     Word,
-    concat,
     conjugate_parts,
     handle_block_word,
-    invert_word,
+    substitute,
     validate_peripheral,
 )
-
-# (token, sign) pairs; sign is +1 or -1
-TokenWord = tuple[tuple[str, int], ...]
 
 BRAID_TOKENS = ("x", "y")
 PUSH_TOKENS = ("a", "b", "g", "K")
 
-_SECTIONS = ("braid", "braid^-1", "push_a", "push_a^-1", "push_b", "push_b^-1")
-_ENTRIES = {
-    "braid": ("x", "y"),
-    "braid^-1": ("x", "y"),
-    "push_a": ("g", "b"),
-    "push_a^-1": ("g", "b"),
-    "push_b": ("g", "a"),
-    "push_b^-1": ("g", "a"),
-}
+# each section's entry tokens, sections and entries in file order
+_ENTRIES = {"braid": ("x", "y"), "braid^-1": ("x", "y"), "push_a": ("g", "b"),
+            "push_a^-1": ("g", "b"), "push_b": ("g", "a"), "push_b^-1": ("g", "a")}
+
+_HEADER = """\
+# Elementary move schemas for Hurwitz systems.
+# Words are over schema tokens; unlisted generators are fixed.
+#   braid blocks:  x, y = the adjacent puncture generators g_j, g_j+1
+#   push blocks:   a, b = the loop pair of the pushed handle,
+#                  g = the last puncture generator,
+#                  K = product of commutators of all earlier handles
+# Push conjugators were found by bounded search and certified by the
+# exact relator identity on token words; do not edit by hand.
+"""
 
 
 class CatalogError(Exception):
     """Schema file missing, malformed, or failing certification."""
 
 
-def _parse_token(text: str, alphabet: tuple[str, ...]) -> tuple[str, int]:
-    sign = 1
-    if text.endswith("^-1"):
-        sign, text = -1, text[:-3]
-    if text not in alphabet:
-        raise CatalogError("unknown schema token %r" % text)
-    return text, sign
+def _section_tokens(section: str) -> tuple[str, ...]:
+    """The tokens a section's words are over: token k is letter k."""
+    return BRAID_TOKENS if section.startswith("braid") else PUSH_TOKENS
 
 
-def _parse_token_word(text: str, alphabet: tuple[str, ...]) -> TokenWord:
-    text = text.strip()
-    if not text or text == "1":
-        return ()
-    return tuple(_parse_token(piece, alphabet) for piece in text.split())
+def _parse_word(text: str, tokens: tuple[str, ...]) -> Word:
+    letters = []
+    for piece in [] if text.strip() == "1" else text.split():
+        name = piece.removesuffix("^-1")
+        if name not in tokens:
+            raise CatalogError("unknown schema token %r" % name)
+        letters.append((tokens.index(name) + 1) * (1 if name == piece else -1))
+    return tuple(letters)
+
+
+def spell_word(word: Word, tokens: tuple[str, ...]) -> str:
+    """word as schema text over tokens, the empty word as 1."""
+    return " ".join(tokens[abs(x) - 1] + ("^-1" if x < 0 else "") for x in word) or "1"
 
 
 class Schemas(NamedTuple):
-    """Parsed schema file: section -> entry letter -> token word."""
+    """Parsed schema file: section -> entry token -> word, whose letter
+    k is the section's token k."""
 
     sections: dict
 
-    def entry(self, section: str, letter: str) -> TokenWord:
-        return self.sections[section][letter]
+    def entry(self, section: str, token: str) -> Word:
+        return self.sections[section][token]
 
 
 def parse_schemas(text: str) -> Schemas:
@@ -84,7 +93,7 @@ def parse_schemas(text: str) -> Schemas:
             continue
         if line.startswith("[") and line.endswith("]"):
             name = line[1:-1]
-            if name not in _SECTIONS:
+            if name not in _ENTRIES:
                 raise CatalogError("line %d: unknown section [%s]" % (lineno, name))
             if name in sections:
                 raise CatalogError("line %d: duplicate section [%s]" % (lineno, name))
@@ -93,21 +102,32 @@ def parse_schemas(text: str) -> Schemas:
             continue
         if current is None or ":" not in line:
             raise CatalogError("line %d: expected 'letter: word'" % lineno)
-        letter, _, word = line.partition(":")
-        letter = letter.strip()
-        alphabet = BRAID_TOKENS if current.startswith("braid") else PUSH_TOKENS
-        if letter not in _ENTRIES[current]:
-            raise CatalogError("line %d: unexpected entry %r in [%s]" % (lineno, letter, current))
-        if letter in sections[current]:
-            raise CatalogError("line %d: duplicate entry %r" % (lineno, letter))
-        sections[current][letter] = _parse_token_word(word, alphabet)
-    for name in _SECTIONS:
+        token, _, word = line.partition(":")
+        token = token.strip()
+        if token not in _ENTRIES[current]:
+            raise CatalogError("line %d: unexpected entry %r in [%s]" % (lineno, token, current))
+        if token in sections[current]:
+            raise CatalogError("line %d: duplicate entry %r" % (lineno, token))
+        sections[current][token] = _parse_word(word, _section_tokens(current))
+    for name, entries in _ENTRIES.items():
         if name not in sections:
             raise CatalogError("missing section [%s]" % name)
-        for letter in _ENTRIES[name]:
-            if letter not in sections[name]:
-                raise CatalogError("section [%s] is missing entry %r" % (name, letter))
+        for token in entries:
+            if token not in sections[name]:
+                raise CatalogError("section [%s] is missing entry %r" % (name, token))
     return Schemas(sections)
+
+
+def schema_text(sections: dict) -> str:
+    """The schema file of sections, as parse_schemas reads it: the
+    header, then each section's entries in file order."""
+    lines = [_HEADER]
+    for name, entries in _ENTRIES.items():
+        lines.append("[%s]" % name)
+        lines += ["%s: %s" % (token, spell_word(sections[name][token], _section_tokens(name)))
+                  for token in entries]
+        lines.append("")
+    return "\n".join(lines)
 
 
 def catalog_bytes() -> bytes:
@@ -127,27 +147,20 @@ def get_schemas() -> Schemas:
 # ---------------------------------------------------------------------------
 # instantiation
 
-def _substitute(tokens: TokenWord, mapping: dict[str, Word]) -> Word:
-    parts = []
-    for name, sign in tokens:
-        word = mapping[name]
-        parts.append(word if sign > 0 else invert_word(word))
-    return concat(*parts)
-
-
-def _instance(ctx: FreeContext, section: str, mapping: dict[str, Word],
+def _instance(ctx: FreeContext, section: str, mapping: tuple[Word, ...],
               schemas: Schemas | None) -> EndoMap:
-    """The map a section's schemas make under mapping: each letter of
-    _ENTRIES[section] names a one-generator word in mapping, and that
-    generator's image and stored inverse image are the section's word
-    and the ^-1 section's word; every other generator is fixed."""
+    """The map a section's schemas make under mapping, the words its
+    tokens stand for: each entry token names a one-generator word in
+    mapping, and that generator's image and stored inverse image are
+    the section's word and the ^-1 section's word; every other
+    generator is fixed."""
     s = schemas or get_schemas()
     images = [(k,) for k in range(1, ctx.rank + 1)]
     inverse = list(images)
-    for letter in _ENTRIES[section]:
-        (k,) = mapping[letter]
-        images[k - 1] = _substitute(s.entry(section, letter), mapping)
-        inverse[k - 1] = _substitute(s.entry(section + "^-1", letter), mapping)
+    for token in _ENTRIES[section]:
+        (k,) = mapping[_section_tokens(section).index(token)]
+        images[k - 1] = substitute(mapping, s.entry(section, token))
+        inverse[k - 1] = substitute(mapping, s.entry(section + "^-1", token))
     return EndoMap(ctx, tuple(images), tuple(inverse))
 
 
@@ -155,7 +168,7 @@ def braid_endo(ctx: FreeContext, j: int, schemas: Schemas | None = None) -> Endo
     """The braid move at punctures j, j+1 as a free group map."""
     if not 1 <= j <= ctx.w - 1:
         raise ValueError("braid position %d out of range 1..%d" % (j, ctx.w - 1))
-    return _instance(ctx, "braid", {"x": (ctx.g(j),), "y": (ctx.g(j + 1),)}, schemas)
+    return _instance(ctx, "braid", ((ctx.g(j),), (ctx.g(j + 1),)), schemas)
 
 
 def push_endo(ctx: FreeContext, i: int, side: str, schemas: Schemas | None = None) -> EndoMap:
@@ -171,8 +184,7 @@ def push_endo(ctx: FreeContext, i: int, side: str, schemas: Schemas | None = Non
         raise ValueError("point-push needs at least one puncture")
     if side not in ("a", "b"):
         raise ValueError("side must be 'a' or 'b', got %r" % side)
-    mapping = {"a": (ctx.a(i),), "b": (ctx.b(i),), "g": (ctx.g(ctx.w),),
-               "K": handle_block_word(ctx, i)}
+    mapping = ((ctx.a(i),), (ctx.b(i),), (ctx.g(ctx.w),), handle_block_word(ctx, i))
     return _instance(ctx, "push_" + side, mapping, schemas)
 
 

@@ -44,31 +44,29 @@ along the reversed loop, so it has the same shape but its conjugators
 may involve g, and it is pinned down by words.inverse_fault, the
 check the catalog's certification runs, rather than by the relator.
 A schema is a words.EndoMap of the token group, a FreeContext(0, 6)
-whose six generators are the tokens in the order below.
+whose six generators are the tokens in the order below.  Its first four
+are the catalog's push tokens in catalog order, so a schema's words
+are the catalog's words as they stand, and catalog.schema_text spells
+the file.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
 
+from .catalog import PUSH_TOKENS, schema_text
 from .words import (EndoMap, FreeContext, Word, concat, identity_endo, inverse_fault,
                     invert_word, reduce_word, strip_conjugate)
 
 A, B, G, K, Q, T = 1, 2, 3, 4, 5, 6
 TOKEN_GROUP = FreeContext(0, 6)
-TOKEN_NAMES = {A: "a", B: "b", G: "g", K: "K", Q: "Q", T: "T"}
 
 RELATOR_TOKENS: Word = (Q, G, K, A, B, -A, -B, T)
 
 CONJUGATOR_TOKENS = (A, B, G, K)
 
-
-def token_name(letter: int) -> str:
-    return TOKEN_NAMES[abs(letter)] + ("^-1" if letter < 0 else "")
-
-
-def format_token_word(word: Word) -> str:
-    return " ".join(token_name(x) for x in word) if word else "1"
+# the conjugator length the catalog's schemas were found within
+CONJUGATOR_BOUND = 8
 
 
 def words_by_length(alphabet: tuple[int, ...], max_len: int) -> Iterator[list[Word]]:
@@ -128,7 +126,7 @@ def push_pair_from_conjugate(side: str, g_image: Word) -> Word | None:
     return None
 
 
-def search_push_family(side: str, max_len: int = 8) -> Iterator[PushSchema]:
+def search_push_family(side: str, max_len: int) -> Iterator[PushSchema]:
     """Nontrivial ansatz solutions of e(R) = R, conjugators shortest
     first; the scan order is deterministic, so so is the yield order.
     An inverse push is a push along the reversed loop, so inverses
@@ -155,57 +153,34 @@ def search_push_family(side: str, max_len: int = 8) -> Iterator[PushSchema]:
                 yield s
 
 
-def solve_push_schemas(max_len: int = 8) -> dict[str, tuple[PushSchema, PushSchema]]:
+def solve_push_schemas() -> dict[str, tuple[PushSchema, PushSchema]]:
     """For each side: the first solution the family scan yields, paired
     with the first later member that composes with it to the identity."""
     out: dict[str, tuple[PushSchema, PushSchema]] = {}
     for side in ("a", "b"):
         fwd = inverse = None
-        for s in search_push_family(side, max_len):
+        for s in search_push_family(side, CONJUGATOR_BOUND):
             if fwd is None:
                 fwd = s
             elif inverse_fault(EndoMap(TOKEN_GROUP, fwd.images, s.images)) is None:
                 inverse = s
                 break
-        if fwd is None:
-            raise RuntimeError("no push schema found for side %s within bound %d" % (side, max_len))
         if inverse is None:
-            raise RuntimeError("no inverse found for side %s within bound %d" % (side, max_len))
+            raise RuntimeError("no %s found for side %s within bound %d" % (
+                "push schema" if fwd is None else "inverse", side, CONJUGATOR_BOUND))
         out[side] = (fwd, inverse)
     return out
 
 
-def catalog_text(max_len: int = 8) -> str:
-    """Render the full elementary-move schema catalog."""
-    schemas = solve_push_schemas(max_len)
-    lines = [
-        "# Elementary move schemas for Hurwitz systems.",
-        "# Words are over schema tokens; unlisted generators are fixed.",
-        "#   braid blocks:  x, y = the adjacent puncture generators g_j, g_j+1",
-        "#   push blocks:   a, b = the loop pair of the pushed handle,",
-        "#                  g = the last puncture generator,",
-        "#                  K = product of commutators of all earlier handles",
-        "# Push conjugators were found by bounded search and certified by the",
-        "# exact relator identity on token words; do not edit by hand.",
-        "",
-        "[braid]",
-        "x: y",
-        "y: y^-1 x y",
-        "",
-        "[braid^-1]",
-        "x: x y x^-1",
-        "y: x",
-        "",
-    ]
-    for side in ("a", "b"):
-        fwd, inv = schemas[side]
-        moved_name = TOKEN_NAMES[fwd.moved]
-        for tag, s in (("", fwd), ("^-1", inv)):
-            lines.append("[push_%s%s]" % (side, tag))
-            lines.append("g: %s" % format_token_word(s.g_image))
-            lines.append("%s: %s" % (moved_name, format_token_word(s.moved_image)))
-            lines.append("")
-    return "\n".join(lines)
+def catalog_text() -> str:
+    """Render the full elementary-move schema catalog: the braid
+    sections over x, y = letters 1, 2, and the searched pushes."""
+    sections = {"braid": {"x": (2,), "y": (-2, 1, 2)}, "braid^-1": {"x": (1, 2, -1), "y": (1,)}}
+    for side, (fwd, inv) in solve_push_schemas().items():
+        moved = PUSH_TOKENS[fwd.moved - 1]
+        sections["push_" + side] = {"g": fwd.g_image, moved: fwd.moved_image}
+        sections["push_%s^-1" % side] = {"g": inv.g_image, moved: inv.moved_image}
+    return schema_text(sections)
 
 
 def main() -> None:

@@ -322,6 +322,8 @@ def canonicalize(sys: HurwitzSystem,
     cannot make progress, which would be a counterexample to the
     single-orbit claim, and BudgetError if a validate-mode search
     spends its budget."""
+    if mode not in ("fast", "validate"):
+        raise ValueError("canonicalize mode must be 'fast' or 'validate', got %r" % mode)
     report = validate(sys)
     if not report.ok:
         raise NormalizeError("not a valid system: %s" % report.messages[0])

@@ -43,6 +43,8 @@ from .perms import (
 )
 
 ENUMERATION_GUARD = 10**9
+# draws random_system makes before it gives up
+SAMPLE_TRIES = 100000
 
 
 class BudgetError(Exception):
@@ -394,8 +396,7 @@ def full_monodromy_seed(d: int, h: int, w: int) -> HurwitzSystem | None:
 
 
 def random_system(d: int, h: int, w: int, rng,
-                  filter: Callable[[HurwitzSystem], bool] | None = None,
-                  max_tries: int = 100000) -> HurwitzSystem:
+                  filter: Callable[[HurwitzSystem], bool] | None = None) -> HurwitzSystem:
     """Uniform over valid systems (each system has exactly one free
     choice of the first w-1 transpositions and the handles, so
     rejection sampling is exact), optionally conditioned on filter."""
@@ -403,7 +404,7 @@ def random_system(d: int, h: int, w: int, rng,
         raise ValueError("need even w >= 2 to sample")
     trans = all_transpositions(d)
     elems = _all_elements(d) if h > 0 else []
-    for _ in range(max_tries):
+    for _ in range(SAMPLE_TRIES):
         handles = tuple(rng.choice(elems) for _ in range(2 * h))
         ts = [rng.choice(trans) for _ in range(w - 1)]
         comm = identity(d)
@@ -416,4 +417,4 @@ def random_system(d: int, h: int, w: int, rng,
         sys = HurwitzSystem(d, handles, tuple(ts) + (last,))
         if filter is None or filter(sys):
             return sys
-    raise RuntimeError("rejection sampling failed after %d tries" % max_tries)
+    raise RuntimeError("rejection sampling failed after %d tries" % SAMPLE_TRIES)

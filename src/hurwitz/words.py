@@ -100,6 +100,12 @@ def concat(*parts: Iterable[int]) -> Word:
     return reduce_word(letters)
 
 
+def substitute(images: tuple[Word, ...], word: Word) -> Word:
+    """The image of word under the homomorphism sending generator k to
+    images[k-1]: the one substitution of words into a free group word."""
+    return concat(*(images[x - 1] if x > 0 else invert_word(images[-x - 1]) for x in word))
+
+
 def commutator_word(x: Word, y: Word) -> Word:
     return concat(x, y, invert_word(x), invert_word(y))
 
@@ -188,7 +194,7 @@ class EndoMap(_EndoMapFields):
         return word if letter > 0 else invert_word(word)
 
     def apply(self, word: Word) -> Word:
-        return concat(*(self.image(x) for x in word))
+        return substitute(self.images, word)
 
     def changes(self) -> tuple[tuple[int, Word], ...]:
         """(generator, image) for each generator the map does not fix."""

@@ -6,20 +6,17 @@ import os
 import pytest
 
 from hurwitz import catalog
-from hurwitz.catalog import (CatalogError, Schemas, braid_endo, catalog_bytes,
-                             catalog_hash, certified_braid_endo,
+from hurwitz.catalog import (BRAID_TOKENS, PUSH_TOKENS, CatalogError, Schemas, braid_endo,
+                             catalog_bytes, catalog_hash, certified_braid_endo,
                              certified_push_endo, certify_push, get_schemas,
-                             handle_block_word, parse_schemas, push_endo)
-from hurwitz.derive import (A, B, G, K, TOKEN_GROUP, PushSchema, catalog_text,
-                            format_token_word, search_push_family)
+                             handle_block_word, parse_schemas, push_endo, schema_text,
+                             spell_word)
+from hurwitz.derive import (A, B, TOKEN_GROUP, PushSchema, catalog_text,
+                            search_push_family)
 from hurwitz.words import EndoMap, FreeContext, identity_endo, inverse_fault, validate_peripheral
 
 # the shipped file is frozen; the moves and every certificate hash it
 FROZEN_HASH = "61ed0bf42abadccddf4e40c49bc3e7ffe629624e0d730386348f2e4861ea7d6f"
-
-
-def fmt(entry) -> str:
-    return " ".join(name + ("^-1" if sign < 0 else "") for name, sign in entry)
 
 
 class TestParsing:
@@ -28,10 +25,10 @@ class TestParsing:
 
     def test_sections_complete(self):
         s = get_schemas()
-        assert fmt(s.entry("braid", "x")) == "y"
-        assert fmt(s.entry("braid", "y")) == "y^-1 x y"
-        assert fmt(s.entry("braid^-1", "x")) == "x y x^-1"
-        assert fmt(s.entry("braid^-1", "y")) == "x"
+        assert spell_word(s.entry("braid", "x"), BRAID_TOKENS) == "y"
+        assert spell_word(s.entry("braid", "y"), BRAID_TOKENS) == "y^-1 x y"
+        assert spell_word(s.entry("braid^-1", "x"), BRAID_TOKENS) == "x y x^-1"
+        assert spell_word(s.entry("braid^-1", "y"), BRAID_TOKENS) == "x"
         for section in ("push_a", "push_a^-1"):
             assert s.entry(section, "g")
             assert s.entry(section, "b")
@@ -77,6 +74,18 @@ class TestParsing:
         with pytest.raises(CatalogError) as info:
             parse_schemas(text)
         assert str(info.value) == "section [braid^-1] is missing entry 'y'"
+
+    def test_schema_text_spells_the_shipped_file(self):
+        # the writer is the reader's inverse on the shipped file, byte for byte
+        assert schema_text(get_schemas().sections).encode("utf-8") == catalog_bytes()
+
+    def test_spelling_round_trips_through_the_reader(self):
+        sections = {name: dict(entries) for name, entries in get_schemas().sections.items()}
+        sections["braid"]["x"] = ()
+        sections["push_b"]["a"] = (4, -4, -3, 2)
+        text = schema_text(sections)
+        assert "\nx: 1\n" in text and "\na: K K^-1 g^-1 b\n" in text
+        assert parse_schemas(text).sections == sections
 
     def test_parse_reads_one_as_the_empty_word(self):
         text = catalog_bytes().decode()
@@ -147,22 +156,22 @@ class TestTampering:
         # b -> b a keeps [a, b], so the map is still a peripheral
         # automorphism, but b no longer moves by a conjugate of g
         s = get_schemas()
-        bad = self.tampered("push_a", "b", s.entry("push_a", "b") + (("a", 1),))
+        bad = self.tampered("push_a", "b", s.entry("push_a", "b") + (A,))
         inverse = s.entry("push_a^-1", "b")
-        assert inverse[-1] == ("b", 1)
-        bad.sections["push_a^-1"]["b"] = inverse[:-1] + (("b", 1), ("a", -1))
+        assert inverse[-1] == B
+        bad.sections["push_a^-1"]["b"] = inverse[:-1] + (B, -A)
         assert validate_peripheral(push_endo(FreeContext(h, w), 1, "a", bad)).ok
         with pytest.raises(CatalogError, match="the schema is not of push shape"):
             certify_push(FreeContext(h, w), 1, "a", bad)
 
     def test_tampered_braid_fails(self):
-        bad = self.tampered("braid", "x", (("x", 1),))
+        bad = self.tampered("braid", "x", (1,))
         e = braid_endo(FreeContext(0, 3), 1, bad)
         assert not validate_peripheral(e).ok
 
     def test_failed_braid_certification_text(self, monkeypatch):
         # the catalog swapped under the cached certifier
-        bad = self.tampered("braid", "x", (("x", 1),))
+        bad = self.tampered("braid", "x", (1,))
         monkeypatch.setattr(catalog, "get_schemas", lambda: bad)
         certified_braid_endo.cache_clear()
         try:
@@ -180,8 +189,8 @@ class TestTampering:
             certify_push(FreeContext(2, 2), 2, "a", bad)
         assert str(info.value) == ("push schema failed certification at "
                                    "(h=2, w=2, i=2, side=a): e(e^-1(b2)) != b2")
-        bad = self.tampered("push_a", "b", s.entry("push_a", "b") + (("a", 1),))
-        bad.sections["push_a^-1"]["b"] = s.entry("push_a^-1", "b")[:-1] + (("b", 1), ("a", -1))
+        bad = self.tampered("push_a", "b", s.entry("push_a", "b") + (A,))
+        bad.sections["push_a^-1"]["b"] = s.entry("push_a^-1", "b")[:-1] + (B, -A)
         with pytest.raises(CatalogError) as info:
             certify_push(FreeContext(1, 2), 1, "a", bad)
         assert str(info.value) == ("push schema failed certification at "
@@ -197,26 +206,25 @@ class TestRederivation:
         s = get_schemas()
         for side, moved in (("a", "b"), ("b", "a")):
             found = next(iter(search_push_family(side, 7)))
-            assert format_token_word(found.g_image) == fmt(s.entry("push_" + side, "g"))
-            assert format_token_word(found.moved_image) == fmt(
-                s.entry("push_" + side, moved))
+            assert spell_word(found.g_image, PUSH_TOKENS) == spell_word(
+                s.entry("push_" + side, "g"), PUSH_TOKENS)
+            assert spell_word(found.moved_image, PUSH_TOKENS) == spell_word(
+                s.entry("push_" + side, moved), PUSH_TOKENS)
 
     def test_frozen_schemas_pair_by_the_inverse_check(self):
         # solve_push_schemas pairs a schema with the first later member
         # of its family that words.inverse_fault passes: the frozen pairs
         # pass it in the token group, and no schema is its own inverse
-        tokens = {"a": A, "b": B, "g": G, "K": K}
         s = get_schemas()
 
         def schema(section, moved):
             images = list(identity_endo(TOKEN_GROUP).images)
-            for letter in ("g", moved):
-                images[tokens[letter] - 1] = tuple(
-                    sign * tokens[name] for name, sign in s.entry(section, letter))
+            for token in ("g", moved):
+                images[PUSH_TOKENS.index(token)] = s.entry(section, token)
             return PushSchema(TOKEN_GROUP, tuple(images))
         for side, moved in (("a", "b"), ("b", "a")):
             fwd, inv = schema("push_" + side, moved), schema("push_%s^-1" % side, moved)
-            assert fwd.moved == inv.moved == tokens[moved]
+            assert fwd.moved == inv.moved == PUSH_TOKENS.index(moved) + 1
             assert inverse_fault(EndoMap(TOKEN_GROUP, fwd.images, inv.images)) is None
             assert inverse_fault(EndoMap(TOKEN_GROUP, fwd.images, fwd.images)) is not None
 

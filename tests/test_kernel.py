@@ -72,6 +72,24 @@ def test_kernel_follows_the_catalog(monkeypatch):
         catalog.certified_braid_endo.cache_clear()
 
 
+@pytest.mark.parametrize("d,h,w", [(3, 0, 4), (3, 1, 6)])
+def test_rotation_refuses_a_braid_that_reads_outside_its_pair(monkeypatch, d, h, w):
+    # the rotation carries one entry from braid to braid, so it is sound
+    # only while each braid's program reads just its own pair: B2 made
+    # to read g_4 for g_3 must stop class_steps, naming B2
+    real = orbits.move_program
+
+    def program(h, w, j, side, inverse_move):
+        prog = real(h, w, j, side, inverse_move)
+        if side or j != 2:
+            return prog
+        return prog._replace(reads=(prog.reads[0], prog.reads[1] + 1))
+    monkeypatch.setattr(orbits, "move_program", program)
+    kernel = _Kernel(d, h, w, compile_moves(d, h, w, "full"))
+    with pytest.raises(AssertionError, match="^braid B2 does not change its pair alone$"):
+        kernel.class_steps()
+
+
 @pytest.mark.parametrize("d", [5, 6, 7, 8])
 def test_kernel_moves_take_no_rank_product(monkeypatch, d):
     # past the degrees the censuses reach: every step, the rotation

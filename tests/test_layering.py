@@ -13,11 +13,11 @@ import pytest
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "hurwitz"
 
-# perms, words -> catalog, derive; systems -> moves -> orbits -> normalize -> cli
+# perms, words -> catalog -> derive, systems -> moves -> orbits -> normalize -> cli
 LAYER = {
     "__init__": 0, "perms": 0, "words": 0, "frobenius": 0,
-    "catalog": 1, "derive": 1,
-    "systems": 2,
+    "catalog": 1,
+    "derive": 2, "systems": 2,
     "moves": 3,
     "orbits": 4,
     "normalize": 5,

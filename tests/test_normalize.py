@@ -429,6 +429,17 @@ class TestCanonical:
             assert serialize(cert.replay()) == serialize(form)
             done += 1
 
+    @pytest.mark.parametrize("mode", ["valdiate", "Validate", ""])
+    def test_unknown_mode_is_refused(self, mode, monkeypatch):
+        # a misspelt mode must not fall back to the macro-token word,
+        # and is refused before any stage runs
+        monkeypatch.setattr(normalize, "validate", lambda sys: pytest.fail("work before the check"))
+        hs = random_system(3, 1, 6, random.Random(1), is_full_monodromy)
+        with pytest.raises(ValueError) as info:
+            canonicalize(hs, mode=mode)
+        assert str(info.value) == (
+            "canonicalize mode must be 'fast' or 'validate', got %r" % mode)
+
     @pytest.mark.parametrize("d,h,w", [(3, 1, 6), (4, 1, 8)])
     def test_validate_mode_justifies_retypes(self, d, h, w):
         # draws with two or more branching blocks are rare (about 1 in

@@ -265,12 +265,12 @@ def tampered_maps():
                     tampered("push_a", "g", s.entry("push_a", "g")[:-1]))
     yield push_endo(FreeContext(1, 2), 1, "b",
                     tampered("push_b^-1", "a", s.entry("push_b^-1", "a")[:-1]))
-    transvection = tampered("push_a", "b", s.entry("push_a", "b") + (("a", 1),))
-    transvection.sections["push_a^-1"]["b"] = (s.entry("push_a^-1", "b")[:-1]
-                                               + (("b", 1), ("a", -1)))
+    # letters 1 and 2 of a push word are the tokens a and b
+    transvection = tampered("push_a", "b", s.entry("push_a", "b") + (1,))
+    transvection.sections["push_a^-1"]["b"] = s.entry("push_a^-1", "b")[:-1] + (2, -1)
     for h, w in [(1, 2), (2, 4)]:
         yield push_endo(FreeContext(h, w), 1, "a", transvection)
-    yield braid_endo(FreeContext(0, 3), 1, tampered("braid", "x", (("x", 1),)))
+    yield braid_endo(FreeContext(0, 3), 1, tampered("braid", "x", (1,)))
 
 
 def with_images(e, changes, inverse_changes):
